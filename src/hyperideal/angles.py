@@ -27,7 +27,7 @@ import numpy as np
 
 from . import simplex, tetgeom
 from .errors import ConvergenceError
-from .metric import class_matrix
+from .metric import Quotient
 from .triangulation import Triangulation
 
 TWO_PI = 2.0 * math.pi
@@ -81,10 +81,7 @@ class VolumeMaxReport:
 
 def edge_sums(assign: AngleAssignment) -> np.ndarray:
     """Angle totals per edge class."""
-    tri = assign.tri
-    S = np.zeros(tri.n_edges)
-    np.add.at(S, class_matrix(tri).ravel(), assign.angles.ravel())
-    return S
+    return Quotient(assign.tri).scatter(assign.angles)
 
 
 def validate_assignment(assign: AngleAssignment, eq_tol: float = EDGE_SUM_TOL) -> None:
@@ -116,15 +113,12 @@ def lp_feasibility(tri: Triangulation) -> LPResult:
     angles are returned as the witness.
     """
     N = tri.tet_count
-    cm = class_matrix(tri)
     nA = 6 * N
     ncols = nA + 2
     iep, iem = nA, nA + 1
 
     A_eq = np.zeros((tri.n_edges, ncols))
-    for t in range(N):
-        for e in range(6):
-            A_eq[cm[t, e], 6 * t + e] += 1.0
+    A_eq[:, :nA] = Quotient(tri).matrix()
     b_eq = np.full(tri.n_edges, TWO_PI)
 
     ub_rows, ub_rhs = [], []
@@ -157,7 +151,7 @@ def lp_feasibility(tri: Triangulation) -> LPResult:
 
 
 def realize_structure(assign: AngleAssignment) -> Realization:
-    """Invert the angle map tetrahedron by tetrahedron.
+    """Invert the angle map of every tetrahedron separately.
 
     The vertex-sum condition makes each corner angle vector realizable in
     isolation; the realized lengths need not agree across an edge class,
@@ -166,38 +160,30 @@ def realize_structure(assign: AngleAssignment) -> Realization:
     """
     validate_assignment(assign)
     tri = assign.tri
-    X = np.array([tetgeom.lengths_from_angles(assign.angles[t])
-                  for t in range(tri.tet_count)])
+    X = tetgeom._newton_lengths(assign.angles, np.ones((tri.tet_count, 6)))
     spreads = _class_spreads(tri, X)
     return Realization(lengths=X, spreads=spreads,
                        max_spread=float(spreads.max()))
 
 
 def _class_spreads(tri: Triangulation, X: np.ndarray) -> np.ndarray:
-    cm = class_matrix(tri).ravel()
-    vals = X.ravel()
-    lo = np.full(tri.n_edges, np.inf)
-    hi = np.full(tri.n_edges, -np.inf)
-    np.minimum.at(lo, cm, vals)
-    np.maximum.at(hi, cm, vals)
-    return hi - lo
+    return Quotient(tri).spread(X)
+
+
+def _volume(A: np.ndarray) -> float:
+    return float(sum(tetgeom.schlafli_potential_of_angles(a) for a in A))
 
 
 def total_volume(assign: AngleAssignment) -> float:
     """Sum of per-tetrahedron volume potentials of an assignment."""
     validate_assignment(assign)
-    return float(sum(tetgeom.schlafli_potential_of_angles(assign.angles[t])
-                     for t in range(assign.tri.tet_count)))
+    return _volume(assign.angles)
 
 
 def _project_gradient(tri: Triangulation, G: np.ndarray) -> np.ndarray:
     """Remove per-edge-class means: the tangent projection of the polytope."""
-    cm = class_matrix(tri)
-    sums = np.zeros(tri.n_edges)
-    np.add.at(sums, cm.ravel(), G.ravel())
-    counts = np.zeros(tri.n_edges)
-    np.add.at(counts, cm.ravel(), 1.0)
-    return G - (sums / counts)[cm]
+    q = Quotient(tri)
+    return G - q.gather(q.scatter(G) / q.counts)
 
 
 def maximize_volume(tri: Triangulation, start, tol: float = 1e-8,
@@ -211,6 +197,8 @@ def maximize_volume(tri: Triangulation, start, tol: float = 1e-8,
     vanishing per-class spread of the realized lengths is the optimality
     certificate.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if isinstance(start, AngleAssignment):
         if start.tri is not tri and start.tri.spec != tri.spec:
             raise ValueError("start assignment belongs to a different gluing")
@@ -219,26 +207,13 @@ def maximize_volume(tri: Triangulation, start, tol: float = 1e-8,
         a = np.array(start, dtype=float)
     assign = AngleAssignment(tri=tri, angles=a)
     validate_assignment(assign)
-    cm = class_matrix(tri)
-    counts = np.zeros(tri.n_edges)
-    np.add.at(counts, cm.ravel(), np.ones(cm.size))
-
-    def recentred(A):
-        sums = np.zeros(tri.n_edges)
-        np.add.at(sums, cm.ravel(), A.ravel())
-        return A + ((TWO_PI - sums) / counts)[cm]
-
-    a = recentred(a)
+    q = Quotient(tri)
+    a = a + q.gather((TWO_PI - q.scatter(a)) / q.counts)
     if not tetgeom.angles_strictly_feasible(a).all():
         raise ValueError("start assignment is not strictly feasible")
 
     X = np.ones((tri.tet_count, 6))
-
-    def volume_of(A):
-        return float(sum(tetgeom.schlafli_potential_of_angles(A[t])
-                         for t in range(tri.tet_count)))
-
-    vol = volume_of(a)
+    vol = _volume(a)
     step = 1.0
     for it in range(max_iter):
         X = tetgeom._newton_lengths(a, X)
@@ -254,7 +229,7 @@ def maximize_volume(tri: Triangulation, start, tol: float = 1e-8,
         for _ in range(60):
             cand = a + step * G
             if tetgeom.angles_strictly_feasible(cand).all():
-                cv = volume_of(cand)
+                cv = _volume(cand)
                 if cv >= vol + 1e-4 * step * float((G * G).sum()):
                     a, vol = cand, cv
                     advanced = True

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from . import angles as angles_mod
-from . import dynamics, metric as metric_mod, propsuite, serialize, tetgeom
+from . import dynamics, metric as metric_mod, propsuite, serialize
 from . import triangulation as tri_mod
 from .errors import (BoundaryHypothesisError, ConvergenceError,
                      DefinitenessError, GluingError, InadmissibleShapeError)
@@ -50,17 +50,12 @@ _FILTERS = {
 }
 
 
-def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
-
-
 def _load_tri(path) -> tri_mod.Triangulation:
-    return tri_mod.build(tri_mod.GluingSpec.from_json_obj(_load_json(path)))
+    return tri_mod.build(tri_mod.GluingSpec.from_json_obj(serialize.load_json(path)))
 
 
 def _load_metric(path, tri) -> metric_mod.ConeMetric:
-    obj = _load_json(path)
+    obj = serialize.load_json(path)
     if not isinstance(obj, dict) or "lengths" not in obj:
         raise GluingError("metric JSON must be an object with a 'lengths' array")
     lengths = obj["lengths"]
@@ -72,20 +67,19 @@ def _load_metric(path, tri) -> metric_mod.ConeMetric:
 
 
 def _load_assignment(path, tri) -> angles_mod.AngleAssignment:
-    obj = _load_json(path)
+    obj = serialize.load_json(path)
     if not isinstance(obj, dict) or "angles" not in obj:
         raise GluingError("assignment JSON must be an object with an 'angles' array")
     return angles_mod.AngleAssignment(tri=tri,
                                       angles=np.array(obj["angles"], dtype=float))
 
 
-def _curvature_obj(m: metric_mod.ConeMetric) -> dict:
-    st = metric_mod.full_state(m)
+def _curvature_obj(ev: metric_mod.Evaluation) -> dict:
     return {
-        "K": list(st.K),
-        "S": list(st.S),
-        "H": st.H_val,
-        "J_eigs": list(np.linalg.eigvalsh(st.J)),
+        "K": list(ev.K),
+        "S": list(ev.S),
+        "H": ev.H,
+        "J_eigs": list(np.linalg.eigvalsh(ev.jacobian())),
     }
 
 
@@ -119,6 +113,9 @@ def cmd_validate(args) -> int:
 
 def cmd_search(args) -> int:
     started = serialize.now_iso()
+    if args.limit < 0:
+        print("error: --limit must be non-negative", file=sys.stderr)
+        return EXIT_INPUT
     specs = tri_mod.search_gluings(args.tets, _FILTERS[args.filter])
     config = {"tets": args.tets, "filter": args.filter, "limit": args.limit,
               "first": args.first}
@@ -147,19 +144,17 @@ def cmd_shapes(args) -> int:
     started = serialize.now_iso()
     tri = _load_tri(args.tri)
     m = _load_metric(args.metric, tri)
-    X = metric_mod.tet_length_matrix(m)
-    tets = []
-    for t in range(tri.tet_count):
-        sh = tetgeom.shape(X[t])
-        tets.append({
-            "index": t,
-            "lengths": list(sh.lengths),
-            "arcs": list(sh.arcs),
-            "angles": list(sh.angles),
-            "vertex_sums": list(tetgeom.vertex_angle_sums(sh.angles)),
-            "margin": float(tetgeom.admissibility_margin(X[t])),
-        })
-    report = {"tets": tets, "curvature": _curvature_obj(m)}
+    ev = metric_mod.evaluate(tri, m.x).raise_if_inadmissible()
+    pl = ev.pipeline
+    tets = [{
+        "index": t,
+        "lengths": list(ev.X[t]),
+        "arcs": list(np.arccosh(pl.u[t])),
+        "angles": list(pl.angles[t]),
+        "vertex_sums": list(pl.vsums[t]),
+        "margin": float(pl.margin[t]),
+    } for t in range(tri.tet_count)]
+    report = {"tets": tets, "curvature": _curvature_obj(ev)}
     serialize.write_json(args.out, report)
     _manifest(args, args.out, started, {},
               {"tri": args.tri, "metric": args.metric})
@@ -222,7 +217,7 @@ def cmd_minimize(args) -> int:
         "K_norm": rep.K_norm,
         "H": rep.H_val,
         "step_sizes": list(rep.step_sizes),
-        "curvature": _curvature_obj(m_opt),
+        "curvature": _curvature_obj(metric_mod.evaluate(tri, m_opt.x)),
     }
     serialize.write_json(args.out, report)
     _manifest(args, args.out, started, {"tol": args.tol},

@@ -35,6 +35,7 @@ _RKF_A = (
 )
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+_RK4_A = ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
 
 _METHODS = ("rkf45_adaptive", "rk4_fixed")
 
@@ -48,7 +49,6 @@ class FlowConfig:
     method: str = "rkf45_adaptive"
     rtol: float = 1e-12
     atol: float = 1e-14
-    seed: int = 0
     max_steps: int = 200000
 
     def validate(self) -> None:
@@ -56,14 +56,15 @@ class FlowConfig:
             raise ValueError("t_max must be positive and finite")
         if not (self.initial_step > 0):
             raise ValueError("initial_step must be positive")
-        if self.curvature_tol < 1e-13:
-            raise ValueError("curvature_tol below 1e-13 is not resolvable")
-        if not (self.degeneration_margin > 0):
-            raise ValueError("degeneration_margin must be positive")
+        if not 1e-13 <= self.curvature_tol < math.inf:
+            raise ValueError("curvature_tol must be finite; below 1e-13 it "
+                             "is not resolvable")
+        if not (0 < self.degeneration_margin < math.inf):
+            raise ValueError("degeneration_margin must be positive and finite")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("rtol and atol must be positive")
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
+            raise ValueError("rtol and atol must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
 
@@ -84,39 +85,6 @@ class FlowTrace:
     config: FlowConfig
 
 
-class _Rhs:
-    """Curvature evaluation bound to one triangulation, with admissibility gate."""
-
-    def __init__(self, tri):
-        self.tri = tri
-        self.cm = metric_mod.class_matrix(tri)
-        self.n = tri.n_edges
-        self.two_pi = 2.0 * math.pi
-
-    def tet_lengths(self, x):
-        return x[self.cm]
-
-    def try_angles(self, x):
-        """Per-tet angle matrix, or None when x leaves the admissible set."""
-        if not ((x > 0.0).all() and (x <= tetgeom.MAX_LENGTH).all()
-                and np.isfinite(x).all()):
-            return None
-        X = self.tet_lengths(x)
-        pl = tetgeom._pipeline(X)
-        if not pl.ok.all():
-            return None
-        return pl.angles
-
-    def curvature_of_angles(self, A):
-        S = np.zeros(self.n)
-        np.add.at(S, self.cm.ravel(), A.ravel())
-        return self.two_pi - S
-
-    def try_k(self, x):
-        A = self.try_angles(x)
-        return None if A is None else self.curvature_of_angles(A)
-
-
 def _tet_potential_increment(A0, A1, X0, X1) -> float:
     total = 0.0
     for t in range(A0.shape[0]):
@@ -131,16 +99,12 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
     differential, after one direct evaluation at the start.
     """
     cfg.validate()
-    rhs = _Rhs(m0.tri)
-    x = np.array(m0.x, dtype=float)
-
-    # initial state, with located errors if m0 is bad
-    metric_mod.curvature(m0)
-    A = rhs.try_angles(x)
-    K = rhs.curvature_of_angles(A)
-    V = float(metric_mod.tet_potentials(m0).sum())
+    tri = m0.tri
+    ev = metric_mod.evaluate(tri, m0.x).raise_if_inadmissible()
+    x, K = ev.x, ev.K
+    V = float(ev.potentials().sum())
     H = 2.0 * V - float(K @ x)
-    margin, witness = metric_mod.metric_margin(m0)
+    margin, witness = ev.margin()
 
     ts, xs, ks, hs = [0.0], [x.copy()], [K.copy()], [H]
     status, final_witness = None, None
@@ -153,6 +117,7 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
     h = cfg.initial_step
     accepted = rejected = 0
     adaptive = cfg.method == "rkf45_adaptive"
+    tableau = _RKF_A if adaptive else _RK4_A
 
     while status is None:
         if t >= cfg.t_max * (1.0 - 1e-14):
@@ -167,51 +132,35 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
                 f"flow step size underflowed at t = {t!r}", last=x)
 
         stages = [K]
-        valid = True
-        for i in range(1, 6 if adaptive else 4):
-            if adaptive:
-                coeff = _RKF_A[i]
-            else:
-                coeff = ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))[i - 1]
-            xi = x + h * sum(c * k for c, k in zip(coeff, stages))
-            ki = rhs.try_k(xi)
-            if ki is None:
-                valid = False
+        ev_new, err_ratio = None, 0.0
+        for coeff in tableau[1:]:
+            stage = metric_mod.evaluate(
+                tri, x + h * sum(c * k for c, k in zip(coeff, stages)))
+            if not stage.admissible:
                 break
-            stages.append(ki)
-
-        x_new = K_new = A_new = None
-        err_ratio = 0.0
-        if valid:
+            stages.append(stage.K)
+        else:  # every stage admissible
             if adaptive:
                 x_new = x + h * sum(b * k for b, k in zip(_RKF_B5, stages))
                 err = h * sum((b5 - b4) * k
                               for b5, b4, k in zip(_RKF_B5, _RKF_B4, stages))
                 scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
                 err_ratio = float(np.abs(err / scale).max())
-                if err_ratio > 1.0:
-                    valid = False
             else:
                 x_new = x + (h / 6.0) * (stages[0] + 2 * stages[1]
                                          + 2 * stages[2] + stages[3])
-        if valid:
-            A_new = rhs.try_angles(x_new)
-            if A_new is None:
-                valid = False
+            if err_ratio <= 1.0:
+                ev_new = metric_mod.evaluate(tri, x_new)
 
-        if not valid:
+        if ev_new is None or not ev_new.admissible:
             rejected += 1
-            if adaptive and err_ratio > 1.0:
-                h *= max(0.2, 0.9 * err_ratio ** -0.2)
-            else:
-                h *= 0.5
+            h *= max(0.2, 0.9 * err_ratio ** -0.2) if err_ratio > 1.0 else 0.5
             continue
 
-        K_new = rhs.curvature_of_angles(A_new)
-        V += _tet_potential_increment(A, A_new, rhs.tet_lengths(x),
-                                      rhs.tet_lengths(x_new))
+        V += _tet_potential_increment(ev.angles, ev_new.angles, ev.X, ev_new.X)
         t += h
-        x, K, A = x_new, K_new, A_new
+        ev = ev_new
+        x, K = ev.x, ev.K
         H = 2.0 * V - float(K @ x)
         accepted += 1
         ts.append(t)
@@ -219,7 +168,7 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
         ks.append(K.copy())
         hs.append(H)
 
-        margin, witness = metric_mod.metric_margin(m0.with_lengths(x))
+        margin, witness = ev.margin()
         if margin < cfg.degeneration_margin:
             status, final_witness = "degenerated", witness
         elif float(np.abs(K).max()) < cfg.curvature_tol:
@@ -253,33 +202,24 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12,
     DefinitenessError rather than worked around.  The backtracking line
     search rejects iterates that leave the admissible set.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rhs = _Rhs(m0.tri)
-    x = np.array(m0.x, dtype=float)
-    metric_mod.curvature(m0)
-
-    def h_of(xv):
-        mm = m0.with_lengths(xv)
-        return 2.0 * float(metric_mod.tet_potentials(mm).sum()) \
-            - float(rhs.try_k(xv) @ xv)
-
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    ev = metric_mod.evaluate(m0.tri, m0.x).raise_if_inadmissible()
     steps = []
-    K = rhs.try_k(x)
     for it in range(max_iter):
+        x, K = ev.x, ev.K
         if float(np.abs(K).max()) < tol:
             return m0.with_lengths(x), MinimizeReport(
                 iterations=it, K_norm=float(np.abs(K).max()),
-                H_val=h_of(x), step_sizes=tuple(steps))
-        J = metric_mod.curvature_jacobian(m0.with_lengths(x))
-        A = -J
+                H_val=ev.H, step_sizes=tuple(steps))
+        A = -ev.jacobian()
         try:
             np.linalg.cholesky(A)
         except np.linalg.LinAlgError as exc:
             raise DefinitenessError(
                 f"curvature Jacobian lost negative definiteness at x = {x!r}: {exc}")
         d = np.linalg.solve(A, K)
-        H0 = h_of(x)
+        H0 = ev.H
         slope = -float(K @ d)  # gradient of H is -K
         # Once the predicted decrease drops below the float resolution of H
         # the sufficient-decrease test compares pure rounding noise; from
@@ -287,21 +227,20 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12,
         noise = 64.0 * np.finfo(float).eps * max(1.0, abs(H0))
         alpha = 1.0
         for _ in range(60):
-            xc = x + alpha * d
-            if (xc > 0.0).all() and rhs.try_k(xc) is not None:
-                if -slope <= noise or h_of(xc) <= H0 + 1e-4 * alpha * slope:
-                    break
+            cand = metric_mod.evaluate(m0.tri, x + alpha * d)
+            if cand.admissible and (-slope <= noise
+                                    or cand.H <= H0 + 1e-4 * alpha * slope):
+                break
             alpha *= 0.5
         else:
             raise ConvergenceError(
                 "energy line search failed: the Newton direction leaves the "
                 "admissible set", last=x)
-        x = x + alpha * d
+        ev = cand
         steps.append(alpha)
-        K = rhs.try_k(x)
     raise ConvergenceError(
         f"energy minimization did not reach {tol} in {max_iter} iterations",
-        last=x)
+        last=ev.x)
 
 
 @dataclass(frozen=True)

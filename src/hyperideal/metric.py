@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -72,9 +73,140 @@ def class_matrix(tri: Triangulation) -> np.ndarray:
     return np.array(tri.edge_class_of, dtype=int).reshape(tri.tet_count, 6)
 
 
+class Quotient:
+    """The quotient map of a gluing, sending corner (t, e) to its edge class.
+
+    Every per-class quantity is a pull-back (gather) or push-forward
+    (scatter) through this one map.  Scatters accumulate corner by corner
+    in (t, e) order, so their sums are reproducible to the last bit.
+    """
+
+    def __init__(self, tri: Triangulation):
+        self.cm = class_matrix(tri)
+        self.n = tri.n_edges
+        self.counts = np.bincount(self.cm.ravel(), minlength=self.n)  # valences
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """Per-corner copies of per-class values, shape (tet_count, 6)."""
+        return x[self.cm]
+
+    def scatter(self, A: np.ndarray) -> np.ndarray:
+        """Per-class sums of per-corner values."""
+        return np.bincount(self.cm.ravel(), weights=np.ravel(A),
+                           minlength=self.n)
+
+    def spread(self, X: np.ndarray) -> np.ndarray:
+        """Per-class max minus min of per-corner values."""
+        lo = np.full(self.n, np.inf)
+        hi = np.full(self.n, -np.inf)
+        np.minimum.at(lo, self.cm.ravel(), np.ravel(X))
+        np.maximum.at(hi, self.cm.ravel(), np.ravel(X))
+        return hi - lo
+
+    def assemble(self, B: np.ndarray) -> np.ndarray:
+        """Sum of the per-tetrahedron 6x6 blocks B[t] into an (n, n) matrix."""
+        flat = self.cm[:, :, None] * self.n + self.cm[:, None, :]
+        return np.bincount(flat.ravel(), weights=B.ravel(),
+                           minlength=self.n * self.n).reshape(self.n, self.n)
+
+    def matrix(self) -> np.ndarray:
+        """The map as a 0/1 matrix of shape (n_edges, 6 * tet_count)."""
+        Q = np.zeros((self.n, self.cm.size))
+        Q[self.cm.ravel(), np.arange(self.cm.size)] = 1.0
+        return Q
+
+
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """One run of the angle pipeline over every tetrahedron of a length vector.
+
+    ok[t] says whether tetrahedron t is admissible; lengths that are not
+    positive, not finite or above tetgeom.MAX_LENGTH make it False.  The
+    angle-derived fields (angles, S, K and everything computed from them)
+    are meaningful only when every tetrahedron is ok.
+    """
+
+    quotient: Quotient
+    x: np.ndarray         # lengths per edge class
+    X: np.ndarray         # lengths per corner, (tet_count, 6)
+    pipeline: tetgeom._Pipeline
+    ok: np.ndarray        # (tet_count,) admissibility mask
+    angles: np.ndarray    # (tet_count, 6) dihedral angles
+    S: np.ndarray         # angle sums per edge class
+    K: np.ndarray         # curvatures 2*pi - S
+
+    @property
+    def admissible(self) -> bool:
+        return bool(self.ok.all())
+
+    def raise_if_inadmissible(self) -> "Evaluation":
+        """Raise InadmissibleShapeError naming the first bad tetrahedron.
+
+        Out-of-range lengths raise first, exactly as tetgeom rejects them.
+        Returns self, so the call chains after evaluate().
+        """
+        if self.admissible:
+            return self
+        tetgeom._as_lengths(self.X)
+        t = int(np.argmax(~self.ok))
+        try:
+            tetgeom._raise_inadmissible(self.X, self.pipeline)
+        except InadmissibleShapeError as exc:
+            raise InadmissibleShapeError(
+                f"tetrahedron {t}: {exc}", reason=exc.reason, edge=exc.edge,
+                vertex=exc.vertex, value=exc.value, tet=t) from None
+
+    def margin(self) -> tuple:
+        """(margin, witness) as documented in metric_margin."""
+        pl = self.pipeline
+        t = int(np.argmin(pl.margin))
+        cos, vs = pl.cosines[t], pl.vsums[t]
+        corner = np.where(np.isfinite(cos), 1.0 - np.abs(cos), -np.inf)
+        slack = np.where(np.isfinite(vs), math.pi - vs, -np.inf)
+        if corner.min() <= slack.min():
+            e, s = map(int, divmod(int(np.argmin(corner)), 2))
+            witness = {"tet": t, "kind": "corner_cosine", "edge": e,
+                       "vertex": EDGE_VERTEX_PAIRS[e][s],
+                       "value": float(cos[e, s])}
+        else:
+            v = int(np.argmin(slack))
+            witness = {"tet": t, "kind": "vertex_sum", "vertex": v,
+                       "value": float(vs[v])}
+        return float(pl.margin[t]), witness
+
+    def jacobian(self) -> np.ndarray:
+        """dK/dx: minus the per-tetrahedron angle Jacobians, assembled."""
+        Jt = tetgeom._jacobian_from_pipeline(self.pipeline, self.X)
+        return self.quotient.assemble(-Jt)
+
+    def potentials(self) -> np.ndarray:
+        """Per-tetrahedron volume potentials, relative to the unit regular shape."""
+        return np.array([
+            tetgeom.schlafli_segment(tetgeom.REF_ANGLES, a,
+                                     x_start=tetgeom.REF_LENGTHS, x_end=x)
+            for a, x in zip(self.angles, self.X)])
+
+    @cached_property
+    def H(self) -> float:
+        """The energy 2 * sum_t V_t - K . x."""
+        return 2.0 * float(self.potentials().sum()) - float(self.K @ self.x)
+
+
+def evaluate(tri: Triangulation, x) -> Evaluation:
+    """Run the angle pipeline once over all tetrahedra; never raises."""
+    q = Quotient(tri)
+    x = np.asarray(x, dtype=float)
+    X = q.gather(x)
+    pl = tetgeom._pipeline(X)
+    ok = pl.ok & ((X > 0.0) & (X <= tetgeom.MAX_LENGTH)).all(axis=-1)
+    S = q.scatter(pl.angles)
+    return Evaluation(quotient=q, x=x, X=X, pipeline=pl, ok=ok,
+                      angles=pl.angles, S=S, K=2.0 * math.pi - S)
+
+
 def tet_length_matrix(m: ConeMetric) -> np.ndarray:
     """Per-tetrahedron length vectors, shape (tet_count, 6)."""
-    return m.x[class_matrix(m.tri)]
+    return Quotient(m.tri).gather(m.x)
 
 
 def tet_angle_matrix(m: ConeMetric) -> np.ndarray:
@@ -83,51 +215,23 @@ def tet_angle_matrix(m: ConeMetric) -> np.ndarray:
     Raises InadmissibleShapeError with the tetrahedron index filled in when
     some tetrahedron degenerates under the metric.
     """
-    X = tet_length_matrix(m)
-    ok = np.atleast_1d(tetgeom.is_admissible(X))
-    if not ok.all():
-        t = int(np.argmax(~ok))
-        try:
-            tetgeom.angles_from_lengths(X[t])
-        except InadmissibleShapeError as exc:
-            raise InadmissibleShapeError(
-                f"tetrahedron {t}: {exc}", reason=exc.reason, edge=exc.edge,
-                vertex=exc.vertex, value=exc.value, tet=t) from None
-        raise InadmissibleShapeError(f"tetrahedron {t} is inadmissible", tet=t)
-    return tetgeom.angles_from_lengths(X)
-
-
-def _scatter_sums(tri: Triangulation, A: np.ndarray) -> np.ndarray:
-    S = np.zeros(tri.n_edges)
-    np.add.at(S, class_matrix(tri).ravel(), A.ravel())
-    return S
+    return evaluate(m.tri, m.x).raise_if_inadmissible().angles
 
 
 def curvature(m: ConeMetric) -> CurvatureState:
     """Angle sums S and curvatures K = 2*pi - S per edge class."""
-    S = _scatter_sums(m.tri, tet_angle_matrix(m))
-    return CurvatureState(K=2.0 * math.pi - S, S=S)
+    ev = evaluate(m.tri, m.x).raise_if_inadmissible()
+    return CurvatureState(K=ev.K, S=ev.S)
 
 
 def curvature_jacobian(m: ConeMetric) -> np.ndarray:
     """dK/dx, symmetric negative definite, assembled tetrahedron by tetrahedron."""
-    X = tet_length_matrix(m)
-    tet_angle_matrix(m)  # admissibility with a located error
-    Jt = tetgeom.jacobian_angles_lengths(X)
-    cm = class_matrix(m.tri)
-    n = m.tri.n_edges
-    J = np.zeros((n, n))
-    for t in range(m.tri.tet_count):
-        np.add.at(J, (cm[t][:, None], cm[t][None, :]), -Jt[t])
-    return J
+    return evaluate(m.tri, m.x).raise_if_inadmissible().jacobian()
 
 
 def tet_potentials(m: ConeMetric) -> np.ndarray:
     """Per-tetrahedron volume potentials, relative to the unit regular shape."""
-    X = tet_length_matrix(m)
-    tet_angle_matrix(m)
-    return np.array([tetgeom.schlafli_potential(X[t])
-                     for t in range(m.tri.tet_count)])
+    return evaluate(m.tri, m.x).raise_if_inadmissible().potentials()
 
 
 def energy(m: ConeMetric) -> tuple:
@@ -136,17 +240,14 @@ def energy(m: ConeMetric) -> tuple:
     H decreases along the curvature flow and is minimized exactly at the
     hyperbolic metric.
     """
-    state = curvature(m)
-    H_val = 2.0 * float(tet_potentials(m).sum()) - float(state.K @ m.x)
-    return H_val, -state.K
+    ev = evaluate(m.tri, m.x).raise_if_inadmissible()
+    return ev.H, -ev.K
 
 
 def full_state(m: ConeMetric) -> CurvatureState:
-    state = curvature(m)
-    J = curvature_jacobian(m)
-    H_val = 2.0 * float(tet_potentials(m).sum()) - float(state.K @ m.x)
-    return CurvatureState(K=state.K, S=state.S, J=J, H_val=H_val,
-                          H_grad=-state.K)
+    ev = evaluate(m.tri, m.x).raise_if_inadmissible()
+    return CurvatureState(K=ev.K, S=ev.S, J=ev.jacobian(), H_val=ev.H,
+                          H_grad=-ev.K)
 
 
 def metric_margin(m: ConeMetric) -> tuple:
@@ -155,19 +256,6 @@ def metric_margin(m: ConeMetric) -> tuple:
     Returns (margin, witness) where the witness names the tetrahedron and
     the corner (edge + vertex) or vertex sum that attains the margin.
     """
-    X = tet_length_matrix(m)
-    margins = np.atleast_1d(tetgeom.admissibility_margin(X))
-    t = int(np.argmin(margins))
-    pl = tetgeom._pipeline(X[t])
-    corner = np.where(np.isfinite(pl.cosines), 1.0 - np.abs(pl.cosines), -np.inf)
-    slack = np.where(np.isfinite(pl.vsums), math.pi - pl.vsums, -np.inf)
-    if corner.min() <= slack.min():
-        e, s = map(int, divmod(int(np.argmin(corner)), 2))
-        witness = {"tet": t, "kind": "corner_cosine", "edge": e,
-                   "vertex": EDGE_VERTEX_PAIRS[e][s],
-                   "value": float(pl.cosines[e, s])}
-    else:
-        v = int(np.argmin(slack))
-        witness = {"tet": t, "kind": "vertex_sum", "vertex": v,
-                   "value": float(pl.vsums[v])}
-    return float(margins[t]), witness
+    ev = evaluate(m.tri, m.x)
+    tetgeom._as_lengths(ev.X)
+    return ev.margin()

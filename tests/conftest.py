@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from hyperideal import metric as metric_mod
-from hyperideal import tetgeom
 from hyperideal import triangulation as tri_mod
+from hyperideal.propsuite import sample_admissible  # noqa: F401
 
 # First 2-tet gluing with a single edge class and a chi < 0 link, in search
 # order: one valence-12 edge, one genus-2 boundary surface.
@@ -44,6 +44,22 @@ TORUS_JSON = {
     ],
 }
 
+# First 2-tet gluing with three or more edge classes (valences 10, 1, 1; a
+# sphere link), as propsuite._multiclass_triangulation finds it.
+MULTI_JSON = {
+    "tet_count": 2,
+    "pairings": [
+        [0, 0, 0, 1, [1, 0, 2, 3]],
+        [0, 1, 0, 0, [1, 0, 2, 3]],
+        [0, 2, 1, 0, [1, 2, 0, 3]],
+        [0, 3, 1, 1, [0, 2, 3, 1]],
+        [1, 0, 0, 2, [2, 0, 1, 3]],
+        [1, 1, 0, 3, [0, 3, 1, 2]],
+        [1, 2, 1, 3, [0, 1, 3, 2]],
+        [1, 3, 1, 2, [0, 1, 3, 2]],
+    ],
+}
+
 # Regular equilibrium edge length: cosh x* = sqrt(3)/(2 sqrt(3) - 2), the
 # regular shape whose dihedral angles are all pi/6.
 XSTAR = 0.5961338948908375
@@ -69,23 +85,15 @@ def torus_tri(torus_spec):
     return tri_mod.build(torus_spec, enforce_link_hypothesis=False)
 
 
+@pytest.fixture(scope="session")
+def multi_tri():
+    return tri_mod.build(tri_mod.GluingSpec.from_json_obj(MULTI_JSON),
+                         enforce_link_hypothesis=False)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)
-
-
-def sample_admissible(rng, count, low=0.2, high=3.0):
-    """Draw `count` admissible length 6-vectors, log-uniform per edge."""
-    out = []
-    while len(out) < count:
-        batch = np.exp(rng.uniform(np.log(low), np.log(high),
-                                   size=(4 * count, 6)))
-        for x in batch:
-            if tetgeom.is_admissible(x):
-                out.append(x)
-                if len(out) == count:
-                    break
-    return np.array(out)
 
 
 def census_metric(tri, value=1.0):

@@ -260,6 +260,13 @@ def test_maximize_volume_rejects_infeasible_start(census_tri):
         A.maximize_volume(census_tri, bad)
 
 
+@pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+def test_maximize_volume_rejects_bad_tolerance(census_tri, tol):
+    start = A.AngleAssignment(tri=census_tri, angles=np.full((2, 6), math.pi / 6))
+    with pytest.raises(ValueError):
+        A.maximize_volume(census_tri, start, tol=tol)
+
+
 def test_segment_concavity(census_tri, rng):
     from hyperideal.angles import _project_gradient, total_volume
     base = np.full((2, 6), math.pi / 6)

@@ -84,6 +84,13 @@ def test_search_list_with_limit(tmp_path):
     assert rep["count"] == 27 and len(rep["gluings"]) == 5
 
 
+def test_search_negative_limit_exit_2(tmp_path):
+    out = tmp_path / "list.json"
+    assert run("search", "--tets", "1", "--filter", "any",
+               "--limit", "-1", "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_search_no_match_exit_2(tmp_path):
     assert run("search", "--tets", "1", "--filter", "census",
                "--first", "--out", str(tmp_path / "x.json")) == 2
@@ -153,6 +160,13 @@ def test_flow_degenerated_exit_4(census_file, metric_file, tmp_path):
 def test_flow_bad_config_exit_2(census_file, metric_file, tmp_path):
     assert run("flow", "--tri", census_file, "--metric", metric_file,
                "--tol", "1e-14", "--out", str(tmp_path / "t.csv")) == 2
+
+
+def test_flow_nan_tolerance_exit_2(census_file, metric_file, tmp_path):
+    out = tmp_path / "t.csv"
+    assert run("flow", "--tri", census_file, "--metric", metric_file,
+               "--tol", "nan", "--out", str(out)) == 2
+    assert not out.exists()
 
 
 def test_minimize_then_flow_immediate(census_file, metric_file, tmp_path):

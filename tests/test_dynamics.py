@@ -20,6 +20,20 @@ def test_flow_config_validation():
         D.FlowConfig(method="euler").validate()
 
 
+@pytest.mark.parametrize("field", ["curvature_tol", "degeneration_margin",
+                                   "rtol", "atol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_flow_config_rejects_non_finite_tolerances(field, value):
+    with pytest.raises(ValueError):
+        D.FlowConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+def test_minimize_rejects_bad_tolerance(census_tri, tol):
+    with pytest.raises(ValueError):
+        D.minimize_energy(census_metric(census_tri), tol=tol)
+
+
 def test_flow_converges_to_equilibrium(census_tri):
     trace = D.flow(census_metric(census_tri), D.FlowConfig())
     assert trace.status == "converged"
