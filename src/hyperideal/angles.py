@@ -171,7 +171,7 @@ def _class_spreads(tri: Triangulation, X: np.ndarray) -> np.ndarray:
 
 
 def _volume(A: np.ndarray) -> float:
-    return float(sum(tetgeom.schlafli_potential_of_angles(a) for a in A))
+    return float((tetgeom.volume(A) - tetgeom.V_REF).sum())
 
 
 def total_volume(assign: AngleAssignment) -> float:

@@ -13,10 +13,11 @@ it is symmetric negative definite on the admissible set.  Consequently
 
     H(x) = 2 * sum_t V_t(x_t) - sum_i K_i x_i
 
-(V_t the per-tetrahedron volume potential) has gradient exactly -K and
-positive definite Hessian -dK/dx: the curvature flow dx/dt = K is the
-negative gradient flow of the locally convex energy H, whose critical
-points are exactly the hyperbolic metrics (all angle sums 2*pi).
+(V_t the closed-form volume of tetrahedron t, taken relative to the unit
+regular shape) has gradient exactly -K and positive definite Hessian
+-dK/dx: the curvature flow dx/dt = K is the negative gradient flow of the
+locally convex energy H, whose critical points are exactly the hyperbolic
+metrics (all angle sums 2*pi).
 """
 
 from __future__ import annotations
@@ -181,10 +182,7 @@ class Evaluation:
 
     def potentials(self) -> np.ndarray:
         """Per-tetrahedron volume potentials, relative to the unit regular shape."""
-        return np.array([
-            tetgeom.schlafli_segment(tetgeom.REF_ANGLES, a,
-                                     x_start=tetgeom.REF_LENGTHS, x_end=x)
-            for a, x in zip(self.angles, self.X)])
+        return tetgeom.volume(self.angles) - tetgeom.V_REF
 
     @cached_property
     def H(self) -> float:

@@ -36,6 +36,12 @@ guard, the two endpoint computations in agreement, and the three angles at
 each vertex summing to less than pi.  An independent Gram-matrix oracle
 (`minkowski_oracle`) cross-checks this classification.
 
+The volume is a function of the dihedral angles alone, in closed form: the
+Murakami-Yano formula, extended by Ushijima to truncated tetrahedra, puts
+every dilogarithm argument on the unit circle, so `volume` is a signed sum
+of 16 Clausen values.  By the Schlafli formula its gradient in the angles
+is -x/2, x the lengths realizing them.
+
 All core routines are vectorized over arbitrary leading batch dimensions;
 a length vector is any float array of shape (..., 6).
 """
@@ -44,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +60,6 @@ from .triangulation import EDGE_VERTEX_PAIRS, VERTEX_EDGES, edge_index
 COSINE_GUARD = 1e-9     # corner cosines must stay this far inside (-1, 1)
 ENDPOINT_TOL = 1e-8     # max disagreement between the two endpoint angles
 ORACLE_TOL = 1e-9       # trig pipeline vs Gram-matrix oracle
-QUADRATURE_TOL = 1e-10  # absolute tolerance of the volume-potential quadrature
 NEWTON_TOL = 1e-12      # residual inf-norm for the angle -> length inversion
 NEWTON_MAX_ITER = 200
 MAX_LENGTH = 350.0      # keeps every cosh/sinh product finite in float64
@@ -379,70 +383,107 @@ def lengths_from_angles(a, initial=None) -> np.ndarray:
     return _newton_lengths(a[None, :], x0[None, :].copy())[0]
 
 
-@lru_cache(maxsize=None)
-def _gl_rule(order: int):
-    z, w = np.polynomial.legendre.leggauss(order)
-    return z, w
+def _clausen_coefficients(n: int) -> np.ndarray:
+    """c_k = |B_2k| / (2k (2k+1)!) for k = 1..n, from the tangent numbers.
 
-
-def _segment_nodes_value(a0, d, s_lo, s_hi, x_lo, x_hi, order) -> float:
-    z, w = _gl_rule(order)
-    s = 0.5 * (s_lo + s_hi) + 0.5 * (s_hi - s_lo) * z
-    A = a0[None, :] + s[:, None] * d[None, :]
-    frac = (s - s_lo) / (s_hi - s_lo)
-    X0 = x_lo[None, :] + frac[:, None] * (x_hi - x_lo)[None, :]
-    X = _newton_lengths(A, X0)
-    vals = -0.5 * (X @ d)
-    return 0.5 * (s_hi - s_lo) * float(w @ vals), X
-
-
-def _integrate_segment(a0, d, s_lo, s_hi, x_lo, x_hi, tol, depth=0) -> float:
-    coarse, _ = _segment_nodes_value(a0, d, s_lo, s_hi, x_lo, x_hi, 12)
-    fine, _ = _segment_nodes_value(a0, d, s_lo, s_hi, x_lo, x_hi, 24)
-    if abs(fine - coarse) <= tol:
-        return fine
-    if depth >= 28:
-        raise ConvergenceError(
-            f"volume quadrature failed to converge (residual {abs(fine - coarse):.3e})")
-    s_mid = 0.5 * (s_lo + s_hi)
-    x_mid = _newton_lengths((a0 + s_mid * d)[None, :],
-                            (0.5 * (x_lo + x_hi))[None, :])[0]
-    return (_integrate_segment(a0, d, s_lo, s_mid, x_lo, x_mid, 0.5 * tol, depth + 1)
-            + _integrate_segment(a0, d, s_mid, s_hi, x_mid, x_hi, 0.5 * tol, depth + 1))
-
-
-def schlafli_segment(a_start, a_end, tol: float = QUADRATURE_TOL,
-                     x_start=None, x_end=None) -> float:
-    """Integrate -(1/2) sum_i x_i da_i along the straight angle segment.
-
-    Both endpoints must lie strictly inside the angle polytope; the polytope
-    is convex, so the whole segment does.  This is the exact differential of
-    the volume, so concatenating segments is path independent.
+    T_k = 1, 2, 16, 272, ... come from the Brent-Harvey integer recurrence,
+    and |B_2k| = 2k T_k / (4^k (4^k - 1)); each c_k is one correctly rounded
+    integer quotient.
     """
-    a0 = validate_angles(a_start)
-    a1 = validate_angles(a_end)
-    d = a1 - a0
-    if not np.any(d):
-        return 0.0
-    x0 = lengths_from_angles(a0) if x_start is None else np.asarray(x_start, dtype=float)
-    x1 = lengths_from_angles(a1) if x_end is None else np.asarray(x_end, dtype=float)
-    return _integrate_segment(a0, d, 0.0, 1.0, x0, x1, tol)
+    T = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return np.array([T[k] / (4 ** k * (4 ** k - 1) * math.factorial(2 * k + 1))
+                     for k in range(1, n + 1)])
 
 
-def schlafli_potential_of_angles(a, tol: float = QUADRATURE_TOL) -> float:
+# At |theta| = pi the series terms fall by 4 per step; 25 of them leave a
+# tail below 1e-17.
+_CLAUSEN_C = _clausen_coefficients(25)
+
+
+def clausen(theta) -> np.ndarray:
+    """Clausen's function Cl_2(theta) = -int_0^theta log|2 sin(s/2)| ds.
+
+    Reduced to [-pi, pi], then summed as the Bernoulli series
+    theta - theta log|theta| + sum_k c_k theta^(2k+1), which converges for
+    |theta| < 2 pi.  Cl_2(theta) = Im Li_2(e^(i theta)).
+    """
+    t = np.asarray(theta, dtype=float)
+    t = t - 2.0 * math.pi * np.round(t / (2.0 * math.pi))
+    t2 = t * t
+    series = np.zeros_like(t)
+    for c in _CLAUSEN_C[::-1]:
+        series = series * t2 + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = t * (1.0 - np.log(np.abs(t)) + t2 * series)
+    return np.where(t == 0.0, 0.0, value)
+
+
+_OPPOSITE = np.array([(e, 5 - e) for e in range(3)])
+# Faces are numbered by their opposite vertex: edge {v, w} is where the
+# faces opposite the other two vertices meet.
+_EDGE_FACES = np.array([[f for f in range(4) if f not in vw] for vw in EDGE_VERTEX_PAIRS])
+# Im U(z) of Murakami-Yano as Clausen terms: z itself, z times the four
+# edges outside each opposite pair (+), and -z times the three edges at
+# each vertex (-).
+_MY_SIGNS = np.array([1.0] * 4 + [-1.0] * 4)
+
+
+def volume(a) -> np.ndarray:
+    """Hyperbolic volume of hyperideal tetrahedra from their dihedral angles.
+
+    a: (..., 6) angles, each in (0, pi) with vertex sums below pi.  This is
+    the Murakami-Yano formula as Ushijima extended it to truncated
+    tetrahedra: with the face Gram matrix G (unit diagonal, -cos of the
+    angle along the edge where two faces meet, so det G < 0) the two roots
+    z-+ of Murakami-Yano's quadratic lie on the unit circle, and
+    V = (1/2) Im(U(z-) - U(z+)) is a signed sum of 16 Clausen terms.
+    """
+    a = np.asarray(a, dtype=float)
+    total = a.sum(axis=-1, keepdims=True)
+    pairs = a[..., _OPPOSITE].sum(axis=-1)
+    vsums = vertex_angle_sums(a)
+    G = np.zeros(a.shape[:-1] + (4, 4)) + np.eye(4)
+    f, g = _EDGE_FACES[:, 0], _EDGE_FACES[:, 1]
+    G[..., f, g] = G[..., g, f] = -np.cos(a)
+    root = np.sqrt(-np.linalg.det(G))
+    sines = np.sin(a)
+    b = (sines[..., _OPPOSITE[:, 0]] * sines[..., _OPPOSITE[:, 1]]).sum(axis=-1)
+    # e^(i sum) over each opposite pair, each face and all six edges
+    den = np.exp(1j * np.concatenate([pairs, total - vsums, total], axis=-1)).sum(axis=-1)
+    # z-+ = -2 (b -+ i root) / den; only their arguments enter.
+    arg_z = np.stack([np.arctan2(root, -b), np.arctan2(-root, -b)], axis=-1)
+    arg_z -= np.angle(den)[..., None]
+    shifts = np.concatenate([np.zeros_like(total), total - pairs, math.pi + vsums], axis=-1)
+    im_u = 0.5 * clausen(arg_z[..., :, None] + shifts[..., None, :]) @ _MY_SIGNS
+    return 0.5 * (im_u[..., 0] - im_u[..., 1])
+
+
+def schlafli_segment(a_start, a_end) -> float:
+    """Volume change along the angle segment: the integral of -(1/2) x . da.
+
+    Both endpoints must lie strictly inside the angle polytope.  By the
+    Schlafli formula this depends only on the endpoints.
+    """
+    return float(volume(validate_angles(a_end)) - volume(validate_angles(a_start)))
+
+
+def schlafli_potential_of_angles(a) -> float:
     """Volume relative to the regular unit-length shape, as a function of angles.
 
     Strictly concave on the angle polytope; its gradient is -x_i/2 where x
     realizes the angles.
     """
-    return schlafli_segment(REF_ANGLES, a, tol=tol, x_start=REF_LENGTHS)
+    return float(volume(validate_angles(a)) - V_REF)
 
 
-def schlafli_potential(x, tol: float = QUADRATURE_TOL) -> float:
+def schlafli_potential(x) -> float:
     """Volume relative to the regular unit-length shape, as a function of lengths."""
-    x = _as_lengths(np.asarray(x, dtype=float))
-    return schlafli_segment(REF_ANGLES, angles_from_lengths(x), tol=tol,
-                            x_start=REF_LENGTHS, x_end=x)
+    return float(volume(angles_from_lengths(x)) - V_REF)
 
 
 _MINK_METRIC = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -544,3 +585,4 @@ REF_LENGTHS = np.ones(6)
 REF_LENGTHS.flags.writeable = False
 REF_ANGLES = angles_from_lengths(REF_LENGTHS)
 REF_ANGLES.flags.writeable = False
+V_REF = float(volume(REF_ANGLES))

@@ -60,6 +60,39 @@ MULTI_JSON = {
     ],
 }
 
+# First draw of the benchmark sampler for six tetrahedra with seed 7
+# (perfbench/sampler.py: sample(6, random.Random(7))): three edge classes of
+# valences 5, 1 and 30.  The flow from x = 1 leaves the admissible set.
+SAMPLED6_JSON = {
+    "tet_count": 6,
+    "pairings": [
+        [0, 0, 2, 0, [0, 3, 2, 1]],
+        [0, 1, 0, 2, [0, 2, 1, 3]],
+        [0, 2, 0, 1, [0, 2, 1, 3]],
+        [0, 3, 4, 1, [0, 3, 2, 1]],
+        [1, 0, 2, 2, [2, 3, 1, 0]],
+        [1, 1, 4, 2, [0, 2, 1, 3]],
+        [1, 2, 4, 3, [0, 1, 3, 2]],
+        [1, 3, 3, 2, [3, 0, 1, 2]],
+        [2, 0, 0, 0, [0, 3, 2, 1]],
+        [2, 1, 2, 3, [1, 3, 0, 2]],
+        [2, 2, 1, 0, [3, 2, 0, 1]],
+        [2, 3, 2, 1, [2, 0, 3, 1]],
+        [3, 0, 5, 0, [0, 1, 3, 2]],
+        [3, 1, 4, 0, [3, 0, 1, 2]],
+        [3, 2, 1, 3, [1, 2, 3, 0]],
+        [3, 3, 5, 2, [1, 3, 0, 2]],
+        [4, 0, 3, 1, [1, 2, 3, 0]],
+        [4, 1, 0, 3, [0, 3, 2, 1]],
+        [4, 2, 1, 1, [0, 2, 1, 3]],
+        [4, 3, 1, 2, [0, 1, 3, 2]],
+        [5, 0, 3, 0, [0, 1, 3, 2]],
+        [5, 1, 5, 3, [2, 3, 1, 0]],
+        [5, 2, 3, 3, [2, 0, 3, 1]],
+        [5, 3, 5, 1, [3, 2, 0, 1]],
+    ],
+}
+
 # Regular equilibrium edge length: cosh x* = sqrt(3)/(2 sqrt(3) - 2), the
 # regular shape whose dihedral angles are all pi/6.
 XSTAR = 0.5961338948908375
@@ -89,6 +122,11 @@ def torus_tri(torus_spec):
 def multi_tri():
     return tri_mod.build(tri_mod.GluingSpec.from_json_obj(MULTI_JSON),
                          enforce_link_hypothesis=False)
+
+
+@pytest.fixture(scope="session")
+def sampled6_tri():
+    return tri_mod.build(tri_mod.GluingSpec.from_json_obj(SAMPLED6_JSON))
 
 
 @pytest.fixture

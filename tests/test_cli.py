@@ -8,7 +8,7 @@ import pytest
 
 from hyperideal import cli
 
-from conftest import CENSUS_JSON, TORUS_JSON, XSTAR
+from conftest import CENSUS_JSON, SAMPLED6_JSON, TORUS_JSON, XSTAR
 
 
 @pytest.fixture
@@ -152,6 +152,19 @@ def test_flow_degenerated_exit_4(census_file, metric_file, tmp_path):
     out = str(tmp_path / "trace.csv")
     assert run("flow", "--tri", census_file, "--metric", metric_file,
                "--margin", "0.5", "--out", out) == 4
+    status = json.loads(open(out + ".status.json").read())
+    assert status["status"] == "degenerated"
+    assert status["witness"]["kind"] in ("corner_cosine", "vertex_sum")
+
+
+def test_flow_degenerated_exit_4_on_sampled_gluing(tmp_path):
+    tri = tmp_path / "sampled6.json"
+    tri.write_text(json.dumps(SAMPLED6_JSON))
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps({"lengths": [1.0, 1.0, 1.0]}))
+    out = str(tmp_path / "trace.csv")
+    assert run("flow", "--tri", str(tri), "--metric", str(metric),
+               "--out", out) == 4
     status = json.loads(open(out + ".status.json").read())
     assert status["status"] == "degenerated"
     assert status["witness"]["kind"] in ("corner_cosine", "vertex_sum")

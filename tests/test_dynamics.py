@@ -5,7 +5,8 @@ import pytest
 
 from hyperideal import dynamics as D
 from hyperideal import metric as M
-from hyperideal.errors import InadmissibleShapeError
+from hyperideal.errors import (ConvergenceError, DefinitenessError,
+                               InadmissibleShapeError)
 
 from conftest import XSTAR, census_metric
 
@@ -51,6 +52,17 @@ def test_flow_trace_shapes(census_tri):
     assert np.allclose(trace.total_curv, (trace.K ** 2).sum(axis=1))
 
 
+def test_flow_energy_column_is_the_energy(census_tri):
+    # potentials are relative to the unit regular shape, so they vanish at
+    # x = 1 on the census gluing; each row of H is the energy of its x
+    assert np.array_equal(M.tet_potentials(census_metric(census_tri)), np.zeros(2))
+    trace = D.flow(census_metric(census_tri, 2.0), D.FlowConfig())
+    m = census_metric(census_tri)
+    for k in (0, trace.t.size // 2, -1):
+        H, _ = M.energy(m.with_lengths(trace.x[k]))
+        assert abs(trace.H[k] - H) <= 1e-12
+
+
 def test_flow_immediate_convergence_at_equilibrium(census_tri):
     trace = D.flow(census_metric(census_tri, XSTAR), D.FlowConfig())
     assert trace.status == "converged"
@@ -90,6 +102,28 @@ def test_flow_degenerates_on_torus_instance(torus_tri):
     wit = trace.witness
     assert wit["kind"] in ("corner_cosine", "vertex_sum")
     assert (np.diff(trace.H) <= 1e-9).all()
+
+
+def test_flow_degenerates_on_sampled_six_tet_gluing(sampled6_tri):
+    # valences 5, 1, 30: the flow from x = 1 ends in one of its three states
+    # (here degenerated, with a witness), never in a solver error
+    m = M.ConeMetric(tri=sampled6_tri, x=np.ones(sampled6_tri.n_edges))
+    trace = D.flow(m, D.FlowConfig())
+    assert trace.status == "degenerated"
+    wit = trace.witness
+    assert wit["kind"] in ("corner_cosine", "vertex_sum")
+    assert 0 <= wit["tet"] < sampled6_tri.tet_count
+    assert (np.diff(trace.H) <= 1e-9).all()
+
+
+@pytest.mark.parametrize("tri_fixture", ["torus_tri", "multi_tri"])
+def test_minimize_without_equilibrium_fails_in_the_minimizer(tri_fixture, request):
+    # neither gluing has an equilibrium; the failure must come from the
+    # Newton descent itself, not from a length solve below it
+    tri = request.getfixturevalue(tri_fixture)
+    with pytest.raises((ConvergenceError, DefinitenessError)) as info:
+        D.minimize_energy(M.ConeMetric(tri=tri, x=np.ones(tri.n_edges)))
+    assert "length solve" not in str(info.value)
 
 
 def test_flow_rk4_matches_adaptive(census_tri):

@@ -195,8 +195,8 @@ def test_schlafli_path_independence(rng):
         # so the blend of two admissible angle vectors is admissible)
         lam = 0.3 + 0.4 * rng.random()
         mid = (1 - lam) * ref + lam * a
-        two_leg = (tetgeom.schlafli_segment(ref, mid, tetgeom.QUADRATURE_TOL)
-                   + tetgeom.schlafli_segment(mid, a, tetgeom.QUADRATURE_TOL))
+        two_leg = (tetgeom.schlafli_segment(ref, mid)
+                   + tetgeom.schlafli_segment(mid, a))
         assert abs(two_leg - direct) < 2e-9
 
 
