@@ -191,7 +191,9 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12,
     Each step solves (-J) d = K; the Cholesky factorization of -J doubles as
     a positive-definiteness certificate, and its failure is raised as a
     DefinitenessError rather than worked around.  The backtracking line
-    search rejects iterates that leave the admissible set.
+    search rejects iterates that leave the admissible set, and an accepted
+    iterate whose admissibility margin falls below the flow's degeneration
+    floor ends the descent with a ConvergenceError naming the witness.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -229,6 +231,11 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12,
                 "admissible set", last=x)
         ev = cand
         steps.append(alpha)
+        margin, witness = ev.margin()
+        if margin < FlowConfig.degeneration_margin:
+            raise ConvergenceError(
+                f"energy minimization degenerated: admissibility margin "
+                f"{margin:.3e} at {witness}", last=ev.x)
     raise ConvergenceError(
         f"energy minimization did not reach {tol} in {max_iter} iterations",
         last=ev.x)

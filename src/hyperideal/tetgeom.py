@@ -40,7 +40,9 @@ The volume is a function of the dihedral angles alone, in closed form: the
 Murakami-Yano formula, extended by Ushijima to truncated tetrahedra, puts
 every dilogarithm argument on the unit circle, so `volume` is a signed sum
 of 16 Clausen values.  By the Schlafli formula its gradient in the angles
-is -x/2, x the lengths realizing them.
+is -x/2, x the lengths realizing them.  Those lengths are closed-form as
+well: `lengths_from_angles` reads each one off the cofactors of the same
+face Gram matrix, so no routine here iterates.
 
 All core routines are vectorized over arbitrary leading batch dimensions;
 a length vector is any float array of shape (..., 6).
@@ -54,14 +56,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, InadmissibleShapeError
+from .errors import InadmissibleShapeError
 from .triangulation import EDGE_VERTEX_PAIRS, VERTEX_EDGES, edge_index
 
 COSINE_GUARD = 1e-9     # corner cosines must stay this far inside (-1, 1)
 ENDPOINT_TOL = 1e-8     # max disagreement between the two endpoint angles
 ORACLE_TOL = 1e-9       # trig pipeline vs Gram-matrix oracle
-NEWTON_TOL = 1e-12      # residual inf-norm for the angle -> length inversion
-NEWTON_MAX_ITER = 200
 MAX_LENGTH = 350.0      # keeps every cosh/sinh product finite in float64
 
 ARC_VERTEX_FACE = tuple((v, f) for v in range(4) for f in range(4) if f != v)
@@ -94,6 +94,7 @@ def _build_corner_arcs():
 _ARC_E = _build_arc_edges()
 _CB, _CC, _CO = _build_corner_arcs()
 _VERT_E = np.array(VERTEX_EDGES)
+_EDGE_VW = np.array(EDGE_VERTEX_PAIRS)
 
 
 def _as_lengths(x) -> np.ndarray:
@@ -316,71 +317,33 @@ def shape(x) -> TetShape:
                     jac_angles_lengths=J, jac_lengths_angles=np.linalg.inv(J))
 
 
-def _newton_lengths(target: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Solve angles(x) = target row-wise by damped Newton.
+# perfbench/spans.py traces this function under its historical name.
+def _newton_lengths(target: np.ndarray) -> np.ndarray:
+    """Invert the angle map in closed form, row by row: target (..., 6).
 
-    target, x0: (m, 6).  Rows of x0 that are not admissible fall back to the
-    all-ones shape, which always is.  Steps are halved per row until the
-    residual decreases and the iterate stays admissible.
+    With the face Gram matrix G and its cofactors c, the edge {v, w} has
+    cosh x = |c_vw| / sqrt(c_vv c_ww) (Ushijima).  Jacobi's identity
+    c_vw^2 - c_vv c_ww = -det G sin^2 a turns that into a sinh, which keeps
+    the digits of short edges.  c_vv, the Gram determinant of the three
+    faces at v, is -4 cos(s/2) prod_i cos(s/2 - a_i) over the angles a_i at
+    v with sum s: a product, free of cancellation as s nears pi.
     """
-    target = np.asarray(target, dtype=float)
-    x = np.array(x0, dtype=float)
-    m = x.shape[0]
-    pl = _pipeline(x)
-    bad = ~pl.ok
-    if bad.any():
-        x[bad] = 1.0
-        pl = _pipeline(x)
-    res = pl.angles - target
-    rnorm = np.abs(res).max(axis=1)
-    for _ in range(NEWTON_MAX_ITER):
-        active = rnorm >= NEWTON_TOL
-        if not active.any():
-            return x
-        J = _jacobian_from_pipeline(_pipeline(x[active]), x[active])
-        try:
-            step = np.linalg.solve(J, -res[active][..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Jacobian in length solve: {exc}", last=x)
-        idx = np.flatnonzero(active)
-        lam = np.ones(idx.size)
-        pending = np.ones(idx.size, dtype=bool)
-        for _halving in range(60):
-            if not pending.any():
-                break
-            rows = idx[pending]
-            cand = x[rows] + lam[pending, None] * step[pending]
-            pos = (cand > 0.0).all(axis=1) & (cand <= MAX_LENGTH).all(axis=1)
-            cpl = _pipeline(np.where(pos[:, None], cand, 1.0))
-            cres = cpl.angles - target[rows]
-            crn = np.abs(cres).max(axis=1)
-            good = pos & cpl.ok & (crn < rnorm[rows])
-            gr = rows[good]
-            x[gr] = cand[good]
-            res[gr] = cres[good]
-            rnorm[gr] = crn[good]
-            sub = np.flatnonzero(pending)
-            pending[sub[good]] = False
-            lam[sub[~good]] *= 0.5
-        if pending.any():
-            raise ConvergenceError(
-                "length solve stalled: no damped step improves the residual",
-                last=x)
-    raise ConvergenceError(
-        f"length solve did not reach {NEWTON_TOL} in {NEWTON_MAX_ITER} iterations",
-        last=x)
+    a = np.asarray(target, dtype=float)
+    half = 0.5 * vertex_angle_sums(a)
+    c = -4.0 * np.cos(half) * np.cos(half[..., None] - a[..., _VERT_E]).prod(axis=-1)
+    root = np.sqrt(-np.linalg.det(_face_gram(a)))[..., None]
+    v, w = _EDGE_VW[:, 0], _EDGE_VW[:, 1]
+    return _as_lengths(np.arcsinh(root * np.sin(a) / np.sqrt(c[..., v] * c[..., w])))
 
 
-def lengths_from_angles(a, initial=None) -> np.ndarray:
+def lengths_from_angles(a) -> np.ndarray:
     """Invert the angle map for one admissible angle vector.
 
     The target must lie strictly inside the angle polytope (each angle in
     (0, pi), vertex sums below pi); boundary targets are rejected since the
     corresponding tetrahedron degenerates.
     """
-    a = validate_angles(a)
-    x0 = np.ones(6) if initial is None else _as_lengths(np.asarray(initial, dtype=float))
-    return _newton_lengths(a[None, :], x0[None, :].copy())[0]
+    return _newton_lengths(validate_angles(a))
 
 
 def _clausen_coefficients(n: int) -> np.ndarray:
@@ -433,13 +396,21 @@ _EDGE_FACES = np.array([[f for f in range(4) if f not in vw] for vw in EDGE_VERT
 _MY_SIGNS = np.array([1.0] * 4 + [-1.0] * 4)
 
 
+def _face_gram(a: np.ndarray) -> np.ndarray:
+    """Face Gram matrices (..., 4, 4): unit diagonal, -cos of the angle
+    along the edge where two faces meet; det < 0 on the angle polytope."""
+    G = np.zeros(a.shape[:-1] + (4, 4)) + np.eye(4)
+    f, g = _EDGE_FACES[:, 0], _EDGE_FACES[:, 1]
+    G[..., f, g] = G[..., g, f] = -np.cos(a)
+    return G
+
+
 def volume(a) -> np.ndarray:
     """Hyperbolic volume of hyperideal tetrahedra from their dihedral angles.
 
     a: (..., 6) angles, each in (0, pi) with vertex sums below pi.  This is
     the Murakami-Yano formula as Ushijima extended it to truncated
-    tetrahedra: with the face Gram matrix G (unit diagonal, -cos of the
-    angle along the edge where two faces meet, so det G < 0) the two roots
+    tetrahedra: with the face Gram matrix G (`_face_gram`) the two roots
     z-+ of Murakami-Yano's quadratic lie on the unit circle, and
     V = (1/2) Im(U(z-) - U(z+)) is a signed sum of 16 Clausen terms.
     """
@@ -447,10 +418,7 @@ def volume(a) -> np.ndarray:
     total = a.sum(axis=-1, keepdims=True)
     pairs = a[..., _OPPOSITE].sum(axis=-1)
     vsums = vertex_angle_sums(a)
-    G = np.zeros(a.shape[:-1] + (4, 4)) + np.eye(4)
-    f, g = _EDGE_FACES[:, 0], _EDGE_FACES[:, 1]
-    G[..., f, g] = G[..., g, f] = -np.cos(a)
-    root = np.sqrt(-np.linalg.det(G))
+    root = np.sqrt(-np.linalg.det(_face_gram(a)))
     sines = np.sin(a)
     b = (sines[..., _OPPOSITE[:, 0]] * sines[..., _OPPOSITE[:, 1]]).sum(axis=-1)
     # e^(i sum) over each opposite pair, each face and all six edges

@@ -93,6 +93,65 @@ SAMPLED6_JSON = {
     ],
 }
 
+# First 12-tet draw of the benchmark's ntet workload with seed 10
+# (perfbench/sampler.py: sample(8, rng) then sample(12, rng), rng =
+# random.Random(10)): five edge classes of valences 17, 25, 23, 4 and 3.
+# Volume ascent from its LP witness reaches the float resolution of the
+# volume while the gradient is still above 1e-8.
+NTET12_JSON = {
+    "tet_count": 12,
+    "pairings": [
+        [0, 0, 10, 1, [1, 0, 2, 3]],
+        [0, 1, 0, 2, [3, 2, 0, 1]],
+        [0, 2, 0, 1, [2, 3, 1, 0]],
+        [0, 3, 6, 1, [0, 3, 2, 1]],
+        [1, 0, 9, 1, [1, 3, 0, 2]],
+        [1, 1, 7, 1, [3, 1, 2, 0]],
+        [1, 2, 11, 0, [1, 3, 0, 2]],
+        [1, 3, 4, 0, [1, 2, 3, 0]],
+        [2, 0, 11, 3, [3, 2, 0, 1]],
+        [2, 1, 9, 0, [1, 0, 2, 3]],
+        [2, 2, 3, 2, [0, 3, 2, 1]],
+        [2, 3, 4, 2, [1, 3, 0, 2]],
+        [3, 0, 9, 3, [3, 1, 2, 0]],
+        [3, 1, 10, 3, [1, 3, 0, 2]],
+        [3, 2, 2, 2, [0, 3, 2, 1]],
+        [3, 3, 5, 3, [1, 0, 2, 3]],
+        [4, 0, 1, 3, [3, 0, 1, 2]],
+        [4, 1, 6, 0, [3, 0, 1, 2]],
+        [4, 2, 2, 3, [2, 0, 3, 1]],
+        [4, 3, 8, 1, [0, 3, 2, 1]],
+        [5, 0, 10, 2, [2, 1, 0, 3]],
+        [5, 1, 7, 3, [1, 3, 0, 2]],
+        [5, 2, 9, 2, [3, 1, 2, 0]],
+        [5, 3, 3, 3, [1, 0, 2, 3]],
+        [6, 0, 4, 1, [1, 2, 3, 0]],
+        [6, 1, 0, 3, [0, 3, 2, 1]],
+        [6, 2, 11, 2, [3, 1, 2, 0]],
+        [6, 3, 7, 2, [0, 1, 3, 2]],
+        [7, 0, 8, 3, [3, 0, 1, 2]],
+        [7, 1, 1, 1, [3, 1, 2, 0]],
+        [7, 2, 6, 3, [0, 1, 3, 2]],
+        [7, 3, 5, 1, [2, 0, 3, 1]],
+        [8, 0, 11, 1, [1, 2, 3, 0]],
+        [8, 1, 4, 3, [0, 3, 2, 1]],
+        [8, 2, 10, 0, [2, 1, 0, 3]],
+        [8, 3, 7, 0, [1, 2, 3, 0]],
+        [9, 0, 2, 1, [1, 0, 2, 3]],
+        [9, 1, 1, 0, [2, 0, 3, 1]],
+        [9, 2, 5, 2, [3, 1, 2, 0]],
+        [9, 3, 3, 0, [3, 1, 2, 0]],
+        [10, 0, 8, 2, [2, 1, 0, 3]],
+        [10, 1, 0, 0, [1, 0, 2, 3]],
+        [10, 2, 5, 0, [2, 1, 0, 3]],
+        [10, 3, 3, 1, [2, 0, 3, 1]],
+        [11, 0, 1, 2, [2, 0, 3, 1]],
+        [11, 1, 8, 0, [3, 0, 1, 2]],
+        [11, 2, 6, 2, [3, 1, 2, 0]],
+        [11, 3, 2, 0, [2, 3, 1, 0]],
+    ],
+}
+
 # Regular equilibrium edge length: cosh x* = sqrt(3)/(2 sqrt(3) - 2), the
 # regular shape whose dihedral angles are all pi/6.
 XSTAR = 0.5961338948908375
@@ -127,6 +186,11 @@ def multi_tri():
 @pytest.fixture(scope="session")
 def sampled6_tri():
     return tri_mod.build(tri_mod.GluingSpec.from_json_obj(SAMPLED6_JSON))
+
+
+@pytest.fixture(scope="session")
+def ntet12_tri():
+    return tri_mod.build(tri_mod.GluingSpec.from_json_obj(NTET12_JSON))
 
 
 @pytest.fixture

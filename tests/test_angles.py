@@ -13,6 +13,7 @@ import pytest
 
 from hyperideal import angles as A
 from hyperideal import dynamics as D
+from hyperideal import simplex
 from hyperideal import triangulation as T
 from hyperideal.errors import ConvergenceError
 from hyperideal.tetgeom import VERTEX_EDGES
@@ -177,6 +178,46 @@ def test_lp_witness_substitution(census_tri):
         assert w.angles[t].min() >= eps - 1e-12
 
 
+def _loop_inequalities(N):
+    """The vertex and positivity rows of the LP, one Python row at a time."""
+    nA = 6 * N
+    ncols = nA + 2
+    iep, iem = nA, nA + 1
+    ub_rows, ub_rhs = [], []
+    for t in range(N):
+        for v in range(4):
+            row = np.zeros(ncols)
+            for e in VERTEX_EDGES[v]:
+                row[6 * t + e] = 1.0
+            row[iep], row[iem] = 1.0, -1.0
+            ub_rows.append(row)
+            ub_rhs.append(math.pi)
+    for j in range(nA):
+        row = np.zeros(ncols)
+        row[j] = -1.0
+        row[iep], row[iem] = 1.0, -1.0
+        ub_rows.append(row)
+        ub_rhs.append(0.0)
+    return np.array(ub_rows), np.array(ub_rhs)
+
+
+@pytest.mark.parametrize("tri_fixture", ["census_tri", "multi_tri", "ntet12_tri"])
+def test_lp_inequalities_match_row_loop(tri_fixture, request, monkeypatch):
+    tri = request.getfixturevalue(tri_fixture)
+    seen = {}
+    solve = simplex.solve_lp
+
+    def spy(c, **kw):
+        seen.update(kw)
+        return solve(c, **kw)
+
+    monkeypatch.setattr(simplex, "solve_lp", spy)
+    A.lp_feasibility(tri)
+    ref_A, ref_b = _loop_inequalities(tri.tet_count)
+    assert np.array_equal(seen["A_ub"], ref_A)
+    assert np.array_equal(seen["b_ub"], ref_b)
+
+
 def test_lp_determinism(census_tri):
     a = A.lp_feasibility(census_tri)
     b = A.lp_feasibility(census_tri)
@@ -242,6 +283,16 @@ def test_maximize_volume_from_perturbed_start(census_tri, rng):
     # cross-check against the Newton minimizer's metric
     m_opt, _ = D.minimize_energy(census_metric(census_tri))
     assert np.abs(rep.lengths - m_opt.x[0]).max() < 1e-6
+
+
+def test_maximize_volume_past_the_volume_resolution(ntet12_tri):
+    # the gradient is still above tol when the predicted gain of every step
+    # falls below the float resolution of the volume; the ascent must not
+    # stall there comparing rounding noise
+    lp = A.lp_feasibility(ntet12_tri)
+    opt, rep = A.maximize_volume(ntet12_tri, lp.witness)
+    assert rep.grad_norm < 1e-8
+    assert rep.max_spread <= 1e-6
 
 
 def test_maximize_volume_objective_ascends(census_tri, rng):

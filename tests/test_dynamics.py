@@ -126,6 +126,17 @@ def test_minimize_without_equilibrium_fails_in_the_minimizer(tri_fixture, reques
     assert "length solve" not in str(info.value)
 
 
+def test_minimize_stops_at_degeneration_with_witness(multi_tri):
+    # from x = 1 the descent walks towards the boundary of the admissible
+    # set; it must stop at the flow's degeneration floor and name the corner
+    m = M.ConeMetric(tri=multi_tri, x=np.ones(multi_tri.n_edges))
+    with pytest.raises(ConvergenceError) as info:
+        D.minimize_energy(m)
+    margin, witness = M.metric_margin(m.with_lengths(info.value.last))
+    assert 0 < margin < D.FlowConfig().degeneration_margin
+    assert str(witness) in str(info.value)
+
+
 def test_flow_rk4_matches_adaptive(census_tri):
     m = census_metric(census_tri)
     a = D.flow(m, D.FlowConfig())

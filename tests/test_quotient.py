@@ -71,7 +71,7 @@ def test_quotient_matches_loop_reference(tri, rng):
         assign = A.AngleAssignment(tri=tri, angles=G)
         assert np.array_equal(A.edge_sums(assign), ref_sums(tri, G))
         assert np.array_equal(A._project_gradient(tri, G), ref_project(tri, G))
-        assert np.array_equal(A._class_spreads(tri, G), ref_spreads(tri, G))
+        assert np.array_equal(M.Quotient(tri).spread(G), ref_spreads(tri, G))
     assert used >= 4
 
 

@@ -1,9 +1,10 @@
-"""Closed-form volume against oracles that do not use it.
+"""Closed-form volume and lengths against oracles that do not use them.
 
 mpmath's Clausen function and quadrature give the regular pi/(3n) family
 independently; the Kojima-Miyamoto minimal volume is an absolute value from
-the literature; and the adaptive Schlafli quadrature that the closed form
-replaced is kept here as a reference along arbitrary angle segments.
+the literature.  The damped Newton inversion of the angle map and the
+adaptive Schlafli quadrature over it, which the closed forms replaced, are
+kept here as references.
 """
 
 import math
@@ -17,12 +18,53 @@ from hyperideal import tetgeom
 from conftest import sample_admissible
 
 
+def _newton_lengths(target, x0, tol=1e-12, max_iter=200):
+    """Solve angles(x) = target row-wise by damped Newton; target, x0: (m, 6).
+
+    Rows of x0 that are not admissible fall back to the all-ones shape,
+    which always is.  Steps are halved per row until the residual decreases
+    and the iterate stays admissible.
+    """
+    x = np.array(x0, dtype=float)
+    x[~tetgeom._pipeline(x).ok] = 1.0
+    res = tetgeom._pipeline(x).angles - target
+    rnorm = np.abs(res).max(axis=1)
+    for _ in range(max_iter):
+        active = rnorm >= tol
+        if not active.any():
+            return x
+        J = tetgeom._jacobian_from_pipeline(tetgeom._pipeline(x[active]), x[active])
+        step = np.linalg.solve(J, -res[active][..., None])[..., 0]
+        idx = np.flatnonzero(active)
+        lam = np.ones(idx.size)
+        pending = np.ones(idx.size, dtype=bool)
+        for _halving in range(60):
+            if not pending.any():
+                break
+            rows = idx[pending]
+            cand = x[rows] + lam[pending, None] * step[pending]
+            pos = (cand > 0.0).all(axis=1) & (cand <= tetgeom.MAX_LENGTH).all(axis=1)
+            cpl = tetgeom._pipeline(np.where(pos[:, None], cand, 1.0))
+            cres = cpl.angles - target[rows]
+            crn = np.abs(cres).max(axis=1)
+            good = pos & cpl.ok & (crn < rnorm[rows])
+            gr = rows[good]
+            x[gr] = cand[good]
+            res[gr] = cres[good]
+            rnorm[gr] = crn[good]
+            sub = np.flatnonzero(pending)
+            pending[sub[good]] = False
+            lam[sub[~good]] *= 0.5
+        assert not pending.any(), "reference length solve stalled"
+    raise AssertionError("reference length solve did not converge")
+
+
 def _gl_nodes_value(a0, d, s_lo, s_hi, x_lo, x_hi, order):
     z, w = np.polynomial.legendre.leggauss(order)
     s = 0.5 * (s_lo + s_hi) + 0.5 * (s_hi - s_lo) * z
     frac = (s - s_lo) / (s_hi - s_lo)
     X0 = x_lo[None, :] + frac[:, None] * (x_hi - x_lo)[None, :]
-    X = tetgeom._newton_lengths(a0[None, :] + s[:, None] * d[None, :], X0)
+    X = _newton_lengths(a0[None, :] + s[:, None] * d[None, :], X0)
     return 0.5 * (s_hi - s_lo) * float(w @ (-0.5 * (X @ d)))
 
 
@@ -34,8 +76,8 @@ def _quadrature(a0, d, s_lo, s_hi, x_lo, x_hi, tol, depth=0):
         return fine
     assert depth < 28, "reference quadrature failed to converge"
     s_mid = 0.5 * (s_lo + s_hi)
-    x_mid = tetgeom._newton_lengths((a0 + s_mid * d)[None, :],
-                                    (0.5 * (x_lo + x_hi))[None, :])[0]
+    x_mid = _newton_lengths((a0 + s_mid * d)[None, :],
+                            (0.5 * (x_lo + x_hi))[None, :])[0]
     return (_quadrature(a0, d, s_lo, s_mid, x_lo, x_mid, 0.5 * tol, depth + 1)
             + _quadrature(a0, d, s_mid, s_hi, x_mid, x_hi, 0.5 * tol, depth + 1))
 
@@ -85,3 +127,28 @@ def test_volume_is_batched():
     assert batch.shape == (2, 3)
     single = np.array([float(tetgeom.volume(a)) for a in A])
     assert np.abs(batch.ravel() - single).max() <= 1e-15
+
+
+def test_lengths_match_damped_newton():
+    rng = np.random.default_rng(33)
+    X = sample_admissible(rng, 200)
+    A = tetgeom.angles_from_lengths(X)
+    ref = _newton_lengths(A, np.ones_like(A))
+    assert np.abs(tetgeom._newton_lengths(A) - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 32, 64, 128])
+def test_regular_family_lengths(n):
+    c = math.cos(math.pi / (3 * n))
+    x = tetgeom.lengths_from_angles(np.full(6, math.pi / (3 * n)))
+    assert np.abs(x - math.acosh(c / (2 * c - 1))).max() <= 1e-12
+
+
+def test_long_edge_round_trip():
+    # the damped Newton solve stalled here: its 1e-12 residual target lay
+    # below the rounding of the angle pipeline at these lengths
+    x = np.array([7.8, 1.2, 6.6, 1.3, 1.1, 1.0])
+    a = tetgeom.angles_from_lengths(x)
+    back = tetgeom.lengths_from_angles(a)
+    assert np.abs(back - x).max() <= 1e-9
+    assert np.abs(tetgeom.angles_from_lengths(back) - a).max() <= 1e-10
