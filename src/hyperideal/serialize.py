@@ -22,6 +22,12 @@ def fmt(v: float) -> str:
 
 
 def _render(obj, indent: int) -> str:
+    if type(obj) is list and all(type(v) is int for v in obj):
+        # A flat list of plain ints (the bulk of a search report) under the
+        # inline rule below, joined in one go.
+        line = ", ".join(map(str, obj))
+        if len(line) - 2 * (len(obj) - 1) < 100:
+            return "[" + line + "]"
     pad = "  " * indent
     if obj is None:
         return "null"

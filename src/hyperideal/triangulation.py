@@ -38,26 +38,42 @@ for _e, (_a, _b) in enumerate(EDGE_VERTEX_PAIRS):
 _PERMS4 = tuple(permutations(range(4)))
 
 
+# Sign by the parity of the inversion count.
+_SIGN = {s: (-1) ** sum(s[i] > s[j] for i in range(4) for j in range(i + 1, 4))
+         for s in _PERMS4}
+_INVERSE = {s: tuple(s.index(i) for i in range(4)) for s in _PERMS4}
+
+
 def edge_index(a: int, b: int) -> int:
     """Local edge index of the vertex pair {a, b}."""
     return _EDGE_INDEX[(a, b)]
 
 
 def perm_inverse(s):
-    inv = [0, 0, 0, 0]
-    for i, si in enumerate(s):
-        inv[si] = i
-    return tuple(inv)
+    """Inverse of a permutation s of {0,1,2,3}, as a tuple."""
+    return _INVERSE[tuple(s)]
 
 
 def perm_sign(s) -> int:
     """+1 for even permutations of {0,1,2,3}, -1 for odd."""
-    sign = 1
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if s[i] > s[j]:
-                sign = -sign
-    return sign
+    return _SIGN[tuple(s)]
+
+
+def _face_map(f, s):
+    # What the pairing of face f through s identifies: local edge pairs,
+    # vertex pairs and corner-point pairs (4v + w is the point of the corner
+    # triangle at vertex v that lies on edge {v, w}).
+    others = [v for v in range(4) if v != f]
+    edges = tuple((edge_index(a, b), edge_index(s[a], s[b]))
+                  for i, a in enumerate(others) for b in others[i + 1:])
+    verts = tuple((a, s[a]) for a in others)
+    points = tuple((4 * a + b, 4 * s[a] + s[b])
+                   for a in others for b in others if b != a)
+    return edges, verts, points
+
+
+_FACE_MAPS = {(f, s): _face_map(f, s) for f in range(4) for s in _PERMS4}
+_POINT_SLOTS = tuple(4 * v + w for v in range(4) for w in range(4) if v != w)
 
 
 @dataclass(frozen=True)
@@ -194,27 +210,33 @@ class Triangulation:
         return len(self.edge_classes)
 
 
-class _DSU:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+def _union(parent, a, b):
+    # The smaller root wins, so every link points to a smaller item and each
+    # root is the least member of its orbit.
+    a, b = _find(parent, a), _find(parent, b)
+    if a < b:
+        parent[b] = a
+    elif b < a:
+        parent[a] = b
 
-    def orbits(self):
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return [sorted(g) for g in groups.values()]
+
+def _orbits(parent):
+    """Sorted orbits in order of least member, and each item's orbit index."""
+    orbits, of = [], []
+    for x, p in enumerate(parent):
+        if p == x:
+            of.append(len(orbits))
+            orbits.append([x])
+        else:
+            of.append(of[p])
+            orbits[of[p]].append(x)
+    return orbits, of
 
 
 def _check_orientable(spec: GluingSpec) -> None:
@@ -254,53 +276,42 @@ def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangul
     _check_orientable(spec)
     n = spec.tet_count
 
-    edges = _DSU([(t, e) for t in range(n) for e in range(6)])
-    verts = _DSU([(t, v) for t in range(n) for v in range(4)])
-    # Vertices of corner triangles: (t, v, w) is the point of the triangle at
-    # vertex v that lies on edge {v, w}.
-    tri_pts = _DSU([(t, v, w) for t in range(n)
-                    for v in range(4) for w in range(4) if v != w])
+    # Flat union-find over local edges 6t+e, vertices 4t+v and corner points
+    # 16t+4v+w (slots with v == w stay unused singletons).
+    edge, vert, point = (list(range(k * n)) for k in (6, 4, 16))
+    for i, (t2, f2, s) in enumerate(spec.pairings):
+        if 4 * t2 + f2 < i:
+            continue  # the partner face already carried this pairing
+        t = i // 4
+        edge_pairs, vert_pairs, point_pairs = _FACE_MAPS[(i % 4, tuple(s))]
+        for a, b in edge_pairs:
+            _union(edge, 6 * t + a, 6 * t2 + b)
+        for a, b in vert_pairs:
+            _union(vert, 4 * t + a, 4 * t2 + b)
+        for a, b in point_pairs:
+            _union(point, 16 * t + a, 16 * t2 + b)
 
+    edge_orbits, edge_of = _orbits(edge)
+    edge_classes = tuple(
+        EdgeClass(index=i, corners=tuple(divmod(x, 6) for x in g))
+        for i, g in enumerate(edge_orbits))
+    vert_orbits, vert_of = _orbits(vert)
+    vertex_classes = tuple(tuple(divmod(x, 4) for x in g) for g in vert_orbits)
+
+    # Each point orbit lies over one vertex class; count the orbits by root.
+    points = [0] * len(vertex_classes)
     for t in range(n):
-        for f in range(4):
-            t2, _f2, s = spec.pairing(t, f)
-            others = [v for v in range(4) if v != f]
-            for i in range(3):
-                a = others[i]
-                verts.union((t, a), (t2, s[a]))
-                for j in range(i + 1, 3):
-                    b = others[j]
-                    edges.union((t, edge_index(a, b)),
-                                (t2, edge_index(s[a], s[b])))
-                for b in others:
-                    if b != a:
-                        tri_pts.union((t, a, b), (t2, s[a], s[b]))
-
-    edge_orbits = sorted(edges.orbits(), key=lambda g: g[0])
-    edge_classes = tuple(EdgeClass(index=i, corners=tuple(g))
-                         for i, g in enumerate(edge_orbits))
-    class_of = [[-1] * 6 for _ in range(n)]
-    for ec in edge_classes:
-        for (t, e) in ec.corners:
-            class_of[t][e] = ec.index
-
-    vertex_orbits = sorted(verts.orbits(), key=lambda g: g[0])
-    vertex_classes = tuple(tuple(g) for g in vertex_orbits)
-
-    pt_root_class = {}
-    for j, vc in enumerate(vertex_classes):
-        members = set(vc)
-        for (t, v, w) in tri_pts.parent:
-            if (t, v) in members:
-                pt_root_class[tri_pts.find((t, v, w))] = j
+        for p in _POINT_SLOTS:
+            x = 16 * t + p
+            if point[x] == x:
+                points[vert_of[x // 4]] += 1
 
     links = []
     for j, vc in enumerate(vertex_classes):
         faces = len(vc)
         sides = 3 * faces // 2
-        points = sum(1 for root, cls in pt_root_class.items() if cls == j)
-        links.append(BoundaryLink(vertex_class=j, chi=points - sides + faces,
-                                  triangles=faces, sides=sides, corners=points))
+        links.append(BoundaryLink(vertex_class=j, chi=points[j] - sides + faces,
+                                  triangles=faces, sides=sides, corners=points[j]))
     links = tuple(links)
 
     if enforce_link_hypothesis:
@@ -314,7 +325,8 @@ def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangul
 
     return Triangulation(spec=spec, edge_classes=edge_classes,
                          vertex_classes=vertex_classes, boundary_links=links,
-                         edge_class_of=tuple(tuple(r) for r in class_of))
+                         edge_class_of=tuple(tuple(edge_of[6 * t:6 * t + 6])
+                                             for t in range(n)))
 
 
 def single_hyperbolic_class(tri: Triangulation) -> bool:
@@ -335,17 +347,25 @@ def search_gluings(tet_count: int, predicate) -> list:
     """Exhaustively enumerate closed orientable gluings of 1 or 2 tetrahedra.
 
     Faces are paired in lexicographic order (the lowest unpaired face is
-    matched against every strictly later face under all six compatible
-    permutations plus, for each, the inverse written at the partner), so the
-    result list is deterministic and order-stable.  Gluings whose tetrahedra
+    matched against every strictly later face under the six compatible
+    permutations in a fixed order, each with its inverse written at the
+    partner), so the result list is deterministic and order-stable.
+    Gluings whose tetrahedra
     split into independent components describe disjoint unions rather than a
-    single manifold and are skipped.  Each survivor is analysed with the link
-    hypothesis disabled and kept iff predicate(tri) holds.
+    single manifold and are skipped.  Orientation is pruned during the
+    enumeration: each placed pairing fixes or checks the orientation of the
+    tetrahedra it joins, so only permutations that keep the gluing orientable
+    are tried.  Each survivor is still analysed by `build`, which checks it
+    in full, with the link hypothesis disabled, and is kept iff
+    predicate(tri) holds.
     """
     if tet_count not in (1, 2):
         raise ValueError("search supports 1 or 2 tetrahedra")
-    faces = [(t, f) for t in range(tet_count) for f in range(4)]
-    table = {}
+    n_faces = 4 * tet_count
+    table = [None] * n_faces  # entry 4*t + f, as in GluingSpec.pairings
+    # Orientation of each tetrahedron, 0 while unset; a pairing through s
+    # forces eps[t2] = -perm_sign(s) * eps[t] (the rule of _check_orientable).
+    eps = [1] + [0] * (tet_count - 1)
     found = []
 
     def connected() -> bool:
@@ -354,41 +374,47 @@ def search_gluings(tet_count: int, predicate) -> list:
         while queue:
             t = queue.pop()
             for f in range(4):
-                t2 = table[(t, f)][0]
+                t2 = table[4 * t + f][0]
                 if t2 not in seen:
                     seen.add(t2)
                     queue.append(t2)
         return len(seen) == tet_count
 
     def place(i):
-        while i < len(faces) and faces[i] in table:
+        while i < n_faces and table[i] is not None:
             i += 1
-        if i == len(faces):
+        if i == n_faces:
             if not connected():
                 return
-            spec = GluingSpec(
-                tet_count=tet_count,
-                pairings=tuple(table[fc] for fc in faces))
-            try:
-                tri = build(spec, enforce_link_hypothesis=False)
-            except GluingError:
-                return
-            if predicate(tri):
+            spec = GluingSpec(tet_count=tet_count, pairings=tuple(table))
+            if predicate(build(spec, enforce_link_hypothesis=False)):
                 found.append(spec)
             return
-        t, f = faces[i]
-        for j in range(i + 1, len(faces)):
-            t2, f2 = faces[j]
-            if (t2, f2) in table:
+        t, f = divmod(i, 4)
+        fresh = eps[t] == 0
+        if fresh:
+            eps[t] = 1  # a tetrahedron no placed pairing reaches yet
+        for j in range(i + 1, n_faces):
+            if table[j] is not None:
                 continue
+            t2, f2 = divmod(j, 4)
+            free = eps[t2] == 0
             for s in _PERMS4:
                 if s[f] != f2:
                     continue
-                table[(t, f)] = (t2, f2, s)
-                table[(t2, f2)] = (t, f, perm_inverse(s))
+                want = -_SIGN[s] * eps[t]
+                if free:
+                    eps[t2] = want
+                elif eps[t2] != want:
+                    continue
+                table[i] = (t2, f2, s)
+                table[j] = (t, f, _INVERSE[s])
                 place(i + 1)
-                del table[(t, f)]
-                del table[(t2, f2)]
+            table[i] = table[j] = None
+            if free:
+                eps[t2] = 0
+        if fresh:
+            eps[t] = 0
 
     place(0)
     return found

@@ -6,10 +6,49 @@ import math
 import numpy as np
 import pytest
 
+from hyperideal import cli
 from hyperideal import dynamics as D
 from hyperideal import serialize
 
-from conftest import census_metric
+from conftest import CENSUS_JSON, census_metric
+
+
+def _ref_render(obj, indent):
+    # The renderer before flat int lists got their own path.
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return serialize.fmt(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        items = [_ref_render(v, indent + 1) for v in obj]
+        if not items:
+            return "[]"
+        if all("\n" not in s for s in items) and sum(map(len, items)) < 100:
+            return "[" + ", ".join(items) + "]"
+        inner = ",\n".join("  " * (indent + 1) + s for s in items)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        for k, v in obj.items():
+            parts.append("  " * (indent + 1) + json.dumps(k) + ": "
+                         + _ref_render(v, indent + 1))
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _ref_dumps(obj):
+    return _ref_render(obj, 0) + "\n"
 
 
 def test_fmt_round_trips():
@@ -60,3 +99,30 @@ def test_manifest_written(tmp_path):
     assert man["version"] == "0.1.0"
     assert man["started"] == started
     assert man["finished"] >= started
+
+
+def test_dumps_matches_reference_on_edge_cases():
+    obj = {"empty": [], "bools": [True, False, 1], "np": [np.int64(3), 4],
+           "tuple": (1, 2, 3), "nested": [[1, 2], [[3]], []],
+           "inline": list(range(37)), "wrapped": list(range(38)),
+           "negative": [-1, 0, -20], "mixed": [1, 2.5, None, "x"]}
+    assert serialize.dumps(obj) == _ref_dumps(obj)
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--tets", "2", "--filter", "any"),
+    ("shapes", "--tri", "{census}", "--metric", "{metric}"),
+    ("lp", "--tri", "{census}"),
+    ("volmax", "--tri", "{census}"),
+], ids=lambda a: a[0])
+def test_dumps_matches_reference_on_reports(tmp_path, argv):
+    census = tmp_path / "census.json"
+    census.write_text(json.dumps(CENSUS_JSON))
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps({"lengths": [1.0]}))
+    out = tmp_path / "report.json"
+    argv = [a.format(census=census, metric=metric) for a in argv]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    # the report was written by serialize.dumps
+    text = out.read_text()
+    assert _ref_dumps(json.loads(text)) == text

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hyperideal import tetgeom
-from hyperideal.errors import ConvergenceError, InadmissibleShapeError
+from hyperideal.errors import InadmissibleShapeError
 from hyperideal.triangulation import OPPOSITE_EDGE
 
 from conftest import XSTAR, sample_admissible
@@ -236,9 +236,7 @@ def test_convexity_probe_deterministic_and_empty():
     assert empty.pairs_admissible == 0 and empty.witnesses == ()
 
 
-def test_newton_convergence_error_carries_state():
-    # force failure with an absurd iteration budget of admissible targets
-    # near the boundary is hard to do deterministically; instead check the
-    # exception type contract via the angle validator
-    with pytest.raises((ConvergenceError, ValueError)):
+def test_inversion_rejects_vertex_sum_rounding_to_pi():
+    # three angles of pi/3 - 1e-16 sum to pi in floating point
+    with pytest.raises(ValueError, match="not strictly below pi"):
         tetgeom.lengths_from_angles(np.full(6, math.pi / 3 - 1e-16))
