@@ -70,20 +70,32 @@ def _fd_jacobian(func, x, h=1e-6):
     return J
 
 
-def _census_triangulation():
-    specs = tri_mod.search_gluings(2, tri_mod.single_hyperbolic_class)
-    return tri_mod.build(specs[0]), len(specs)
+def _search_instances():
+    """One 2-tet search: (census, census match count, multi-class instance).
 
+    In search order, the census is the first `single_hyperbolic_class`
+    gluing and the multi-class instance the first gluing with three or more
+    edge classes among the first 200.  Any orientable gluing with several
+    edge classes exercises the scatter assembly; its links need not satisfy
+    the hypothesis, which the per-tet geometry never sees.
+    """
+    census = multi = None
+    count = seen = 0
 
-def _multiclass_triangulation():
-    # Any orientable 2-tet gluing with several edge classes exercises the
-    # scatter assembly; its links need not satisfy the hypothesis, which the
-    # per-tet geometry never sees.
-    for spec in tri_mod.search_gluings(2, tri_mod.any_gluing)[:200]:
-        tri = tri_mod.build(spec, enforce_link_hypothesis=False)
-        if tri.n_edges >= 3:
-            return tri
-    raise RuntimeError("no multi-class gluing found")
+    def visit(tri):
+        nonlocal census, multi, count, seen
+        if tri_mod.single_hyperbolic_class(tri):
+            census = census or tri
+            count += 1
+        if multi is None and seen < 200 and tri.n_edges >= 3:
+            multi = tri
+        seen += 1
+        return False
+
+    tri_mod.search_gluings(2, visit)
+    if multi is None:
+        raise RuntimeError("no multi-class gluing found")
+    return census, count, multi
 
 
 def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
@@ -94,12 +106,13 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
     def record(name, ok, detail=""):
         checks.append(Check(name=name, ok=bool(ok), detail=detail))
 
-    if census is None:
-        census, census_count = _census_triangulation()
-    else:
-        census_count = None
-    if multi is None:
-        multi = _multiclass_triangulation()
+    census_count = None
+    if census is None or multi is None:
+        found, count, found_multi = _search_instances()
+        if census is None:
+            census, census_count = found, count
+        if multi is None:
+            multi = found_multi
 
     # --- triangulation ---
     rebuilt = tri_mod.build(census.spec)

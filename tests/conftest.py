@@ -5,6 +5,10 @@ frozen here so unit tests do not depend on the search; one test in
 test_triangulation.py asserts the search still reproduces them.
 """
 
+import importlib.util
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,7 +49,7 @@ TORUS_JSON = {
 }
 
 # First 2-tet gluing with three or more edge classes (valences 10, 1, 1; a
-# sphere link), as propsuite._multiclass_triangulation finds it.
+# sphere link), as propsuite._search_instances finds it.
 MULTI_JSON = {
     "tet_count": 2,
     "pairings": [
@@ -191,6 +195,19 @@ def sampled6_tri():
 @pytest.fixture(scope="session")
 def ntet12_tri():
     return tri_mod.build(tri_mod.GluingSpec.from_json_obj(NTET12_JSON))
+
+
+@pytest.fixture(scope="session")
+def one_edge128_tri():
+    """First one-edge draw of the benchmark sampler at n = 128 with seed 1:
+    sample(128, random.Random(1), one_edge=True) from perfbench/sampler.py.
+    Too large to freeze here; the sampler is seeded and filters only by
+    connectivity and the package's own hypotheses."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "sampler.py"
+    spec = importlib.util.spec_from_file_location("perfbench_sampler", path)
+    sampler = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sampler)
+    return sampler.sample(128, random.Random(1), one_edge=True)[0]
 
 
 @pytest.fixture

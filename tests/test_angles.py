@@ -218,6 +218,18 @@ def test_lp_inequalities_match_row_loop(tri_fixture, request, monkeypatch):
     assert np.array_equal(seen["b_ub"], ref_b)
 
 
+def test_lp_one_edge_128_regular_witness(one_edge128_tri):
+    # The 6n angles of a one-edge gluing sum to 2*pi, so no margin exceeds
+    # their mean pi/(3n), and the regular structure attains it.  At n = 128
+    # the tableau is 1282 x 2052 and the LP takes 775 pivots.
+    tri = one_edge128_tri
+    assert (tri.tet_count, tri.n_edges) == (128, 1)
+    lp = A.lp_feasibility(tri)
+    assert lp.feasible
+    assert abs(lp.epsilon - math.pi / 384) < 1e-9
+    A.validate_assignment(lp.witness)
+
+
 def test_lp_determinism(census_tri):
     a = A.lp_feasibility(census_tri)
     b = A.lp_feasibility(census_tri)

@@ -1,6 +1,6 @@
 """The cross-module invariant battery itself."""
 
-from hyperideal import propsuite
+from hyperideal import propsuite, triangulation
 
 
 def test_battery_clean_and_deterministic(census_tri, torus_tri):
@@ -28,3 +28,19 @@ def test_report_json_shape(census_tri, torus_tri):
     assert obj["violations"] == 0
     assert all(set(c) == {"name", "ok", "detail"} for c in obj["checks"])
     assert obj["convexity_probe"]["trials"] == 300
+
+
+def test_one_search_matches_two_searches():
+    # References: the two full searches propsuite used to run.
+    specs = triangulation.search_gluings(2, triangulation.single_hyperbolic_class)
+    ref_census, ref_count = triangulation.build(specs[0]), len(specs)
+    ref_multi = next(
+        tri for tri in (triangulation.build(s, enforce_link_hypothesis=False)
+                        for s in triangulation.search_gluings(
+                            2, triangulation.any_gluing)[:200])
+        if tri.n_edges >= 3)
+
+    census, count, multi = propsuite._search_instances()
+    assert census == ref_census
+    assert count == ref_count == 4416
+    assert multi == ref_multi

@@ -95,6 +95,6 @@ def test_margin_witness_is_flow_degeneration_witness(torus_tri):
 
 
 def test_frozen_multiclass_gluing_is_propsuite_instance():
-    tri = propsuite._multiclass_triangulation()
+    tri = propsuite._search_instances()[2]
     assert tri.spec.to_json_obj() == MULTI_JSON
     assert tri.n_edges >= 3
