@@ -168,9 +168,8 @@ def total_volume(assign: AngleAssignment) -> float:
     return _volume(assign.angles)
 
 
-def _project_gradient(tri: Triangulation, G: np.ndarray) -> np.ndarray:
+def _project_gradient(q: Quotient, G: np.ndarray) -> np.ndarray:
     """Remove per-edge-class means: the tangent projection of the polytope."""
-    q = Quotient(tri)
     return G - q.gather(q.scatter(G) / q.counts)
 
 
@@ -204,7 +203,7 @@ def maximize_volume(tri: Triangulation, start, tol: float = 1e-8,
     step = 1.0
     for it in range(max_iter):
         X = tetgeom._newton_lengths(a)
-        G = _project_gradient(tri, -0.5 * X)
+        G = _project_gradient(q, -0.5 * X)
         gnorm = float(np.abs(G).max())
         if gnorm < tol:
             assign = AngleAssignment(tri=tri, angles=a)

@@ -356,9 +356,10 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
     worst = -np.inf
     used = 0
     w0 = lp.witness.angles
+    q = metric_mod.Quotient(census)
     for _ in range(12):
-        d1 = angles_mod._project_gradient(census, rng.standard_normal(w0.shape))
-        d2 = angles_mod._project_gradient(census, rng.standard_normal(w0.shape))
+        d1 = angles_mod._project_gradient(q, rng.standard_normal(w0.shape))
+        d2 = angles_mod._project_gradient(q, rng.standard_normal(w0.shape))
         p1, p2 = w0 + 0.05 * d1, w0 + 0.05 * d2
         if not (tetgeom.angles_strictly_feasible(p1).all()
                 and tetgeom.angles_strictly_feasible(p2).all()):

@@ -21,13 +21,32 @@ def fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def _inline(obj: list):
+    # The one-line text of a list nested from plain ints alone (a pairing row
+    # of a search report is one), or None when it holds anything else or
+    # must wrap under the rule in _render.
+    items, width = [], 0
+    for v in obj:
+        if type(v) is int:
+            line = str(v)
+        elif type(v) is list:
+            line = _inline(v)
+            if line is None:
+                return None
+        else:
+            return None
+        width += len(line)
+        if width >= 100:
+            return None
+        items.append(line)
+    return "[" + ", ".join(items) + "]"
+
+
 def _render(obj, indent: int) -> str:
-    if type(obj) is list and all(type(v) is int for v in obj):
-        # A flat list of plain ints (the bulk of a search report) under the
-        # inline rule below, joined in one go.
-        line = ", ".join(map(str, obj))
-        if len(line) - 2 * (len(obj) - 1) < 100:
-            return "[" + line + "]"
+    if type(obj) is list:
+        line = _inline(obj)
+        if line is not None:
+            return line
     pad = "  " * indent
     if obj is None:
         return "null"

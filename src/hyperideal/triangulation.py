@@ -210,20 +210,49 @@ class Triangulation:
         return len(self.edge_classes)
 
 
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
+class _Quotients:
+    """Union-find over local edges 6t+e, vertices 4t+v and corner points
+    16t+4v+w of n tetrahedra (slots with v == w stay unused singletons),
+    with an undo log.
 
+    A union links the larger root under the smaller, so every link points to
+    a smaller item and each root is the least member of its orbit.  Paths
+    are never compressed: a union changes exactly one entry, which `undo`
+    resets.  The log lists each change as two items, the parent list and
+    the index: a tuple per change would be one more object for the garbage
+    collector to track, which slows large builds.
+    """
 
-def _union(parent, a, b):
-    # The smaller root wins, so every link points to a smaller item and each
-    # root is the least member of its orbit.
-    a, b = _find(parent, a), _find(parent, b)
-    if a < b:
-        parent[b] = a
-    elif b < a:
-        parent[a] = b
+    def __init__(self, n: int):
+        self.edge, self.vert, self.point = (list(range(k * n)) for k in (6, 4, 16))
+        self.log = []
+
+    def glue(self, t: int, f: int, t2: int, s: tuple) -> None:
+        """Identify what the pairing of face (t, f) into tetrahedron t2
+        through s identifies."""
+        log = self.log
+        for parent, k, pairs in zip((self.edge, self.vert, self.point),
+                                    (6, 4, 16), _FACE_MAPS[(f, s)]):
+            for a, b in pairs:
+                a += k * t
+                b += k * t2
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if b < a:
+                    a, b = b, a
+                if a < b:
+                    parent[b] = a
+                    log.append(parent)
+                    log.append(b)
+
+    def undo(self, mark: int) -> None:
+        """Roll back every union made since len(self.log) was mark."""
+        log = self.log
+        while len(log) > mark:
+            x = log.pop()
+            log.pop()[x] = x
 
 
 def _orbits(parent):
@@ -267,38 +296,35 @@ def _check_orientable(spec: GluingSpec) -> None:
 def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangulation:
     """Validate a gluing and derive its edge/vertex classes and boundary links.
 
-    With enforce_link_hypothesis (the default), raises BoundaryHypothesisError
-    unless every boundary link has Euler characteristic < 0, the standing
-    hypothesis of the geometric modules.  Search predicates and purely
-    combinatorial diagnostics may disable it.
+    Checks the pairing table and orientability, glues each face pairing once
+    into a `_Quotients` union-find and reads the classes and links off its
+    orbits.  With enforce_link_hypothesis (the default), raises
+    BoundaryHypothesisError unless every boundary link has Euler
+    characteristic < 0, the standing hypothesis of the geometric modules.
+    Search predicates and purely combinatorial diagnostics may disable it.
     """
     spec.validate()
     _check_orientable(spec)
-    n = spec.tet_count
-
-    # Flat union-find over local edges 6t+e, vertices 4t+v and corner points
-    # 16t+4v+w (slots with v == w stay unused singletons).
-    edge, vert, point = (list(range(k * n)) for k in (6, 4, 16))
+    quotients = _Quotients(spec.tet_count)
     for i, (t2, f2, s) in enumerate(spec.pairings):
-        if 4 * t2 + f2 < i:
-            continue  # the partner face already carried this pairing
-        t = i // 4
-        edge_pairs, vert_pairs, point_pairs = _FACE_MAPS[(i % 4, tuple(s))]
-        for a, b in edge_pairs:
-            _union(edge, 6 * t + a, 6 * t2 + b)
-        for a, b in vert_pairs:
-            _union(vert, 4 * t + a, 4 * t2 + b)
-        for a, b in point_pairs:
-            _union(point, 16 * t + a, 16 * t2 + b)
+        if 4 * t2 + f2 > i:  # the partner face carries the same pairing
+            quotients.glue(i // 4, i % 4, t2, tuple(s))
+    return _assemble(spec, quotients, enforce_link_hypothesis)
 
-    edge_orbits, edge_of = _orbits(edge)
+
+def _assemble(spec: GluingSpec, quotients: _Quotients,
+              enforce_link_hypothesis: bool) -> Triangulation:
+    # The triangulation of spec, whose every face pairing quotients holds.
+    n = spec.tet_count
+    edge_orbits, edge_of = _orbits(quotients.edge)
     edge_classes = tuple(
         EdgeClass(index=i, corners=tuple(divmod(x, 6) for x in g))
         for i, g in enumerate(edge_orbits))
-    vert_orbits, vert_of = _orbits(vert)
+    vert_orbits, vert_of = _orbits(quotients.vert)
     vertex_classes = tuple(tuple(divmod(x, 4) for x in g) for g in vert_orbits)
 
     # Each point orbit lies over one vertex class; count the orbits by root.
+    point = quotients.point
     points = [0] * len(vertex_classes)
     for t in range(n):
         for p in _POINT_SLOTS:
@@ -355,8 +381,11 @@ def search_gluings(tet_count: int, predicate) -> list:
     single manifold and are skipped.  Orientation is pruned during the
     enumeration: each placed pairing fixes or checks the orientation of the
     tetrahedra it joins, so only permutations that keep the gluing orientable
-    are tried.  Each survivor is still analysed by `build`, which checks it
-    in full, with the link hypothesis disabled, and is kept iff
+    are tried.  A `_Quotients` union-find glues each pairing as it is placed
+    and undoes it on backtrack, so every complete gluing reads its
+    triangulation off the live orbits: the same `Triangulation` that
+    `build(spec, enforce_link_hypothesis=False)` returns, without
+    re-checking what the enumeration guarantees.  A gluing is kept iff
     predicate(tri) holds.
     """
     if tet_count not in (1, 2):
@@ -366,6 +395,7 @@ def search_gluings(tet_count: int, predicate) -> list:
     # Orientation of each tetrahedron, 0 while unset; a pairing through s
     # forces eps[t2] = -perm_sign(s) * eps[t] (the rule of _check_orientable).
     eps = [1] + [0] * (tet_count - 1)
+    quotients = _Quotients(tet_count)
     found = []
 
     def connected() -> bool:
@@ -387,13 +417,14 @@ def search_gluings(tet_count: int, predicate) -> list:
             if not connected():
                 return
             spec = GluingSpec(tet_count=tet_count, pairings=tuple(table))
-            if predicate(build(spec, enforce_link_hypothesis=False)):
+            if predicate(_assemble(spec, quotients, False)):
                 found.append(spec)
             return
         t, f = divmod(i, 4)
         fresh = eps[t] == 0
         if fresh:
             eps[t] = 1  # a tetrahedron no placed pairing reaches yet
+        mark = len(quotients.log)
         for j in range(i + 1, n_faces):
             if table[j] is not None:
                 continue
@@ -409,7 +440,9 @@ def search_gluings(tet_count: int, predicate) -> list:
                     continue
                 table[i] = (t2, f2, s)
                 table[j] = (t, f, _INVERSE[s])
+                quotients.glue(t, f, t2, s)
                 place(i + 1)
+                quotients.undo(mark)
             table[i] = table[j] = None
             if free:
                 eps[t2] = 0

@@ -228,7 +228,7 @@ def test_criterion_08_volume_maximization(capsys, census_tri,
     from hyperideal.angles import _project_gradient, total_volume
     rng = np.random.default_rng(108)
     base = np.full((2, 6), math.pi / 6)
-    d = _project_gradient(census_tri, rng.normal(size=(2, 6)))
+    d = _project_gradient(M.Quotient(census_tri), rng.normal(size=(2, 6)))
     start = A.AngleAssignment(tri=census_tri,
                               angles=base + 0.03 * d / np.abs(d).max())
     opt, rep = A.maximize_volume(census_tri, start)
@@ -237,7 +237,7 @@ def test_criterion_08_volume_maximization(capsys, census_tri,
     worst = -np.inf
     used = 0
     for _ in range(400):
-        d = _project_gradient(census_tri, rng.normal(size=(2, 6)))
+        d = _project_gradient(M.Quotient(census_tri), rng.normal(size=(2, 6)))
         d *= 0.04 / np.abs(d).max()
         try:
             ends = [A.AngleAssignment(tri=census_tri, angles=base + s * d)

@@ -15,6 +15,7 @@ from hyperideal import angles as A
 from hyperideal import dynamics as D
 from hyperideal import simplex
 from hyperideal import triangulation as T
+from hyperideal.metric import Quotient
 from hyperideal.errors import ConvergenceError
 from hyperideal.tetgeom import VERTEX_EDGES
 
@@ -264,7 +265,7 @@ def test_realize_symmetric_witness(census_tri):
 def test_realize_asymmetric_spread(census_tri, rng):
     from hyperideal.angles import _project_gradient
     base = np.full((2, 6), math.pi / 6)
-    d = _project_gradient(census_tri, rng.normal(size=(2, 6)))
+    d = _project_gradient(Quotient(census_tri), rng.normal(size=(2, 6)))
     assign = A.AngleAssignment(tri=census_tri,
                                angles=base + 0.02 * d / np.abs(d).max())
     real = A.realize_structure(assign)
@@ -285,7 +286,7 @@ def test_maximize_volume_from_witness(census_tri):
 def test_maximize_volume_from_perturbed_start(census_tri, rng):
     from hyperideal.angles import _project_gradient
     base = np.full((2, 6), math.pi / 6)
-    d = _project_gradient(census_tri, rng.normal(size=(2, 6)))
+    d = _project_gradient(Quotient(census_tri), rng.normal(size=(2, 6)))
     start = A.AngleAssignment(tri=census_tri,
                               angles=base + 0.03 * d / np.abs(d).max())
     opt, rep = A.maximize_volume(census_tri, start)
@@ -310,7 +311,7 @@ def test_maximize_volume_past_the_volume_resolution(ntet12_tri):
 def test_maximize_volume_objective_ascends(census_tri, rng):
     from hyperideal.angles import _project_gradient, total_volume
     base = np.full((2, 6), math.pi / 6)
-    d = _project_gradient(census_tri, rng.normal(size=(2, 6)))
+    d = _project_gradient(Quotient(census_tri), rng.normal(size=(2, 6)))
     start = A.AngleAssignment(tri=census_tri,
                               angles=base + 0.03 * d / np.abs(d).max())
     opt, rep = A.maximize_volume(census_tri, start)
@@ -336,7 +337,7 @@ def test_segment_concavity(census_tri, rng):
     worst = -np.inf
     used = 0
     for _ in range(40):
-        d = _project_gradient(census_tri, rng.normal(size=(2, 6)))
+        d = _project_gradient(Quotient(census_tri), rng.normal(size=(2, 6)))
         d *= 0.05 / np.abs(d).max()
         try:
             ends = [A.AngleAssignment(tri=census_tri, angles=base + s * d)

@@ -109,6 +109,39 @@ def test_dumps_matches_reference_on_edge_cases():
     assert serialize.dumps(obj) == _ref_dumps(obj)
 
 
+def _row(width):
+    # A pairing-shaped row [t, f, t2, f2, [perm]] whose items render to
+    # `width` characters in all ("[0, 1, 2, 3]" is 12 of them).
+    return [int("9" * (width - 15)), 0, 1, 2, [0, 1, 2, 3]]
+
+
+def _inner(width):
+    # A row whose inner list's items render to `width` characters in all.
+    return [0, [int("9" * (width - 2)), 1, 2]]
+
+
+@pytest.mark.parametrize("obj", [
+    pytest.param(CENSUS_JSON, id="pairing_rows"),
+    pytest.param([_row(99), _row(100)], id="row_width_99_100"),
+    pytest.param({"rows": [_row(99), _row(100)]}, id="row_width_indented"),
+    pytest.param([_inner(99), _inner(100)], id="inner_width_99_100"),
+    pytest.param([[0, 1, 2, 3, [True, 1, 2, 3]], [0, True, [0, 1]]],
+                 id="bool"),
+    pytest.param([[0, 1, 2, 3, [np.int64(0), 1, 2, 3]], [np.int64(0), [0]]],
+                 id="np_int64"),
+    pytest.param([[0, 1, 2, 3, [0.5, 1, 2, 3]], [0.5, 1, [0, 1]]],
+                 id="float"),
+    pytest.param([[0, []], [[], []], []], id="empty_inner"),
+    pytest.param([[-1, [-2, 3]], [0, [1, [2]]]], id="negative_and_deep"),
+    pytest.param([(0, 1, 2, 3, [0, 1, 2, 3]), [0, 1, 2, 3, (0, 1, 2, 3)]],
+                 id="tuple_rows"),
+])
+def test_dumps_matches_reference_on_rows(obj):
+    # Lists nested from plain ints alone take their own path, under the same
+    # inline rule; anything else in a row falls back.
+    assert serialize.dumps(obj) == _ref_dumps(obj)
+
+
 @pytest.mark.parametrize("argv", [
     ("search", "--tets", "2", "--filter", "any"),
     ("shapes", "--tri", "{census}", "--metric", "{metric}"),

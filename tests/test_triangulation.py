@@ -350,6 +350,22 @@ def test_search_matches_reference_two_tet(two_tet_reference, predicate):
     assert T.search_gluings(2, predicate) == want
 
 
+def _search_leaves(tet_count):
+    # Every triangulation the search hands its predicate, in order.
+    leaves = []
+    T.search_gluings(tet_count, lambda tri: leaves.append(tri) or True)
+    return leaves
+
+
+def test_search_leaves_match_build(two_tet_reference):
+    # Leaves are read off the search's live union-find, not made by build.
+    assert _search_leaves(2) == two_tet_reference
+    leaves = _search_leaves(1)
+    assert len(leaves) == 27
+    assert leaves == [T.build(tri.spec, enforce_link_hypothesis=False)
+                      for tri in leaves]
+
+
 @pytest.mark.parametrize("enforce", (True, False))
 def test_build_matches_reference_one_tet(enforce):
     specs = _ref_search(1, T.any_gluing)
