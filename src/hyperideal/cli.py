@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from . import angles as angles_mod
-from . import dynamics, metric as metric_mod, propsuite, serialize
+from . import dynamics, metric as metric_mod, propsuite, serialize, tetgeom
 from . import triangulation as tri_mod
 from .errors import (BoundaryHypothesisError, ConvergenceError,
                      DefinitenessError, GluingError, InadmissibleShapeError)
@@ -146,10 +146,11 @@ def cmd_shapes(args) -> int:
     m = _load_metric(args.metric, tri)
     ev = metric_mod.evaluate(tri, m.x).raise_if_inadmissible()
     pl = ev.pipeline
+    arcs = tetgeom.arcs_from_lengths(ev.X)
     tets = [{
         "index": t,
         "lengths": list(ev.X[t]),
-        "arcs": list(np.arccosh(pl.u[t])),
+        "arcs": list(arcs[t]),
         "angles": list(pl.angles[t]),
         "vertex_sums": list(pl.vsums[t]),
         "margin": float(pl.margin[t]),

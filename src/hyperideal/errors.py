@@ -25,9 +25,11 @@ class InadmissibleShapeError(HyperidealError, ValueError):
     """Data that does not describe a hyperideal tetrahedron.
 
     ``reason`` is one of ``nonpositive_length``, ``corner_cosine``,
-    ``endpoint_disagreement``, ``vertex_sum``, ``angle_range``.  ``edge`` /
-    ``vertex`` locate the offending corner in the local labelling, ``tet``
-    is filled in when the shape sits inside a triangulated manifold.
+    ``vertex_sum``, ``angle_range``.  ``edge`` / ``vertex`` locate the
+    offending corner in the local labelling; one cosine serves both ends of
+    an edge, so a ``corner_cosine`` names the edge's first endpoint
+    ``EDGE_VERTEX_PAIRS[edge][0]``.  ``tet`` is filled in when the shape
+    sits inside a triangulated manifold.
     """
 
     def __init__(self, message, *, reason=None, edge=None, vertex=None,

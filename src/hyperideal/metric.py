@@ -165,10 +165,10 @@ class Evaluation:
         corner = np.where(np.isfinite(cos), 1.0 - np.abs(cos), -np.inf)
         slack = np.where(np.isfinite(vs), math.pi - vs, -np.inf)
         if corner.min() <= slack.min():
-            e, s = map(int, divmod(int(np.argmin(corner)), 2))
+            e = int(np.argmin(corner))
             witness = {"tet": t, "kind": "corner_cosine", "edge": e,
-                       "vertex": EDGE_VERTEX_PAIRS[e][s],
-                       "value": float(cos[e, s])}
+                       "vertex": EDGE_VERTEX_PAIRS[e][0],
+                       "value": float(cos[e])}
         else:
             v = int(np.argmin(slack))
             witness = {"tet": t, "kind": "vertex_sum", "vertex": v,
@@ -177,8 +177,7 @@ class Evaluation:
 
     def jacobian(self) -> np.ndarray:
         """dK/dx: minus the per-tetrahedron angle Jacobians, assembled."""
-        Jt = tetgeom._jacobian_from_pipeline(self.pipeline, self.X)
-        return self.quotient.assemble(-Jt)
+        return self.quotient.assemble(-tetgeom._jacobian(self.pipeline))
 
     def potentials(self) -> np.ndarray:
         """Per-tetrahedron volume potentials, relative to the unit regular shape."""

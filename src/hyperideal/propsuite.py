@@ -153,8 +153,8 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
     # --- tetgeom ---
     X = sample_admissible(rng, oracle_samples, low=0.1, high=4.0)
     pl = tetgeom._pipeline(X)
-    dis = np.abs(pl.angles2[..., 0] - pl.angles2[..., 1]).max()
-    record("tetgeom.endpoint_consistency", dis < 1e-10, f"max disagreement {dis:.3e}")
+    gap = np.abs(pl.sines ** 2 + pl.cosines ** 2 - 1.0).max()
+    record("tetgeom.sine_cosine_identity", gap <= 1e-12, f"max |sin^2 + cos^2 - 1| {gap:.3e}")
 
     worst_fd = worst_sym = 0.0
     min_eig = np.inf

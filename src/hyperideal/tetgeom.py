@@ -7,34 +7,28 @@ determined up to isometry by the lengths x_0..x_5 of its six core edges,
 indexed by vertex pairs in lexicographic order 01, 02, 03, 12, 13, 23 (so
 opposite edge pairs are (0,5), (1,4), (2,3)).  Each face is then a
 right-angled hexagon and each truncation cross-section a hyperbolic
-triangle.
+triangle whose angles are the dihedral angles at its vertex.
 
-Intermediate quantities:
+The dihedral angles come from the vertex Gram matrix H: unit diagonal and
+H_vw = -cosh x_vw, of signature (3, 1) on admissible shapes (Ushijima; the
+vertex/face Gram duality of Bao-Bonahon).  With c its cofactors, written
+out as polynomials in the entries (h^2 - 1 taken as sinh^2), and i, j the
+two vertices off the edge e = {v, w}:
 
-* arcs: the 12 truncation-triangle sides, indexed by (vertex v, face f)
-  with f != v in lexicographic order; arc (v, f) is the segment cut out of
-  the triangle at v by the face f.  Writing {j, k} for the remaining two
-  vertices, the right-angled-hexagon relation gives
+    cos a_e = c_ij / sqrt(c_ii c_jj),
+    sin a_e = sqrt(-det H) sinh x_e / sqrt(c_ii c_jj),
 
-      cosh t(v,f) = (cosh x_jk + cosh x_vj cosh x_vk)
-                    / (sinh x_vj sinh x_vk),
-
-  a quotient that is provably > 1 for any positive lengths, so every arc
-  exists; degeneration shows up later, in the corner cosines.
-
-* dihedral angles: the angle a_e along edge e = {v, w} equals the angle of
-  the truncation triangle at v at its vertex on e, with cosine
-
-      (cosh t_b cosh t_c - cosh t_o) / (sinh t_b sinh t_c)
-
-  for the two adjacent arcs b, c and the opposite arc o at v.  The same
-  angle recomputed at w must agree; both are averaged.
+the second by Jacobi's identity c_ii c_jj - c_ij^2 = -det H sinh^2 x_e, and
+a_e = atan2(sin, cos) keeps the digits of angles near 0 and pi.  det H is
+expanded along one row of the same cofactors, and the angle Jacobian is
+their polynomial gradient.  The truncation-triangle sides (`arcs`), which
+the faces' right-angled hexagons give, are a separate report.
 
 Not every positive length vector is admissible.  Admissibility is decided
 operationally: every corner cosine strictly inside (-1, 1) with a small
-guard, the two endpoint computations in agreement, and the three angles at
-each vertex summing to less than pi.  An independent Gram-matrix oracle
-(`minkowski_oracle`) cross-checks this classification.
+guard (so det H < 0), and the three angles at each vertex summing to less
+than pi.  An independent Minkowski-model oracle (`minkowski_oracle`)
+cross-checks this classification.
 
 The volume is a function of the dihedral angles alone, in closed form: the
 Murakami-Yano formula, extended by Ushijima to truncated tetrahedra, puts
@@ -60,41 +54,35 @@ from .errors import InadmissibleShapeError
 from .triangulation import EDGE_VERTEX_PAIRS, VERTEX_EDGES, edge_index
 
 COSINE_GUARD = 1e-9     # corner cosines must stay this far inside (-1, 1)
-ENDPOINT_TOL = 1e-8     # max disagreement between the two endpoint angles
-ORACLE_TOL = 1e-9       # trig pipeline vs Gram-matrix oracle
-MAX_LENGTH = 350.0      # keeps every cosh/sinh product finite in float64
+ORACLE_TOL = 1e-9       # cofactor map vs Minkowski oracle
+MAX_LENGTH = 350.0      # cosh and sinh stay finite in float64
 
 ARC_VERTEX_FACE = tuple((v, f) for v in range(4) for f in range(4) if f != v)
-_ARC_INDEX = {vf: i for i, vf in enumerate(ARC_VERTEX_FACE)}
 
 
-def _build_arc_edges():
-    rows = []
-    for (v, f) in ARC_VERTEX_FACE:
-        j, k = [w for w in range(4) if w not in (v, f)]
-        rows.append([edge_index(v, j), edge_index(v, k), edge_index(j, k)])
-    return np.array(rows)
+def _cofactor_edges():
+    # Column f = {i, j} with opposite edge {k, l}: f, kl, ik, jk, il, jl.
+    cols = []
+    for f, (i, j) in enumerate(EDGE_VERTEX_PAIRS):
+        k, l = EDGE_VERTEX_PAIRS[5 - f]
+        cols.append([f, 5 - f, edge_index(i, k), edge_index(j, k),
+                     edge_index(i, l), edge_index(j, l)])
+    return np.array(cols).T
 
 
-def _build_corner_arcs():
-    # For edge e = {v, w} and endpoint side s (0 at v, 1 at w): the two arcs
-    # adjacent to the angle and the arc opposite it, all at that endpoint.
-    b = np.zeros((6, 2), dtype=int)
-    c = np.zeros((6, 2), dtype=int)
-    o = np.zeros((6, 2), dtype=int)
-    for e, (v, w) in enumerate(EDGE_VERTEX_PAIRS):
-        u1, u2 = [z for z in range(4) if z not in (v, w)]
-        for s, (p, q) in enumerate(((v, w), (w, v))):
-            b[e, s] = _ARC_INDEX[(p, u1)]
-            c[e, s] = _ARC_INDEX[(p, u2)]
-            o[e, s] = _ARC_INDEX[(p, q)]
-    return b, c, o
-
-
-_ARC_E = _build_arc_edges()
-_CB, _CC, _CO = _build_corner_arcs()
+_COF_E = _cofactor_edges()
+# Entry (e, g) of the angle Jacobian takes the gradient of the cofactor of
+# the pair 5 - e opposite e, at the row where g sits in column 5 - e.
+_DIAG = np.arange(6)
+_JAC_COL = 5 - _DIAG[:, None]
+_JAC_ROW = np.argsort(_COF_E[:, ::-1], axis=0).T
+# The edges of the face opposite each vertex, one vertex per column.
+_FACE_E = np.array([[e for e, vw in enumerate(EDGE_VERTEX_PAIRS) if v not in vw]
+                    for v in range(4)]).T
 _VERT_E = np.array(VERTEX_EDGES)
 _EDGE_VW = np.array(EDGE_VERTEX_PAIRS)
+# The two vertices off each edge.
+_OPP_I, _OPP_J = _EDGE_VW[::-1].T
 
 
 def _as_lengths(x) -> np.ndarray:
@@ -116,41 +104,48 @@ def _as_lengths(x) -> np.ndarray:
 
 
 class _Pipeline(NamedTuple):
-    ch: np.ndarray      # (..., 6) cosh of lengths
-    sh: np.ndarray      # (..., 6)
-    u: np.ndarray       # (..., 12) cosh of arcs
-    su: np.ndarray      # (..., 12) sinh of arcs
-    cosines: np.ndarray  # (..., 6, 2) corner cosines, per endpoint
-    angles2: np.ndarray  # (..., 6, 2) angles per endpoint (clipped cosines)
-    angles: np.ndarray  # (..., 6) endpoint average
+    # Edge-major, (6, ...) with row e for edge e, as the Jacobian reads them.
+    ch: np.ndarray      # cosh of lengths
+    sh: np.ndarray      # sinh of lengths
+    cof: np.ndarray     # off-diagonal cofactors c_ij, by vertex pair
+    r: np.ndarray       # sqrt(c_ii c_jj) over the pair opposite each edge
+    root: np.ndarray    # (...) sqrt(-det H)
+    # Shape-major, as callers index them.
+    cosines: np.ndarray  # (..., 6) corner cosines, one per edge
+    sines: np.ndarray   # (..., 6)
+    angles: np.ndarray  # (..., 6) atan2(sines, cosines)
     vsums: np.ndarray   # (..., 4) angle sum at each vertex
     ok: np.ndarray      # (...) admissibility mask
     margin: np.ndarray  # (...) min corner / vertex-sum slack
 
 
 def _pipeline(x: np.ndarray) -> _Pipeline:
+    # Work edge-major, (6, ...), so that each edge's values are contiguous.
+    shape_major = (*range(1, x.ndim), 0)
     with np.errstate(all="ignore"):
-        ch, sh = np.cosh(x), np.sinh(x)
-        coth = ch / sh
-        ia, ib, ic = _ARC_E[:, 0], _ARC_E[:, 1], _ARC_E[:, 2]
-        # coth*coth + cosh/(sinh*sinh) avoids overflow of cosh*cosh
-        u = coth[..., ia] * coth[..., ib] + ch[..., ic] / (sh[..., ia] * sh[..., ib])
-        su = np.sqrt(np.maximum(u * u - 1.0, 0.0))
-        ub, uc, uo = u[..., _CB], u[..., _CC], u[..., _CO]
-        cosines = (ub * uc - uo) / (su[..., _CB] * su[..., _CC])
-        angles2 = np.arccos(np.clip(cosines, -1.0, 1.0))
-        angles = 0.5 * (angles2[..., 0] + angles2[..., 1])
-        vsums = angles[..., _VERT_E].sum(axis=-1)
-        corner_ok = np.abs(cosines) < 1.0 - COSINE_GUARD
-        corner_ok &= np.isfinite(cosines)
-        agree_ok = np.abs(angles2[..., 0] - angles2[..., 1]) < ENDPOINT_TOL
-        vert_ok = vsums < math.pi
-        ok = (corner_ok.all(axis=(-2, -1)) & agree_ok.all(axis=-1)
-              & vert_ok.all(axis=-1))
-        corner_margin = np.where(np.isfinite(cosines), 1.0 - np.abs(cosines),
-                                 -np.inf).min(axis=(-2, -1))
-        margin = np.minimum(corner_margin, (math.pi - vsums).min(axis=-1))
-    return _Pipeline(ch, sh, u, su, cosines, angles2, angles, vsums, ok, margin)
+        xe = x.transpose((x.ndim - 1, *range(x.ndim - 1))).copy()
+        ch, sh = np.cosh(xe), np.sinh(xe)
+        s2 = sh * sh
+        cf, ce, ca, cb, cc, cd = ch[_COF_E]
+        # h = -cosh x, and h^2 - 1 = sinh^2 x keeps the digits of short edges
+        cof = ca * cb + cc * cd + ce * (ca * cd + cc * cb) - cf * s2[::-1]
+        # -c_vv = 2 + 2 prod cosh + sum sinh^2 over the face opposite v
+        face = 2.0 + 2.0 * ch[_FACE_E].prod(axis=0) + s2[_FACE_E].sum(axis=0)
+        # -det H, expanded along row 0
+        root = np.sqrt(np.maximum(face[0] + (ch[:3] * cof[:3]).sum(axis=0), 0.0))
+        r = np.sqrt(face[_OPP_I] * face[_OPP_J])
+        cosines = cof[::-1] / r
+        sines = root * sh / r
+        angles = np.arctan2(sines, cosines)
+        vsums = angles[_VERT_E.T].sum(axis=0)
+        slack = 1.0 - np.abs(cosines).max(axis=0)
+        corner = np.where(np.isnan(slack), -np.inf, slack)
+        top = vsums.max(axis=0)
+        ok = (corner > COSINE_GUARD) & (top < math.pi)
+        margin = np.minimum(corner, math.pi - top)
+    return _Pipeline(ch, sh, cof, r, root, cosines.transpose(shape_major),
+                     sines.transpose(shape_major), angles.transpose(shape_major),
+                     vsums.transpose(shape_major), ok, margin)
 
 
 def _raise_inadmissible(x: np.ndarray, pl: _Pipeline) -> None:
@@ -158,23 +153,16 @@ def _raise_inadmissible(x: np.ndarray, pl: _Pipeline) -> None:
     if flat_ok.all():
         return
     row = int(np.argmax(~flat_ok))
-    cos = pl.cosines.reshape(-1, 6, 2)[row]
-    ang2 = pl.angles2.reshape(-1, 6, 2)[row]
+    cos = pl.cosines.reshape(-1, 6)[row]
     vs = pl.vsums.reshape(-1, 4)[row]
-    bad = ~((np.abs(cos) < 1.0 - COSINE_GUARD) & np.isfinite(cos))
+    bad = ~(1.0 - np.abs(cos) > COSINE_GUARD)
     if bad.any():
-        e, s = map(int, divmod(int(np.argmax(bad)), 2))
-        v = EDGE_VERTEX_PAIRS[e][s]
+        e = int(np.argmax(bad))
+        v = EDGE_VERTEX_PAIRS[e][0]
         raise InadmissibleShapeError(
-            f"corner cosine at edge {e}, vertex {v} is {float(cos[e, s])!r}, "
+            f"corner cosine at edge {e}, vertex {v} is {float(cos[e])!r}, "
             f"outside (-1, 1) by more than the {COSINE_GUARD} guard",
-            reason="corner_cosine", edge=e, vertex=v, value=float(cos[e, s]))
-    dis = np.abs(ang2[:, 0] - ang2[:, 1])
-    if (dis >= ENDPOINT_TOL).any():
-        e = int(np.argmax(dis >= ENDPOINT_TOL))
-        raise InadmissibleShapeError(
-            f"angle at edge {e} disagrees between its endpoints by {dis[e]:.3e}",
-            reason="endpoint_disagreement", edge=e, value=float(dis[e]))
+            reason="corner_cosine", edge=e, vertex=v, value=float(cos[e]))
     v = int(np.argmax(vs >= math.pi))
     raise InadmissibleShapeError(
         f"angles at vertex {v} sum to {vs[v]!r} >= pi",
@@ -182,10 +170,20 @@ def _raise_inadmissible(x: np.ndarray, pl: _Pipeline) -> None:
 
 
 def arcs_from_lengths(x) -> np.ndarray:
-    """The 12 truncation-triangle sides, ordered by (vertex, face)."""
+    """The 12 truncation-triangle sides, ordered by (vertex, face).
+
+    Arc (v, f) is the side cut out of the triangle at v by face f.  With
+    {j, k} the remaining vertices, the right-angled-hexagon relation gives
+    cosh t = (cosh x_jk + cosh x_vj cosh x_vk) / (sinh x_vj sinh x_vk).
+    """
     x = _as_lengths(x)
-    pl = _pipeline(x)
-    return np.arccosh(pl.u)
+    vj, vk, jk = np.array([[edge_index(v, j), edge_index(v, k), edge_index(j, k)]
+                           for v, f in ARC_VERTEX_FACE
+                           for j, k in [sorted({0, 1, 2, 3} - {v, f})]]).T
+    ch, sh = np.cosh(x), np.sinh(x)
+    coth = ch / sh
+    # coth*coth + cosh/(sinh*sinh) avoids overflow of cosh*cosh
+    return np.arccosh(coth[..., vj] * coth[..., vk] + ch[..., jk] / (sh[..., vj] * sh[..., vk]))
 
 
 def is_admissible(x) -> np.ndarray:
@@ -195,7 +193,7 @@ def is_admissible(x) -> np.ndarray:
 
 
 def admissibility_margin(x) -> np.ndarray:
-    """min over corners of 1 - |cosine| and over vertices of pi - angle sum.
+    """min over edges of 1 - |cosine| and over vertices of pi - angle sum.
 
     Positive and above the guards on the admissible set; <= 0 or negative
     when a corner has degenerated.  Used by the flow as its stopping gauge.
@@ -245,46 +243,25 @@ def validate_angles(a) -> np.ndarray:
     return a
 
 
-def _arc_length_jacobian(pl: _Pipeline, x: np.ndarray) -> np.ndarray:
-    """d(arcs)/d(lengths), shape (..., 12, 6)."""
-    ia, ib, ic = _ARC_E[:, 0], _ARC_E[:, 1], _ARC_E[:, 2]
-    ca, sa = pl.ch[..., ia], pl.sh[..., ia]
-    cb, sb = pl.ch[..., ib], pl.sh[..., ib]
-    sc = pl.sh[..., ic]
-    u = pl.u
-    dQa = cb / sb - u * (ca / sa)
-    dQb = ca / sa - u * (cb / sb)
-    dQc = sc / (sa * sb)
-    f = 1.0 / pl.su
-    T = np.zeros(x.shape[:-1] + (12, 6))
-    rows = np.arange(12)
-    T[..., rows, ia] = f * dQa
-    T[..., rows, ib] = f * dQb
-    T[..., rows, ic] = f * dQc
-    return T
+def _jacobian(pl: _Pipeline) -> np.ndarray:
+    """d(angles)/d(lengths), shape (..., 6, 6), from the pipeline's cofactors.
 
-
-def _angle_arc_jacobian(pl: _Pipeline, x: np.ndarray, side: int) -> np.ndarray:
-    """d(angles at one endpoint)/d(arcs), shape (..., 6, 12)."""
-    b, c, o = _CB[:, side], _CC[:, side], _CO[:, side]
-    u, su = pl.u, pl.su
-    R = pl.cosines[..., side]
-    g = -1.0 / np.sqrt(1.0 - R * R)
-    dRb = u[..., c] / su[..., c] - R * (u[..., b] / su[..., b])
-    dRc = u[..., b] / su[..., b] - R * (u[..., c] / su[..., c])
-    dRo = -su[..., o] / (su[..., b] * su[..., c])
-    D = np.zeros(x.shape[:-1] + (6, 12))
-    rows = np.arange(6)
-    D[..., rows, b] = g * dRb
-    D[..., rows, c] = g * dRc
-    D[..., rows, o] = g * dRo
-    return D
-
-
-def _jacobian_from_pipeline(pl: _Pipeline, x: np.ndarray) -> np.ndarray:
-    T = _arc_length_jacobian(pl, x)
-    D = 0.5 * (_angle_arc_jacobian(pl, x, 0) + _angle_arc_jacobian(pl, x, 1))
-    return D @ T
+    a_e = atan2(sigma, c_ij) with sigma = sqrt(-det H) sinh x_e, and
+    sigma^2 + c_ij^2 = r_e^2 by Jacobi's identity, so
+    da_e = (c_ij dsigma - sigma dc_ij) / r_e^2.  Since d(-det H)/dx_g =
+    2 c_g sinh x_g, dsigma/dx_g = sinh x_e c_g sinh x_g / sqrt(-det H),
+    plus sqrt(-det H) cosh x_e when g = e.
+    """
+    cf, ce, ca, cb, cc, cd = pl.ch[_COF_E]
+    sg = pl.sh[_COF_E]
+    # dc_ij/dx = sinh x * dc_ij/d(cosh x), rows in the order of _COF_E
+    dcof = sg * np.stack([-sg[1] * sg[1], ca * cd + cc * cb - 2.0 * cf * ce,
+                          cb + ce * cd, ca + ce * cc, cd + ce * cb, cc + ce * ca])
+    sh, root = pl.sh, pl.root
+    dsigma = sh[:, None] * (pl.cof * sh / root)
+    dsigma[_DIAG, _DIAG] += root * pl.ch
+    J = pl.cof[::-1, None] * dsigma - (root * sh)[:, None] * dcof[_JAC_ROW, _JAC_COL]
+    return np.moveaxis(J / (pl.r * pl.r)[:, None], (0, 1), (-2, -1))
 
 
 def jacobian_angles_lengths(x) -> np.ndarray:
@@ -292,7 +269,7 @@ def jacobian_angles_lengths(x) -> np.ndarray:
     x = _as_lengths(x)
     pl = _pipeline(x)
     _raise_inadmissible(x, pl)
-    return _jacobian_from_pipeline(pl, x)
+    return _jacobian(pl)
 
 
 @dataclass(frozen=True)
@@ -312,8 +289,8 @@ def shape(x) -> TetShape:
         raise ValueError("shape() takes a single length vector")
     pl = _pipeline(x)
     _raise_inadmissible(x, pl)
-    J = _jacobian_from_pipeline(pl, x)
-    return TetShape(lengths=x.copy(), arcs=np.arccosh(pl.u), angles=pl.angles,
+    J = _jacobian(pl)
+    return TetShape(lengths=x.copy(), arcs=arcs_from_lengths(x), angles=pl.angles,
                     jac_angles_lengths=J, jac_lengths_angles=np.linalg.inv(J))
 
 
@@ -461,11 +438,11 @@ _EIG_GUARD = 1e-12
 def minkowski_oracle(x):
     """Recompute the dihedral angles from the Gram matrix, or None if inadmissible.
 
-    Independent of the hexagon/triangle trigonometry: form the symmetric
+    Independent of the pipeline's cofactor formulas: form the symmetric
     matrix G with unit diagonal and G_vw = -cosh x_vw, demand Lorentz
-    signature (3, 1), embed the four vertex rays in Minkowski space, take
-    space-like face normals and read angles off their inner products.  Used
-    only for cross-validation.
+    signature (3, 1) from its eigenvalues, embed the four vertex rays in
+    Minkowski space, take space-like face normals and read angles off their
+    inner products.  Used only for cross-validation.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (6,):

@@ -228,3 +228,14 @@ def test_rigidity_probe(census_tri):
         J = M.curvature_jacobian(census_metric(census_tri, val))
         eigs = np.sort(np.abs(np.linalg.eigvalsh(J)))
         assert np.abs(np.sort(rep.singular_values) - eigs).max() < 1e-10
+
+
+def test_minimize_one_edge_128_reaches_regular_length(one_edge128_tri):
+    # The regular structure: every angle pi/384, so cosh x = c / (2c - 1)
+    # with c = cos(pi/384).  Angles near 0 must keep their digits for K to
+    # reach 1e-12.
+    c = np.cos(np.pi / 384)
+    m, rep = D.minimize_energy(M.ConeMetric(tri=one_edge128_tri, x=np.ones(1)),
+                               tol=1e-12)
+    assert rep.K_norm < 1e-12
+    assert abs(m.x[0] - np.arccosh(c / (2 * c - 1))) <= 1e-12

@@ -1,13 +1,19 @@
-"""Single-tetrahedron kernel: arcs, angles, Jacobians, volume, oracle."""
+"""Single-tetrahedron kernel: arcs, angles, Jacobians, volume, oracle.
+
+The hexagon/triangle pipeline that the vertex-Gram cofactor map replaced is
+kept here as a reference, with its two-stage Jacobian.  mpmath evaluates
+the same cofactors at 60 digits as the accuracy oracle.
+"""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from hyperideal import tetgeom
 from hyperideal.errors import InadmissibleShapeError
-from hyperideal.triangulation import OPPOSITE_EDGE
+from hyperideal.triangulation import EDGE_VERTEX_PAIRS, OPPOSITE_EDGE, edge_index
 
 from conftest import XSTAR, sample_admissible
 
@@ -16,6 +22,73 @@ REG1 = np.ones(6)
 
 def regular_angle(x):
     return math.acos(math.cosh(x) / (2.0 * math.cosh(x) - 1.0))
+
+
+def _hexagon_tables():
+    arc = {vf: i for i, vf in enumerate(tetgeom.ARC_VERTEX_FACE)}
+    arc_edges = []
+    for v, f in tetgeom.ARC_VERTEX_FACE:
+        j, k = [w for w in range(4) if w not in (v, f)]
+        arc_edges.append([edge_index(v, j), edge_index(v, k), edge_index(j, k)])
+    # per edge and endpoint side: the two arcs adjacent to the angle and
+    # the arc opposite it, all in the triangle at that endpoint
+    corner = np.zeros((3, 6, 2), dtype=int)
+    for e, (v, w) in enumerate(EDGE_VERTEX_PAIRS):
+        u1, u2 = [z for z in range(4) if z not in (v, w)]
+        for s, (p, q) in enumerate(((v, w), (w, v))):
+            corner[:, e, s] = arc[(p, u1)], arc[(p, u2)], arc[(p, q)]
+    return np.array(arc_edges).T, corner
+
+
+_ARC_E, _CORNER = _hexagon_tables()
+
+
+def hexagon_reference(x):
+    """Angles (..., 6) and d(angles)/d(lengths) (..., 6, 6) of the hexagon
+    pipeline: 12 arcs, the triangle cosine law at both ends of every edge,
+    the two endpoint angles averaged; the Jacobian is d(angles)/d(arcs)
+    times d(arcs)/d(lengths)."""
+    ia, ib, ic = _ARC_E
+    ch, sh = np.cosh(x), np.sinh(x)
+    coth = ch / sh
+    u = coth[..., ia] * coth[..., ib] + ch[..., ic] / (sh[..., ia] * sh[..., ib])
+    su = np.sqrt(u * u - 1.0)
+    f = 1.0 / su
+    T = np.zeros(x.shape[:-1] + (12, 6))
+    rows = np.arange(12)
+    T[..., rows, ia] = f * (coth[..., ib] - u * coth[..., ia])
+    T[..., rows, ib] = f * (coth[..., ia] - u * coth[..., ib])
+    T[..., rows, ic] = f * (sh[..., ic] / (sh[..., ia] * sh[..., ib]))
+    ends, D = [], []
+    rows = np.arange(6)
+    for b, c, o in np.moveaxis(_CORNER, -1, 0):
+        R = (u[..., b] * u[..., c] - u[..., o]) / (su[..., b] * su[..., c])
+        ends.append(np.arccos(R))
+        g = -1.0 / np.sqrt(1.0 - R * R)
+        Dside = np.zeros(x.shape[:-1] + (6, 12))
+        Dside[..., rows, b] = g * (u[..., c] / su[..., c] - R * (u[..., b] / su[..., b]))
+        Dside[..., rows, c] = g * (u[..., b] / su[..., b] - R * (u[..., c] / su[..., c]))
+        Dside[..., rows, o] = g * (-su[..., o] / (su[..., b] * su[..., c]))
+        D.append(Dside)
+    angles = 0.5 * (ends[0] + ends[1])
+    D = 0.5 * (D[0] + D[1])
+    return angles, D @ T
+
+
+def mp_angles(x):
+    """The cofactor map in mpmath, at 60 digits on the float inputs."""
+    with mpmath.workdps(60):
+        H = mpmath.eye(4)
+        for e, (v, w) in enumerate(EDGE_VERTEX_PAIRS):
+            H[v, w] = H[w, v] = -mpmath.cosh(mpmath.mpf(float(x[e])))
+        det = mpmath.det(H)
+        adj = mpmath.inverse(H) * det
+        out = []
+        for e, (v, w) in enumerate(EDGE_VERTEX_PAIRS):
+            i, j = EDGE_VERTEX_PAIRS[5 - e]
+            sin = mpmath.sqrt(-det) * mpmath.sinh(mpmath.mpf(float(x[e])))
+            out.append(mpmath.atan2(sin, adj[i, j]))
+        return out
 
 
 def test_regular_arcs_closed_form():
@@ -75,9 +148,10 @@ def test_inadmissible_error_is_located():
     with pytest.raises(InadmissibleShapeError) as exc:
         tetgeom.shape(x)
     err = exc.value
-    assert err.reason in ("corner_cosine", "endpoint_disagreement", "vertex_sum")
+    assert err.reason in ("corner_cosine", "vertex_sum")
     if err.reason == "corner_cosine":
-        assert err.edge in range(6) and err.vertex in range(4)
+        assert err.edge in range(6)
+        assert err.vertex == EDGE_VERTEX_PAIRS[err.edge][0]
 
 
 def test_nonpositive_length_rejected():
@@ -90,9 +164,34 @@ def test_nonpositive_length_rejected():
 
 
 def test_endpoint_consistency(rng):
-    for x in sample_admissible(rng, 60):
-        pl = tetgeom._pipeline(x)
-        assert np.abs(pl.angles2[:, 0] - pl.angles2[:, 1]).max() < 1e-10
+    X = sample_admissible(rng, 60)
+    ref, _ = hexagon_reference(X)
+    assert np.abs(tetgeom._pipeline(X).angles - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("x", [0.001, 0.004, 1.0, 8.0, 10.0, 12.0])
+def test_regular_angle_against_mpmath(x):
+    with mpmath.workdps(40):
+        c = mpmath.cosh(mpmath.mpf(x))
+        want = mpmath.acos(c / (2 * c - 1))
+        a = tetgeom.angles_from_lengths(np.full(6, x))
+        assert max(abs((mpmath.mpf(float(v)) - want) / want) for v in a) <= 1e-15
+
+
+# Long edges next to short ones.  The first loses 5e-9 in the hexagon
+# pipeline's angles; the second has det H < 0 and vertex slack 4.5e-8, and
+# the Minkowski oracle accepts it.  The third has a long edge opposite a
+# short one e, where h_e^2 - 1 formed in floats costs 9e-14 in the angles.
+@pytest.mark.parametrize("x", [(11.2, 0.06, 0.12, 1.2, 10.88, 0.03),
+                               (1.7, 13.64, 0.25, 15.83, 2.25, 4.14),
+                               (0.073, 6.944, 0.572, 0.065, 0.128, 0.06)])
+def test_long_edge_shapes_against_mpmath(x):
+    x = np.array(x)
+    assert tetgeom.is_admissible(x)
+    assert tetgeom.minkowski_oracle(x) is not None
+    a = tetgeom.angles_from_lengths(x)
+    assert max(abs(float(mpmath.mpf(float(v)) - w))
+               for v, w in zip(a, mp_angles(x))) <= 1e-14
 
 
 def test_admissibility_margin():
@@ -135,6 +234,17 @@ def test_jacobian_fd_spd(rng):
         Jinv = np.linalg.inv(J)
         assert np.abs(Jinv - Jinv.T).max() < 1e-8
         assert np.linalg.eigvalsh(0.5 * (Jinv + Jinv.T)).min() > 0
+
+
+def test_jacobian_symmetric_and_matches_hexagon_reference(rng):
+    # over [0.02, 8] the hexagon Jacobian is asymmetric by up to 5e-11
+    X = sample_admissible(rng, 2000, low=0.02, high=8.0)
+    J = tetgeom.jacobian_angles_lengths(X)
+    scale = np.abs(J).max(axis=(-2, -1))
+    asym = np.abs(J - np.swapaxes(J, -1, -2)).max(axis=(-2, -1)) / scale
+    assert asym.max() <= 1e-11
+    _, ref = hexagon_reference(X)
+    assert (np.abs(J - ref).max(axis=(-2, -1)) / scale).max() <= 1e-9
 
 
 def test_shape_bundles_inverse():

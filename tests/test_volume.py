@@ -33,7 +33,7 @@ def _newton_lengths(target, x0, tol=1e-12, max_iter=200):
         active = rnorm >= tol
         if not active.any():
             return x
-        J = tetgeom._jacobian_from_pipeline(tetgeom._pipeline(x[active]), x[active])
+        J = tetgeom._jacobian(tetgeom._pipeline(x[active]))
         step = np.linalg.solve(J, -res[active][..., None])[..., 0]
         idx = np.flatnonzero(active)
         lam = np.ones(idx.size)
