@@ -12,9 +12,9 @@ On that polytope the total volume (sum of per-tetrahedron potentials) is
 strictly concave with per-corner gradient -x/2, x the edge lengths
 realizing the angles, so its maximum is the assignment whose realized
 corner lengths agree across every edge class: the hyperbolic cone metric.
-`maximize_volume` climbs it by projected gradient ascent; the projection
-just recentres each edge class, since the equality constraints have
-disjoint supports.
+`maximize_volume` climbs it by constrained Newton ascent: the Hessian
+-dx/da/2 is blockwise, and the multipliers of the edge equations solve the
+length side's system -dK/dx, so the two sides share one Newton matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import simplex, tetgeom
 from .errors import ConvergenceError
-from .metric import Quotient
+from .metric import NEWTON_MAX_ITER, Quotient, solve_definite
 from .triangulation import Triangulation
 
 TWO_PI = 2.0 * math.pi
@@ -173,63 +173,60 @@ def _project_gradient(q: Quotient, G: np.ndarray) -> np.ndarray:
     return G - q.gather(q.scatter(G) / q.counts)
 
 
-def maximize_volume(tri: Triangulation, start, tol: float = 1e-8,
-                    max_iter: int = 5000) -> tuple:
-    """Projected gradient ascent of the volume over the angle polytope.
+def maximize_volume(tri: Triangulation, start, tol: float = 1e-8) -> tuple:
+    """Constrained Newton ascent of the volume over the angle polytope.
 
-    start may be an AngleAssignment or a (tet_count, 6) array and must be
-    strictly feasible; its edge sums are recentred onto 2*pi exactly before
-    ascending, and every iterate stays strictly feasible (the line search
-    rejects boundary crossings).  Returns (assignment, report); the
-    vanishing per-class spread of the realized lengths is the optimality
-    certificate.
+    start (an AngleAssignment or a (tet_count, 6) array) must be strictly
+    feasible; its edge sums are recentred onto 2*pi first.  By Schlafli the
+    Hessian is -J^-1/2, J = da/dx blockwise at the realized lengths X; with
+    g = -X/2 the step d = 2J(g - Q^T lam) solves (QJQ^T) lam = QJg, the
+    -dK/dx of `minimize_energy`, under its Cholesky certificate.  Iterates
+    stay strictly feasible; a full step that leaves the polytope gives way
+    to the projected gradient, so no face jams the ascent.  Returns
+    (assignment, report); the report's per-class length spread certifies it.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if isinstance(start, AngleAssignment):
-        if start.tri is not tri and start.tri.spec != tri.spec:
-            raise ValueError("start assignment belongs to a different gluing")
-        a = np.array(start.angles, dtype=float)
-    else:
-        a = np.array(start, dtype=float)
-    assign = AngleAssignment(tri=tri, angles=a)
-    validate_assignment(assign)
+    if isinstance(start, AngleAssignment) and start.tri.spec != tri.spec:
+        raise ValueError("start assignment belongs to a different gluing")
+    a = np.array(getattr(start, "angles", start), dtype=float)
+    validate_assignment(AngleAssignment(tri=tri, angles=a))
     q = Quotient(tri)
     a = a + q.gather((TWO_PI - q.scatter(a)) / q.counts)
     if not tetgeom.angles_strictly_feasible(a).all():
         raise ValueError("start assignment is not strictly feasible")
 
     vol = _volume(a)
-    step = 1.0
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         X = tetgeom._newton_lengths(a)
-        G = _project_gradient(q, -0.5 * X)
+        g = -0.5 * X
+        G = _project_gradient(q, g)
         gnorm = float(np.abs(G).max())
         if gnorm < tol:
-            assign = AngleAssignment(tri=tri, angles=a)
             spreads = q.spread(X)
-            return assign, VolumeMaxReport(
+            return AngleAssignment(tri=tri, angles=a), VolumeMaxReport(
                 iterations=it, objective=vol, grad_norm=gnorm,
                 spreads=spreads, max_spread=float(spreads.max()), lengths=X)
-        gsq = float((G * G).sum())
-        # Once the predicted gain drops below the float resolution of the
-        # volume the sufficient-increase test compares pure rounding noise;
-        # from there only strict feasibility gates the step.
+        J = tetgeom._jacobian(tetgeom._pipeline(X))
+        lam = solve_definite(q.assemble(J), q.scatter(np.einsum("tij,tj->ti", J, g)),
+                             "volume Newton matrix QJQ^T")
+        d = 2.0 * np.einsum("tij,tj->ti", J, g - q.gather(lam))
+        slope = float((g * d).sum())
+        if not tetgeom.angles_strictly_feasible(a + d).all():
+            d, slope = G, float((G * G).sum())
+        # Below the float resolution of the volume the sufficient-increase
+        # test compares rounding noise; there feasibility alone gates the step.
         noise = 64.0 * np.finfo(float).eps * max(1.0, abs(vol))
-        advanced = False
+        alpha = 1.0
         for _ in range(60):
-            cand = a + step * G
+            cand = a + alpha * d
             if tetgeom.angles_strictly_feasible(cand).all():
                 cv = _volume(cand)
-                if step * gsq <= noise or cv >= vol + 1e-4 * step * gsq:
-                    a, vol = cand, cv
-                    advanced = True
+                if slope <= noise or cv >= vol + 1e-4 * alpha * slope:
                     break
-            step *= 0.5
-        if not advanced:
-            raise ConvergenceError(
-                "volume ascent line search failed", last=a)
-        step *= 1.6
-    raise ConvergenceError(
-        f"volume ascent did not reach gradient norm {tol} in {max_iter} iterations",
-        last=a)
+            alpha *= 0.5
+        else:
+            raise ConvergenceError("volume ascent line search failed", last=a)
+        a, vol = cand, cv
+    raise ConvergenceError(f"volume ascent did not reach gradient norm {tol} "
+                           f"in {NEWTON_MAX_ITER} iterations", last=a)

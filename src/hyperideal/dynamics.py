@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metric as metric_mod
 from . import tetgeom
-from .errors import ConvergenceError, DefinitenessError
+from .errors import ConvergenceError
 from .metric import ConeMetric
 
 RECOVERY_TOL = 1e-6  # distance to the equilibrium that counts as recovered
@@ -184,34 +184,29 @@ class MinimizeReport:
     step_sizes: tuple
 
 
-def minimize_energy(m0: ConeMetric, tol: float = 1e-12,
-                    max_iter: int = 100) -> tuple:
+def minimize_energy(m0: ConeMetric, tol: float = 1e-12) -> tuple:
     """Newton descent on the energy H; returns (metric, report).
 
-    Each step solves (-J) d = K; the Cholesky factorization of -J doubles as
-    a positive-definiteness certificate, and its failure is raised as a
-    DefinitenessError rather than worked around.  The backtracking line
-    search rejects iterates that leave the admissible set, and an accepted
-    iterate whose admissibility margin falls below the flow's degeneration
-    floor ends the descent with a ConvergenceError naming the witness.
+    Each step solves (-J) d = K with `metric.solve_definite`, whose Cholesky
+    factorization of -J certifies it positive definite (a failure raises
+    DefinitenessError); `angles.maximize_volume` solves the same matrix.
+    The backtracking line search rejects iterates that leave the admissible
+    set, and an accepted iterate whose admissibility margin falls below the
+    flow's degeneration floor ends the descent with a ConvergenceError
+    naming the witness.  At most `metric.NEWTON_MAX_ITER` steps are taken.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     ev = metric_mod.evaluate(m0.tri, m0.x).raise_if_inadmissible()
     steps = []
-    for it in range(max_iter):
+    for it in range(metric_mod.NEWTON_MAX_ITER):
         x, K = ev.x, ev.K
         if float(np.abs(K).max()) < tol:
             return m0.with_lengths(x), MinimizeReport(
                 iterations=it, K_norm=float(np.abs(K).max()),
                 H_val=ev.H, step_sizes=tuple(steps))
-        A = -ev.jacobian()
-        try:
-            np.linalg.cholesky(A)
-        except np.linalg.LinAlgError as exc:
-            raise DefinitenessError(
-                f"curvature Jacobian lost negative definiteness at x = {x!r}: {exc}")
-        d = np.linalg.solve(A, K)
+        d = metric_mod.solve_definite(-ev.jacobian(), K,
+                                      "negated curvature Jacobian -dK/dx")
         H0 = ev.H
         slope = -float(K @ d)  # gradient of H is -K
         # Once the predicted decrease drops below the float resolution of H
@@ -236,9 +231,8 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12,
             raise ConvergenceError(
                 f"energy minimization degenerated: admissibility margin "
                 f"{margin:.3e} at {witness}", last=ev.x)
-    raise ConvergenceError(
-        f"energy minimization did not reach {tol} in {max_iter} iterations",
-        last=ev.x)
+    raise ConvergenceError(f"energy minimization did not reach {tol} in "
+                           f"{metric_mod.NEWTON_MAX_ITER} iterations", last=ev.x)
 
 
 @dataclass(frozen=True)

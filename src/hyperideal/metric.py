@@ -30,8 +30,10 @@ from typing import Optional
 import numpy as np
 
 from . import tetgeom
-from .errors import InadmissibleShapeError
+from .errors import DefinitenessError, InadmissibleShapeError
 from .triangulation import EDGE_VERTEX_PAIRS, Triangulation
+
+NEWTON_MAX_ITER = 100  # iteration budget of the energy and volume Newton solvers
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,18 @@ def evaluate(tri: Triangulation, x) -> Evaluation:
     S = q.scatter(pl.angles)
     return Evaluation(quotient=q, x=x, X=X, pipeline=pl, ok=ok,
                       angles=pl.angles, S=S, K=2.0 * math.pi - S)
+
+
+def solve_definite(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """Solve A d = b; A's Cholesky factorization certifies it positive definite.
+
+    A failure raises DefinitenessError naming `what`, never numpy's bare
+    LinAlgError, which is a ValueError."""
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise DefinitenessError(f"{what}: {exc}") from None
+    return np.linalg.solve(A, b)
 
 
 def tet_length_matrix(m: ConeMetric) -> np.ndarray:

@@ -100,8 +100,9 @@ SAMPLED6_JSON = {
 # First 12-tet draw of the benchmark's ntet workload with seed 10
 # (perfbench/sampler.py: sample(8, rng) then sample(12, rng), rng =
 # random.Random(10)): five edge classes of valences 17, 25, 23, 4 and 3.
-# Volume ascent from its LP witness reaches the float resolution of the
-# volume while the gradient is still above 1e-8.
+# Gradient ascent from its LP witness reaches the float resolution of the
+# volume while the gradient is still above 1e-8 (254 iterations); Newton
+# ascent needs 6.
 NTET12_JSON = {
     "tet_count": 12,
     "pairings": [
@@ -198,15 +199,20 @@ def ntet12_tri():
 
 
 @pytest.fixture(scope="session")
-def one_edge128_tri():
-    """First one-edge draw of the benchmark sampler at n = 128 with seed 1:
-    sample(128, random.Random(1), one_edge=True) from perfbench/sampler.py.
-    Too large to freeze here; the sampler is seeded and filters only by
-    connectivity and the package's own hypotheses."""
+def sampler():
+    """The benchmark's seeded gluing sampler, perfbench/sampler.py.  It
+    filters only by connectivity and the package's own hypotheses."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "sampler.py"
     spec = importlib.util.spec_from_file_location("perfbench_sampler", path)
-    sampler = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sampler)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def one_edge128_tri(sampler):
+    """First one-edge draw of the benchmark sampler at n = 128 with seed 1:
+    sample(128, random.Random(1), one_edge=True).  Too large to freeze here."""
     return sampler.sample(128, random.Random(1), one_edge=True)[0]
 
 

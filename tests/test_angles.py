@@ -6,6 +6,7 @@ simplex computes the true optimal slack with no rounding at all.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -298,14 +299,50 @@ def test_maximize_volume_from_perturbed_start(census_tri, rng):
     assert np.abs(rep.lengths - m_opt.x[0]).max() < 1e-6
 
 
-def test_maximize_volume_past_the_volume_resolution(ntet12_tri):
-    # the gradient is still above tol when the predicted gain of every step
+def test_maximize_volume_past_the_volume_resolution(ntet12_tri, sampler):
+    # the gradient is still above tol when the predicted gain of a step
     # falls below the float resolution of the volume; the ascent must not
-    # stall there comparing rounding noise
-    lp = A.lp_feasibility(ntet12_tri)
-    opt, rep = A.maximize_volume(ntet12_tri, lp.witness)
-    assert rep.grad_norm < 1e-8
+    # stall there comparing rounding noise.  On the 8-tet draw the ninth
+    # Newton step predicts a gain of -7e-16 at gradient norm 5.5e-8: taken
+    # on feasibility alone it converges, while the sufficient-increase test
+    # alone crawls on for 9 more iterations.
+    for tri in (ntet12_tri, sampler.sample(8, random.Random(5026))[0]):
+        lp = A.lp_feasibility(tri)
+        opt, rep = A.maximize_volume(tri, lp.witness)
+        assert rep.iterations <= 10
+        assert rep.grad_norm < 1e-8
+        assert rep.max_spread <= 1e-6
+
+
+def test_maximize_volume_certifies_its_newton_matrix(census_tri, rng,
+                                                      monkeypatch):
+    # a negated angle Jacobian makes QJQ^T negative definite; the Cholesky
+    # certificate must report it instead of stepping along the wrong way
+    from hyperideal import tetgeom
+    from hyperideal.angles import _project_gradient
+    from hyperideal.errors import DefinitenessError
+    base = np.full((2, 6), math.pi / 6)
+    d = _project_gradient(Quotient(census_tri), rng.normal(size=(2, 6)))
+    jacobian = tetgeom._jacobian
+    monkeypatch.setattr(tetgeom, "_jacobian", lambda pl: -jacobian(pl))
+    with pytest.raises(DefinitenessError):
+        A.maximize_volume(census_tri, base + 0.03 * d / np.abs(d).max())
+
+
+def test_maximize_volume_does_not_jam_at_a_face(sampler):
+    # From the LP witness of this 48-tet draw the full Newton steps leave the
+    # polytope; backtracking along them alone drives one angle to 1e-18 in
+    # 20 steps until the line search fails.  The maximum is interior: a
+    # projected gradient ascent alone reaches volume 40.02664604111683 (spread
+    # 9.6e-9) in 104 iterations.
+    rng = random.Random(1005)
+    for n in (8, 16, 24, 32, 48):
+        tri = sampler.sample(n, rng)[0]
+    lp = A.lp_feasibility(tri)
+    opt, rep = A.maximize_volume(tri, lp.witness)
+    assert rep.iterations <= 10
     assert rep.max_spread <= 1e-6
+    assert abs(rep.objective - 40.02664604111683) < 1e-12
 
 
 def test_maximize_volume_objective_ascends(census_tri, rng):

@@ -207,6 +207,16 @@ def test_lp_census(census_file, tmp_path):
     assert w.shape == (2, 6)
 
 
+def test_minimize_lost_definiteness_exit_7(census_file, metric_file, tmp_path,
+                                          monkeypatch):
+    # DefinitenessError, not numpy's LinAlgError (a ValueError, exit 2)
+    from hyperideal import metric
+    monkeypatch.setattr(metric.Evaluation, "jacobian",
+                        lambda self: np.eye(self.x.size))
+    assert run("minimize", "--tri", census_file, "--metric", metric_file,
+               "--out", str(tmp_path / "min.json")) == 7
+
+
 def test_volmax_default_start(census_file, tmp_path):
     out = str(tmp_path / "vol.json")
     assert run("volmax", "--tri", census_file, "--out", out) == 0

@@ -7,7 +7,7 @@ import pytest
 
 from hyperideal import metric as M
 from hyperideal import tetgeom
-from hyperideal.errors import InadmissibleShapeError
+from hyperideal.errors import DefinitenessError, InadmissibleShapeError
 
 from conftest import XSTAR, census_metric
 
@@ -54,6 +54,18 @@ def test_inadmissible_metric_locates_tet(torus_tri):
     with pytest.raises(InadmissibleShapeError) as exc:
         M.curvature(m)
     assert exc.value.tet in (0, 1)
+
+
+def test_solve_definite_certifies_or_raises_definiteness_error():
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    b = np.array([1.0, -1.0])
+    assert np.array_equal(M.solve_definite(A, b, "A"), np.linalg.solve(A, b))
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    with pytest.raises(DefinitenessError) as info:
+        M.solve_definite(indefinite, b, "test matrix")
+    # numpy's LinAlgError is a ValueError, which the CLI reads as bad input
+    assert not isinstance(info.value, (ValueError, np.linalg.LinAlgError))
+    assert "test matrix" in str(info.value)
 
 
 def test_jacobian_fd_and_definiteness(census_tri, torus_tri, rng):
