@@ -58,6 +58,8 @@ class LPResult:
     feasible: bool
     epsilon: Optional[float]
     witness: Optional[AngleAssignment]
+    # Simplex pivots: phase 1, driving artificials out, phase 2.
+    phase_pivots: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -135,12 +137,15 @@ def lp_feasibility(tri: Triangulation) -> LPResult:
     c[iep], c[iem] = -1.0, 1.0  # maximize eps
     res = simplex.solve_lp(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
     if res.status != "optimal":
-        return LPResult(feasible=False, epsilon=None, witness=None)
+        return LPResult(feasible=False, epsilon=None, witness=None,
+                        phase_pivots=res.phase_pivots)
     eps = float(res.x[iep] - res.x[iem])
     if eps <= EPSILON_FEASIBLE:
-        return LPResult(feasible=False, epsilon=eps, witness=None)
+        return LPResult(feasible=False, epsilon=eps, witness=None,
+                        phase_pivots=res.phase_pivots)
     witness = AngleAssignment(tri=tri, angles=res.x[:nA].reshape(N, 6))
-    return LPResult(feasible=True, epsilon=eps, witness=witness)
+    return LPResult(feasible=True, epsilon=eps, witness=witness,
+                    phase_pivots=res.phase_pivots)
 
 
 def realize_structure(assign: AngleAssignment) -> Realization:

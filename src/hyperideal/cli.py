@@ -237,6 +237,8 @@ def cmd_lp(args) -> int:
         "epsilon": res.epsilon,
         "witness": ({"angles": [list(r) for r in res.witness.angles]}
                     if res.witness is not None else None),
+        "pivots": dict(zip(("phase1", "drive_out", "phase2"),
+                           res.phase_pivots)),
     }
     serialize.write_json(args.out, report)
     _manifest(args, args.out, started, {}, {"tri": args.tri})

@@ -1,18 +1,33 @@
 """Dense two-phase simplex with Bland's rule.
 
-Deterministic and self-contained.  The tableau is dense (642 x 1028 for the
-angle LP of a 64-tetrahedron gluing) and the anti-cycling pivot rule
-(smallest eligible column index; ties in the ratio test broken by smallest
-basic variable index) terminates without degeneracy tricks.  Minimizes c.x
-subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
+Deterministic and self-contained.  The anti-cycling pivot rule (smallest
+eligible column index; ties in the ratio test broken by smallest basic
+variable index) terminates without degeneracy tricks.  Minimizes c.x subject
+to A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
 
-The rank-one update of a pivot touches only the columns where the
-normalised pivot row is nonzero: about 1% of them on the angle LPs, whose
-pivot columns are nearly full.  A skipped column would receive
-x - c * 0 = x, so every nonzero entry keeps the bits the full update gives
-it.  At most the sign of a zero differs: no comparison in the pivot rules
-can tell -0.0 from 0.0, and the solution is returned with every zero
-positive, so the results are bit-identical to a full-width update.
+The tableau is stored column-major (642 x 1028 for the angle LP of a
+64-tetrahedron gluing), so the entering column, the rhs and every column a
+pivot updates are contiguous.  A pivot updates only the columns where the
+normalised pivot row is nonzero (a handful of them on the angle LPs), read
+and written back whole as rows of the transpose.  A skipped column would
+receive x - c * 0 = x, so every nonzero entry keeps the bits the full
+rank-one update gives it.  At most the sign of a zero differs: no comparison
+in the pivot rules can tell -0.0 from 0.0, and the solution is returned with
+every zero positive, so the results are bit-identical to a full-width
+update.
+
+Most ratio tests are settled without Bland's loop.  Let v be the smallest
+ratio and k the first row that has it.  The loop's best before row k is one
+of the earlier ratios, so if v < (their minimum) - _TOL the loop takes row k
+outright and best becomes v.  If every later ratio is then v or at least
+v + _TOL, only an exact tie can displace row k: the loop ends at the
+smallest basic index among the rows at v if v + _TOL > v, and at row k
+otherwise.  Both conditions are the loop's own float comparisons, so the
+shortcut is exact.  Every other case runs the loop, over the rows that
+survive a prefilter: best never exceeds the minimum of the earlier ratios
+plus _TOL, so a row 2 * _TOL or more above that prefix minimum never wins,
+and a row that never wins changes nothing.  The filter drops rows 4 * _TOL
+above it, which leaves room for the rounding of best +- _TOL.
 """
 
 from __future__ import annotations
@@ -32,15 +47,18 @@ class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]
     objective: Optional[float]
-    iterations: int
+    iterations: int  # phase 1 plus phase 2 pivots
+    # Pivots of phase 1, of driving artificials out of the basis, of phase 2.
+    phase_pivots: tuple[int, int, int]
 
 
 def _pivot(T: np.ndarray, basis, row: int, col: int) -> None:
     T[row] /= T[row, col]
+    nz = T[row].nonzero()[0]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    nz = np.flatnonzero(T[row])
-    T[:, nz] -= np.outer(colvals, T[row, nz])
+    # T.T[nz] moves whole columns, each one contiguous.
+    T.T[nz] -= np.outer(T[row, nz], colvals)
     basis[row] = col
 
 
@@ -48,124 +66,117 @@ def _iterate(T: np.ndarray, basis, allowed, max_iter: int) -> tuple:
     """Run pivots until optimal or unbounded; the objective row is T[-1]."""
     m = T.shape[0] - 1
     for it in range(max_iter):
-        eligible = np.flatnonzero(allowed & (T[-1, :-1] < -_TOL))
+        eligible = (allowed & (T[-1, :-1] < -_TOL)).nonzero()[0]
         if not eligible.size:
             return "optimal", it
         entering = int(eligible[0])
         # Rows with colv <= _TOL have an infinite ratio and are never chosen.
-        rows = np.flatnonzero(T[:m, entering] > _TOL)
-        ratios = (T[rows, -1] / T[rows, entering]).tolist()
-        best = math.inf
-        row = -1
-        for i, r in zip(rows.tolist(), ratios):
-            if r < best - _TOL or (r < best + _TOL and row >= 0
-                                   and basis[i] < basis[row]):
-                best = min(best, r)
-                row = i
-        if row < 0:
+        colv = T[:m, entering]
+        rows = (colv > _TOL).nonzero()[0]
+        if not rows.size:
             return "unbounded", it
+        ratios = T[rows, -1] / colv[rows]
+        k = int(ratios.argmin())
+        v = ratios[k]
+        tied = ratios == v
+        # Row k wins outright and only exact ties can follow it (see above).
+        if v < ratios[:k].min(initial=math.inf) - _TOL and \
+                ((ratios[k + 1:] < v + _TOL) <= tied[k + 1:]).all():
+            tied = rows[tied]
+            row = int(tied[basis[tied].argmin()] if v + _TOL > v else rows[k])
+        else:
+            # fmin: a NaN ratio never wins and must not hide the rows after it.
+            keep = np.empty(rows.size, dtype=bool)
+            keep[0] = True
+            keep[1:] = ratios[1:] < np.fmin.accumulate(ratios[:-1]) + 4 * _TOL
+            best = math.inf
+            row = -1
+            for i, r in zip(rows[keep].tolist(), ratios[keep].tolist()):
+                if r < best - _TOL or (r < best + _TOL and row >= 0
+                                       and basis[i] < basis[row]):
+                    best = min(best, r)
+                    row = i
+            if row < 0:
+                return "unbounded", it
         _pivot(T, basis, row, entering)
     raise RuntimeError(f"simplex exceeded {max_iter} pivots")
+
+
+def _block(A, b, kind: str, n: int) -> tuple:
+    """One constraint block as an (m, n) matrix and its rhs; absent is empty.
+
+    A matrix without its rhs, or a rhs without its matrix, is rejected."""
+    if A is None and b is None:
+        return np.zeros((0, n)), np.zeros(0)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or (A.shape[0] and A.shape[1] != n) \
+            or b.shape != (A.shape[0],):
+        raise ValueError(
+            f"{kind} block must be (m, {n}) with a matching rhs, got "
+            f"{A.shape} and {b.shape}")
+    return A.reshape(A.shape[0], n), b
 
 
 def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None,
              max_iter: int = 100000) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     n = c.size
-    rows = []
-    rhs = []
-    kinds = []  # "eq" or "ub"
-    for A, bb, kind in ((A_eq, b_eq, "eq"), (A_ub, b_ub, "ub")):
-        if A is None:
-            continue
-        A = np.asarray(A, dtype=float)
-        bb = np.asarray(bb, dtype=float)
-        if A.ndim != 2 or (A.shape[0] and A.shape[1] != n) \
-                or bb.shape != (A.shape[0],):
-            raise ValueError(
-                f"{kind} block must be (m, {n}) with a matching rhs, got "
-                f"{A.shape} and {bb.shape}")
-        for a, b in zip(A, bb):
-            rows.append(a)
-            rhs.append(float(b))
-            kinds.append(kind)
-    m = len(rows)
-    n_slack = sum(1 for k in kinds if k == "ub")
+    A_eq, b_eq = _block(A_eq, b_eq, "eq", n)
+    A_ub, b_ub = _block(A_ub, b_ub, "ub", n)
+    m_eq, m_ub = b_eq.size, b_ub.size
+    m = m_eq + m_ub
 
-    # Columns: structural | slacks | artificials; rhs made non-negative.
-    body = np.zeros((m, n + n_slack))
-    b = np.zeros(m)
-    slack_col = n
-    need_artificial = []
-    slack_of_row = [-1] * m
-    for i, (a, bi, kind) in enumerate(zip(rows, rhs, kinds)):
-        body[i, :n] = a
-        b[i] = bi
-        if kind == "ub":
-            body[i, slack_col] = 1.0
-            slack_of_row[i] = slack_col
-            slack_col += 1
-        if b[i] < 0.0:
-            body[i] *= -1.0
-            b[i] *= -1.0
-        if kind == "eq" or body[i, slack_of_row[i]] < 0.0:
-            need_artificial.append(i)
+    # Columns: structural | slacks | artificials | rhs.  A row with a
+    # negative rhs is negated; it and every equality get an artificial.
+    b = np.concatenate([b_eq, b_ub])
+    flip = b < 0.0
+    sign = np.where(flip, -1.0, 1.0)
+    need = np.flatnonzero((np.arange(m) < m_eq) | flip)
+    n_body = n + m_ub
+    total = n_body + need.size
+    T = np.zeros((m + 1, total + 1), order="F")
+    np.multiply(A_eq, sign[:m_eq, None], out=T[:m_eq, :n])
+    np.multiply(A_ub, sign[m_eq:, None], out=T[m_eq:m, :n])
+    T[np.arange(m_eq, m), np.arange(n, n_body)] = sign[m_eq:]
+    T[:m, -1] = b * sign
+    basis = np.empty(m, dtype=np.intp)
+    basis[m_eq:] = np.arange(n, n_body)
+    basis[need] = np.arange(n_body, total)
+    T[need, basis[need]] = 1.0
 
-    n_art = len(need_artificial)
-    total = n + n_slack + n_art
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :n + n_slack] = body
-    T[:m, -1] = b
-    basis = [0] * m
-    art_cols = set()
-    for j, i in enumerate(need_artificial):
-        col = n + n_slack + j
-        T[i, col] = 1.0
-        basis[i] = col
-        art_cols.add(col)
-    for i in range(m):
-        if i not in need_artificial:
-            basis[i] = slack_of_row[i]
-
-    iterations = 0
-    if n_art:
+    its1 = drive_out = 0
+    if need.size:
         # Phase 1: minimize the artificial sum.
-        T[-1, :] = 0.0
-        for i in need_artificial:
-            T[-1, :] -= T[i, :]
-        T[-1, list(art_cols)] = 0.0
-        allowed = np.ones(total, dtype=bool)
-        status, its = _iterate(T, basis, allowed, max_iter)
-        iterations += its
+        T[-1] = np.subtract.reduce(T[need], axis=0, initial=0.0)
+        T[-1, n_body:total] = 0.0
+        status, its1 = _iterate(T, basis, np.ones(total, dtype=bool),
+                                max_iter)
         if status != "optimal" or -T[-1, -1] > _FEAS_TOL:
             return SimplexResult(status="infeasible", x=None, objective=None,
-                                 iterations=iterations)
-        for i in range(m):
-            if basis[i] in art_cols:
-                cands = np.flatnonzero(np.abs(T[i, :n + n_slack]) > _TOL)
-                if cands.size:
-                    _pivot(T, basis, i, int(cands[0]))
-                # else: redundant row, the artificial stays basic at zero
+                                 iterations=its1, phase_pivots=(its1, 0, 0))
+        for i in np.flatnonzero(basis >= n_body).tolist():
+            cands = np.flatnonzero(np.abs(T[i, :n_body]) > _TOL)
+            if cands.size:
+                _pivot(T, basis, i, int(cands[0]))
+                drive_out += 1
+            # else: redundant row, the artificial stays basic at zero
 
-    # Phase 2 objective row from the real costs.
-    T[-1, :] = 0.0
-    T[-1, :n] = c
-    for i in range(m):
-        if basis[i] < n and c[basis[i]] != 0.0:
-            T[-1, :] -= c[basis[i]] * T[i, :]
-    allowed = np.ones(total, dtype=bool)
-    for col in art_cols:
-        allowed[col] = False
-    status, its = _iterate(T, basis, allowed, max_iter)
-    iterations += its
+    # Phase 2 objective row from the real costs, reduced row by row in order.
+    cost = np.zeros(total + 1)
+    cost[:n] = c
+    rows = np.flatnonzero(cost[basis] != 0.0)
+    T[-1] = np.subtract.reduce(
+        np.vstack([cost, cost[basis[rows], None] * T[rows]]), axis=0)
+    status, its2 = _iterate(T, basis, np.arange(total) < n_body, max_iter)
+    pivots = (its1, drive_out, its2)
     if status == "unbounded":
         return SimplexResult(status="unbounded", x=None, objective=None,
-                             iterations=iterations)
+                             iterations=its1 + its2, phase_pivots=pivots)
     x = np.zeros(total)
-    for i in range(m):
-        x[basis[i]] = T[i, -1]
+    x[basis] = T[:m, -1]
     # A column the pivot skips keeps a -0.0 that the full update could have
     # turned into 0.0; adding 0.0 makes every zero in x positive.
     xs = x[:n] + 0.0
     return SimplexResult(status="optimal", x=xs, objective=float(c @ xs),
-                         iterations=iterations)
+                         iterations=its1 + its2, phase_pivots=pivots)

@@ -1,5 +1,7 @@
 """The dense two-phase simplex core."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,24 @@ def test_determinism():
 def test_shape_validation():
     with pytest.raises(ValueError):
         lp([1, 2], A_ub=[[1]], b_ub=[1])
+
+
+@pytest.mark.parametrize("kw", [dict(b_eq=[5.0]), dict(b_ub=[1.0]),
+                                dict(A_eq=[[1.0]]), dict(A_ub=[[1.0]])])
+def test_block_needs_matrix_and_rhs(kw):
+    # x = 5 must not be dropped for want of its matrix, nor x <= 1.
+    with pytest.raises(ValueError):
+        simplex.solve_lp([1.0], **kw)
+
+
+def test_phase_pivots():
+    # Phase 1 ends with an artificial basic at zero in row 1, which one more
+    # pivot drives out; x = 0 is then optimal without a phase-2 pivot.
+    res = simplex.solve_lp([1.0, 1.0], A_eq=[[1.0, 1.0], [1.0, 2.0]],
+                           b_eq=[0.0, 0.0])
+    assert res.status == "optimal"
+    assert res.phase_pivots == (2, 1, 0)
+    assert res.iterations == 2
 
 
 # -- bit identity against the dense update ---------------------------------
@@ -215,3 +235,88 @@ def test_one_tet_angle_lps_match_dense_update(monkeypatch):
         tri = triangulation.build(spec, enforce_link_hypothesis=False)
         c, kw = _angle_lp(tri, monkeypatch)
         assert_matches_dense(monkeypatch, c, **kw)
+
+
+@pytest.mark.parametrize("n, pivots", [(32, 199), (64, 391)])
+def test_scale_angle_lps_match_dense_update(n, pivots, sampler, monkeypatch):
+    # The LPs of the benchmark's scale workload: first one-edge draws.
+    tri = sampler.sample(n, random.Random(1), one_edge=True)[0]
+    c, kw = _angle_lp(tri, monkeypatch)
+    res = assert_matches_dense(monkeypatch, c, **kw)
+    assert res.status == "optimal"
+    assert res.iterations == pivots
+
+
+# -- the ratio test against the dense reference, one pivot at a time -------
+
+def _one_pivot_tableau(ratios, colv, basis):
+    """Column 0 is the only eligible column, row i has ratio ratios[i] in it
+    (colv[i] is a power of two, so rhs / colv is exact) and basic column
+    basis[i].  One pivot leaves every reduced cost non-negative."""
+    m = len(ratios)
+    T = np.zeros((m + 1, m + 2), order="F")
+    T[:m, 0] = colv
+    T[:m, -1] = np.asarray(ratios) * np.abs(colv)
+    T[np.arange(m), basis] = 1.0
+    T[-1, 0] = -1.0
+    return T
+
+
+def _compare_pivot(ratios, colv, basis):
+    out = []
+    for iterate in (simplex._iterate, _dense_iterate):
+        T = _one_pivot_tableau(ratios, colv, basis)
+        b = np.array(basis)
+        out.append((iterate(T, b, np.ones(T.shape[1] - 1, dtype=bool), 5),
+                    b, T))
+    (res, b, T), (ref_res, ref_b, ref_T) = out
+    assert res == ref_res == ("optimal", 1)
+    assert np.array_equal(b, ref_b)
+    assert np.array_equal(T, ref_T)
+    return int(np.flatnonzero(b != basis)[0])
+
+
+def _draws(values, seed, trials=200):
+    """Random rows: a ratio from values, a power-of-two column entry, or an
+    entry <= _TOL that takes the row out of the ratio test; random basis."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        m = int(rng.integers(1, 12))
+        colv = 2.0 ** rng.integers(-2, 3, size=m)
+        colv[rng.random(m) < 0.2] = rng.choice([0.0, -1.0, simplex._TOL])
+        colv[rng.integers(m)] = 1.0
+        ratios = rng.choice(values, size=m)
+        yield ratios, colv, list(1 + rng.permutation(m))
+
+
+def test_ratio_test_all_zero_ratios():
+    for ratios, colv, basis in _draws([0.0], seed=1):
+        row = _compare_pivot(ratios, colv, basis)
+        # Bland: the smallest basic index among the rows in the test.
+        rows = np.flatnonzero(colv > simplex._TOL)
+        assert basis[row] == min(basis[i] for i in rows)
+
+
+def test_ratio_test_chain_of_near_ties():
+    # Neighbours 0.45 * _TOL apart, 3.6 * _TOL end to end: which row wins
+    # depends on the order the loop meets them in.
+    chain = 1.0 + 0.45 * simplex._TOL * np.arange(9)
+    assert np.all(np.diff(chain) < simplex._TOL)
+    assert chain[-1] - chain[0] > simplex._TOL
+    winners = set()
+    for ratios, colv, basis in _draws(chain, seed=2):
+        row = _compare_pivot(ratios, colv, basis)
+        winners.add(ratios[row] == ratios[colv > simplex._TOL].min())
+    assert winners == {True, False}
+
+
+def test_ratio_test_ratios_past_tol_resolution():
+    # At 1e6 an ulp is above 2 * _TOL, so v + _TOL == v and ties go to the
+    # first row.
+    v = 1e6
+    assert v + simplex._TOL == v
+    values = v + np.spacing(v) * np.arange(3)
+    for ratios, colv, basis in _draws(values, seed=3):
+        row = _compare_pivot(ratios, colv, basis)
+        rows = np.flatnonzero(colv > simplex._TOL)
+        assert row == rows[np.argmin(ratios[rows])]
