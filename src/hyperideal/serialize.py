@@ -21,33 +21,38 @@ def fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _inline(obj: list):
-    # The one-line text of a list nested from plain ints alone (a pairing row
-    # of a search report is one), or None when it holds anything else or
-    # must wrap under the rule in _render.
-    items, width = [], 0
+def _int_list(obj: list, indent: int):
+    # The text of a list nested from plain ints alone (a pairing row of a
+    # search report is one), or None when it holds anything else.
+    items = []
     for v in obj:
         if type(v) is int:
-            line = str(v)
+            items.append(str(v))
         elif type(v) is list:
-            line = _inline(v)
-            if line is None:
+            text = _int_list(v, indent + 1)
+            if text is None:
                 return None
+            items.append(text)
         else:
             return None
-        width += len(line)
-        if width >= 100:
-            return None
-        items.append(line)
-    return "[" + ", ".join(items) + "]"
+    return _layout(items, indent)
+
+
+def _layout(items: list, indent: int) -> str:
+    # One line when no item wraps and the items' own widths sum under 100;
+    # no items make "[]".
+    line = ", ".join(items)
+    if "\n" not in line and len(line) - 2 * (len(items) - 1) < 100:
+        return "[" + line + "]"
+    inner = ",\n".join("  " * (indent + 1) + s for s in items)
+    return "[\n" + inner + "\n" + "  " * indent + "]"
 
 
 def _render(obj, indent: int) -> str:
     if type(obj) is list:
-        line = _inline(obj)
-        if line is not None:
-            return line
-    pad = "  " * indent
+        text = _int_list(obj, indent)
+        if text is not None:
+            return text
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -61,13 +66,7 @@ def _render(obj, indent: int) -> str:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        items = [_render(v, indent + 1) for v in obj]
-        if not items:
-            return "[]"
-        if all("\n" not in s for s in items) and sum(map(len, items)) < 100:
-            return "[" + ", ".join(items) + "]"
-        inner = ",\n".join("  " * (indent + 1) + s for s in items)
-        return "[\n" + inner + "\n" + pad + "]"
+        return _layout([_render(v, indent + 1) for v in obj], indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -77,7 +76,7 @@ def _render(obj, indent: int) -> str:
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
             parts.append("  " * (indent + 1) + json.dumps(k) + ": "
                          + _render(v, indent + 1))
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

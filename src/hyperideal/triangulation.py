@@ -91,36 +91,48 @@ class GluingSpec:
         n = self.tet_count
         if not isinstance(n, int) or n < 1:
             raise GluingError(f"tet_count must be a positive integer, got {n!r}")
+        if not isinstance(self.pairings, (tuple, list)):
+            raise GluingError("pairings must be a tuple or list, got "
+                              f"{type(self.pairings).__name__}")
         if len(self.pairings) != 4 * n:
             raise GluingError(
                 f"expected {4 * n} face pairings, got {len(self.pairings)}")
-        for t in range(n):
-            for f in range(4):
-                entry = self.pairings[4 * t + f]
-                try:
-                    t2, f2, s = entry
-                except (TypeError, ValueError):
-                    raise GluingError(f"malformed pairing entry for face ({t},{f})")
-                if not (0 <= t2 < n and 0 <= f2 < 4):
-                    raise GluingError(
-                        f"face ({t},{f}) glued to out-of-range face ({t2},{f2})")
-                if tuple(sorted(s)) != (0, 1, 2, 3):
-                    raise GluingError(
-                        f"face ({t},{f}) carries an invalid permutation {s}")
-                if s[f] != f2:
-                    raise GluingError(
-                        f"permutation of face ({t},{f}) sends {f} to {s[f]}, "
-                        f"not to the target face {f2}")
-                if (t2, f2) == (t, f):
-                    raise GluingError(
-                        f"face ({t},{f}) is glued to itself; the induced "
-                        "involution fixes a corner and the quotient is not a "
-                        "manifold")
-                bt, bf, bs = self.pairings[4 * t2 + f2]
-                if (bt, bf) != (t, f) or tuple(bs) != perm_inverse(s):
-                    raise GluingError(
-                        f"pairing is not involutive at face ({t},{f}): the "
-                        f"back map from ({t2},{f2}) does not invert it")
+        # Shapes and types of every entry first, so that the checks of how
+        # entries relate below may index and unpack any of them.
+        for i, entry in enumerate(self.pairings):
+            t, f = divmod(i, 4)
+            try:
+                t2, f2, s = entry
+            except (TypeError, ValueError):
+                raise GluingError(f"malformed pairing entry for face ({t},{f})")
+            if type(t2) is not int or type(f2) is not int:
+                raise GluingError(
+                    f"face ({t},{f}) glued to face ({t2!r},{f2!r}), which is "
+                    "not labelled by integers")
+            if not (0 <= t2 < n and 0 <= f2 < 4):
+                raise GluingError(
+                    f"face ({t},{f}) glued to out-of-range face ({t2},{f2})")
+            if (type(s) not in (tuple, list) or len(s) != 4
+                    or any(type(v) is not int for v in s)
+                    or tuple(sorted(s)) != (0, 1, 2, 3)):
+                raise GluingError(
+                    f"face ({t},{f}) carries an invalid permutation {s!r}")
+        for i, (t2, f2, s) in enumerate(self.pairings):
+            t, f = divmod(i, 4)
+            if s[f] != f2:
+                raise GluingError(
+                    f"permutation of face ({t},{f}) sends {f} to {s[f]}, "
+                    f"not to the target face {f2}")
+            if (t2, f2) == (t, f):
+                raise GluingError(
+                    f"face ({t},{f}) is glued to itself; the induced "
+                    "involution fixes a corner and the quotient is not a "
+                    "manifold")
+            bt, bf, bs = self.pairings[4 * t2 + f2]
+            if (bt, bf) != (t, f) or tuple(bs) != perm_inverse(s):
+                raise GluingError(
+                    f"pairing is not involutive at face ({t},{f}): the "
+                    f"back map from ({t2},{f2}) does not invert it")
 
     def to_json_obj(self) -> dict:
         out = []
@@ -186,6 +198,9 @@ class BoundaryLink:
     corners: int
 
 
+_DERIVED = ("edge_classes", "vertex_classes", "boundary_links", "edge_class_of")
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """A validated gluing together with its derived combinatorics.
@@ -193,6 +208,11 @@ class Triangulation:
     edge_class_of[t][e] is the index of the edge class containing local edge
     e of tetrahedron t; this is the quotient map every metric quantity is
     scattered through.
+
+    `build` and `search_gluings` hand out a triangulation that holds its spec
+    and a snapshot of the union-find parent lists of its gluing; the first
+    read of any of the four class fields derives all four from it, so a
+    search predicate that reads only `n_edges` derives nothing.
     """
 
     spec: GluingSpec
@@ -201,13 +221,24 @@ class Triangulation:
     boundary_links: tuple
     edge_class_of: tuple
 
+    def __getattr__(self, name):
+        # Reached only for an attribute not yet set on the instance.
+        if name not in _DERIVED:
+            raise AttributeError(
+                f"'Triangulation' object has no attribute {name!r}")
+        self.__dict__.update(zip(_DERIVED, _assemble(self.spec, *self._parents)))
+        return self.__dict__[name]
+
     @property
     def tet_count(self) -> int:
         return self.spec.tet_count
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_classes)
+        if "edge_classes" in self.__dict__:
+            return len(self.edge_classes)
+        edge = self._parents[0]
+        return sum(edge[x] == x for x in range(len(edge)))
 
 
 class _Quotients:
@@ -296,9 +327,10 @@ def _check_orientable(spec: GluingSpec) -> None:
 def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangulation:
     """Validate a gluing and derive its edge/vertex classes and boundary links.
 
-    Checks the pairing table and orientability, glues each face pairing once
-    into a `_Quotients` union-find and reads the classes and links off its
-    orbits.  With enforce_link_hypothesis (the default), raises
+    Checks the pairing table and orientability and glues each face pairing
+    once into a `_Quotients` union-find; the classes and links are read off
+    its orbits when first asked for (see `Triangulation`).  With
+    enforce_link_hypothesis (the default), reads the links at once and raises
     BoundaryHypothesisError unless every boundary link has Euler
     characteristic < 0, the standing hypothesis of the geometric modules.
     Search predicates and purely combinatorial diagnostics may disable it.
@@ -309,22 +341,40 @@ def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangul
     for i, (t2, f2, s) in enumerate(spec.pairings):
         if 4 * t2 + f2 > i:  # the partner face carries the same pairing
             quotients.glue(i // 4, i % 4, t2, tuple(s))
-    return _assemble(spec, quotients, enforce_link_hypothesis)
+    tri = _leaf(spec, quotients)
+    if enforce_link_hypothesis:
+        links = tri.boundary_links
+        bad = [l for l in links if l.chi >= 0]
+        if bad:
+            raise BoundaryHypothesisError(
+                "boundary link(s) "
+                + ", ".join(f"{l.vertex_class} (chi = {l.chi})" for l in bad)
+                + " violate the negative Euler characteristic hypothesis",
+                chi_by_class=[l.chi for l in links])
+    return tri
 
 
-def _assemble(spec: GluingSpec, quotients: _Quotients,
-              enforce_link_hypothesis: bool) -> Triangulation:
-    # The triangulation of spec, whose every face pairing quotients holds.
+def _leaf(spec: GluingSpec, quotients: _Quotients) -> Triangulation:
+    # The underived triangulation of spec, whose every face pairing quotients
+    # holds.  It copies the parent lists, which a search goes on to undo.
+    tri = object.__new__(Triangulation)
+    tri.__dict__.update(spec=spec, _parents=(
+        quotients.edge[:], quotients.vert[:], quotients.point[:]))
+    return tri
+
+
+def _assemble(spec: GluingSpec, edge: list, vert: list, point: list) -> tuple:
+    # edge_classes, vertex_classes, boundary_links and edge_class_of of spec,
+    # from the parent lists of a _Quotients that holds its every pairing.
     n = spec.tet_count
-    edge_orbits, edge_of = _orbits(quotients.edge)
+    edge_orbits, edge_of = _orbits(edge)
     edge_classes = tuple(
         EdgeClass(index=i, corners=tuple(divmod(x, 6) for x in g))
         for i, g in enumerate(edge_orbits))
-    vert_orbits, vert_of = _orbits(quotients.vert)
+    vert_orbits, vert_of = _orbits(vert)
     vertex_classes = tuple(tuple(divmod(x, 4) for x in g) for g in vert_orbits)
 
     # Each point orbit lies over one vertex class; count the orbits by root.
-    point = quotients.point
     points = [0] * len(vertex_classes)
     for t in range(n):
         for p in _POINT_SLOTS:
@@ -338,26 +388,13 @@ def _assemble(spec: GluingSpec, quotients: _Quotients,
         sides = 3 * faces // 2
         links.append(BoundaryLink(vertex_class=j, chi=points[j] - sides + faces,
                                   triangles=faces, sides=sides, corners=points[j]))
-    links = tuple(links)
-
-    if enforce_link_hypothesis:
-        bad = [l for l in links if l.chi >= 0]
-        if bad:
-            raise BoundaryHypothesisError(
-                "boundary link(s) "
-                + ", ".join(f"{l.vertex_class} (chi = {l.chi})" for l in bad)
-                + " violate the negative Euler characteristic hypothesis",
-                chi_by_class=[l.chi for l in links])
-
-    return Triangulation(spec=spec, edge_classes=edge_classes,
-                         vertex_classes=vertex_classes, boundary_links=links,
-                         edge_class_of=tuple(tuple(edge_of[6 * t:6 * t + 6])
-                                             for t in range(n)))
+    return (edge_classes, vertex_classes, tuple(links),
+            tuple(tuple(edge_of[6 * t:6 * t + 6]) for t in range(n)))
 
 
 def single_hyperbolic_class(tri: Triangulation) -> bool:
     """One edge class and every boundary link of negative Euler characteristic."""
-    return (len(tri.edge_classes) == 1
+    return (tri.n_edges == 1
             and all(l.chi < 0 for l in tri.boundary_links))
 
 
@@ -382,11 +419,13 @@ def search_gluings(tet_count: int, predicate) -> list:
     enumeration: each placed pairing fixes or checks the orientation of the
     tetrahedra it joins, so only permutations that keep the gluing orientable
     are tried.  A `_Quotients` union-find glues each pairing as it is placed
-    and undoes it on backtrack, so every complete gluing reads its
-    triangulation off the live orbits: the same `Triangulation` that
+    and undoes it on backtrack.  Every complete gluing hands predicate a
+    `Triangulation` holding a copy of the union-find's parent lists, which
+    derives its classes from that copy only when first read: it equals what
     `build(spec, enforce_link_hypothesis=False)` returns, without
-    re-checking what the enumeration guarantees.  A gluing is kept iff
-    predicate(tri) holds.
+    re-checking what the enumeration guarantees, and stays valid after the
+    search has undone its unions.  A gluing is kept iff predicate(tri)
+    holds.
     """
     if tet_count not in (1, 2):
         raise ValueError("search supports 1 or 2 tetrahedra")
@@ -417,7 +456,7 @@ def search_gluings(tet_count: int, predicate) -> list:
             if not connected():
                 return
             spec = GluingSpec(tet_count=tet_count, pairings=tuple(table))
-            if predicate(_assemble(spec, quotients, False)):
+            if predicate(_leaf(spec, quotients)):
                 found.append(spec)
             return
         t, f = divmod(i, 4)

@@ -135,6 +135,11 @@ def _inner(width):
     pytest.param([[-1, [-2, 3]], [0, [1, [2]]]], id="negative_and_deep"),
     pytest.param([(0, 1, 2, 3, [0, 1, 2, 3]), [0, 1, 2, 3, (0, 1, 2, 3)]],
                  id="tuple_rows"),
+    pytest.param([[i, i % 4, i + 1, 3, [0, 1, 2, 3]] for i in range(40)],
+                 id="forty_rows"),
+    pytest.param(list(range(150)), id="long_int_list"),
+    pytest.param({"rows": [[0, [1, list(range(60))]]]}, id="deep_wrap"),
+    pytest.param([{"short": 1}], id="wrapped_short_item"),
 ])
 def test_dumps_matches_reference_on_rows(obj):
     # Lists nested from plain ints alone take their own path, under the same

@@ -267,6 +267,31 @@ def test_malformed_json_rejected(mutate, message):
         T.GluingSpec.from_json_obj(obj)
 
 
+def _census_with(i, entry):
+    # The census gluing with pairing entry i replaced, not yet validated.
+    pairings = list(T.GluingSpec.from_json_obj(CENSUS_JSON).pairings)
+    pairings[i] = entry
+    return T.GluingSpec(tet_count=2, pairings=tuple(pairings))
+
+
+@pytest.mark.parametrize("i, entry, message", [
+    (0, (0, 1.0, (1, 2, 3, 0)), r"face \(0,0\) glued to face \(0,1\.0\)"),
+    (0, (0, 1, 5), r"face \(0,0\) carries an invalid permutation 5"),
+    (0, (0, 1, (1, 0, 2, "3")), r"face \(0,0\) carries an invalid permutation"),
+    # entry 0 is sound, but the partner it points to is no triple
+    (1, 5, r"malformed pairing entry for face \(0,1\)"),
+], ids=("float_face", "non_sequence_perm", "non_int_perm_entry",
+        "malformed_partner"))
+def test_validate_locates_malformed_entries(i, entry, message):
+    with pytest.raises(GluingError, match=message):
+        _census_with(i, entry).validate()
+
+
+def test_validate_rejects_non_sequence_pairings():
+    with pytest.raises(GluingError, match="pairings must be a tuple or list"):
+        T.GluingSpec(tet_count=1, pairings=5).validate()
+
+
 def test_non_involutive_rejected():
     import copy
     obj = copy.deepcopy(CENSUS_JSON)
@@ -364,6 +389,75 @@ def test_search_leaves_match_build(two_tet_reference):
     assert len(leaves) == 27
     assert leaves == [T.build(tri.spec, enforce_link_hypothesis=False)
                       for tri in leaves]
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """The spec of every triangulation whose classes get derived, in order."""
+    calls = []
+    assemble = T._assemble
+
+    def counted(spec, *parents):
+        calls.append(spec)
+        return assemble(spec, *parents)
+
+    monkeypatch.setattr(T, "_assemble", counted)
+    return calls
+
+
+def test_search_any_derives_no_leaf(derivations):
+    assert len(T.search_gluings(2, T.any_gluing)) == 15552
+    assert derivations == []
+
+
+def test_census_search_derives_only_one_edge_leaves(derivations):
+    # Every one-edge 2-tet leaf is a census match, so each derived leaf is.
+    census = T.search_gluings(2, T.single_hyperbolic_class)
+    assert len(census) == 4416
+    assert derivations == census
+
+
+def test_build_derives_once(derivations, census_spec):
+    tri = T.build(census_spec)  # reads the links to check the hypothesis
+    assert derivations == [census_spec]
+    assert (tri.n_edges, tri.edge_class_of) == (1, ((0,) * 6, (0,) * 6))
+    assert derivations == [census_spec]
+    lax = T.build(census_spec, enforce_link_hypothesis=False)
+    assert derivations == [census_spec]
+    assert lax == tri
+    assert derivations == [census_spec] * 2
+
+
+def test_leaf_n_edges_derives_nothing(two_tet_reference, derivations):
+    counts = []
+    T.search_gluings(2, lambda tri: counts.append(tri.n_edges) or True)
+    assert derivations == []
+    assert counts == [len(ref.edge_classes) for ref in two_tet_reference]
+
+
+def test_leaf_derived_after_the_search(derivations):
+    # A leaf keeps its own copy of the union-find, which the search undoes
+    # after the predicate returns.
+    early = []
+
+    def derive_now(tri):
+        assert tri.edge_classes
+        early.append(tri)
+        return True
+
+    T.search_gluings(2, derive_now)
+    assert len(derivations) == 15552
+    late = _search_leaves(2)
+    assert len(derivations) == 15552
+    assert late == early
+    assert len(derivations) == 2 * 15552
+
+
+def test_underived_leaf_hash_and_repr(two_tet_reference):
+    assert [hash(tri) for tri in _search_leaves(2)] == \
+           [hash(ref) for ref in two_tet_reference]
+    assert [repr(tri) for tri in _search_leaves(2)[::16]] == \
+           [repr(ref) for ref in two_tet_reference[::16]]
 
 
 @pytest.mark.parametrize("enforce", (True, False))
