@@ -11,8 +11,8 @@ from .dynamics import (AttractorReport, FlowConfig, FlowTrace, MinimizeReport,
 from .errors import (BoundaryHypothesisError, ConvergenceError,
                      DefinitenessError, GluingError, HyperidealError,
                      InadmissibleShapeError)
-from .metric import (ConeMetric, CurvatureState, curvature,
-                     curvature_jacobian, energy, full_state)
+from .metric import (ConeMetric, Evaluation, curvature, curvature_jacobian,
+                     evaluate)
 from .tetgeom import (ConvexityProbe, TetShape, angles_from_lengths,
                       arcs_from_lengths, is_admissible, jacobian_angles_lengths,
                       lengths_from_angles, minkowski_oracle,

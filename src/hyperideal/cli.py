@@ -10,6 +10,7 @@ contain timestamps, so a rerun with the same inputs is byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -54,24 +55,29 @@ def _load_tri(path) -> tri_mod.Triangulation:
     return tri_mod.build(tri_mod.GluingSpec.from_json_obj(serialize.load_json(path)))
 
 
+def _numbers(v) -> bool:
+    """Whether v is a JSON array of numbers (bools are not numbers here)."""
+    return isinstance(v, list) and all(
+        isinstance(a, (int, float)) and not isinstance(a, bool) for a in v)
+
+
 def _load_metric(path, tri) -> metric_mod.ConeMetric:
     obj = serialize.load_json(path)
     if not isinstance(obj, dict) or "lengths" not in obj:
         raise GluingError("metric JSON must be an object with a 'lengths' array")
-    lengths = obj["lengths"]
-    if (not isinstance(lengths, list)
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in lengths)):
+    if not _numbers(obj["lengths"]):
         raise GluingError("metric 'lengths' must be an array of numbers")
-    return metric_mod.ConeMetric(tri=tri, x=np.array(lengths, dtype=float))
+    return metric_mod.ConeMetric(tri=tri, x=np.array(obj["lengths"], dtype=float))
 
 
 def _load_assignment(path, tri) -> angles_mod.AngleAssignment:
     obj = serialize.load_json(path)
     if not isinstance(obj, dict) or "angles" not in obj:
         raise GluingError("assignment JSON must be an object with an 'angles' array")
-    return angles_mod.AngleAssignment(tri=tri,
-                                      angles=np.array(obj["angles"], dtype=float))
+    rows = obj["angles"]
+    if not (isinstance(rows, list) and all(_numbers(r) for r in rows)):
+        raise GluingError("assignment 'angles' must be an array of arrays of numbers")
+    return angles_mod.AngleAssignment(tri=tri, angles=np.array(rows, dtype=float))
 
 
 def _curvature_obj(ev: metric_mod.Evaluation) -> dict:
@@ -172,11 +178,6 @@ def cmd_flow(args) -> int:
         t_max=args.t_max, initial_step=args.initial_step,
         curvature_tol=args.tol, degeneration_margin=args.margin,
         method=args.method, rtol=args.rtol, atol=args.atol)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     trace = dynamics.flow(m, cfg)
     with open(args.out, "w") as f:
         f.write(serialize.trace_csv(trace))
@@ -190,11 +191,7 @@ def cmd_flow(args) -> int:
         "witness": trace.witness,
     }
     serialize.write_json(str(args.out) + ".status.json", status_obj)
-    config = {"t_max": cfg.t_max, "initial_step": cfg.initial_step,
-              "curvature_tol": cfg.curvature_tol,
-              "degeneration_margin": cfg.degeneration_margin,
-              "method": cfg.method, "rtol": cfg.rtol, "atol": cfg.atol}
-    _manifest(args, args.out, started, config,
+    _manifest(args, args.out, started, dataclasses.asdict(cfg),
               {"tri": args.tri, "metric": args.metric})
     print(f"flow {trace.status} at t = {trace.t[-1]:.6g} after "
           f"{trace.steps_accepted} steps; max |K| = "
@@ -332,16 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--metric", required=True)
     q.add_argument("--out", required=True,
                    help="trace CSV; status lands in <out>.status.json")
-    q.add_argument("--t-max", type=float, default=50.0)
-    q.add_argument("--tol", type=float, default=1e-12,
+    flow_cfg = dynamics.FlowConfig
+    q.add_argument("--t-max", type=float, default=flow_cfg.t_max)
+    q.add_argument("--tol", type=float, default=flow_cfg.curvature_tol,
                    help="curvature norm that counts as converged")
-    q.add_argument("--margin", type=float, default=1e-7,
+    q.add_argument("--margin", type=float, default=flow_cfg.degeneration_margin,
                    help="admissibility margin that counts as degenerated")
-    q.add_argument("--method", choices=("rkf45_adaptive", "rk4_fixed"),
-                   default="rkf45_adaptive")
-    q.add_argument("--initial-step", type=float, default=0.01)
-    q.add_argument("--rtol", type=float, default=1e-12)
-    q.add_argument("--atol", type=float, default=1e-14)
+    q.add_argument("--method", choices=dynamics.METHODS, default=flow_cfg.method)
+    q.add_argument("--initial-step", type=float, default=flow_cfg.initial_step)
+    q.add_argument("--rtol", type=float, default=flow_cfg.rtol)
+    q.add_argument("--atol", type=float, default=flow_cfg.atol)
     q.set_defaults(func=cmd_flow)
 
     q = sub.add_parser("minimize", help="Newton descent on the energy H")

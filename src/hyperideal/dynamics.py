@@ -37,7 +37,8 @@ _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _RK4_A = ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
 
-_METHODS = ("rkf45_adaptive", "rk4_fixed")
+METHODS = ("rkf45_adaptive", "rk4_fixed")
+MAX_STEPS = 200000  # accepted plus rejected steps before flow gives up
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class FlowConfig:
     method: str = "rkf45_adaptive"
     rtol: float = 1e-12
     atol: float = 1e-14
-    max_steps: int = 200000
 
     def validate(self) -> None:
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
@@ -61,12 +61,10 @@ class FlowConfig:
                              "is not resolvable")
         if not (0 < self.degeneration_margin < math.inf):
             raise ValueError("degeneration_margin must be positive and finite")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}")
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
             raise ValueError("rtol and atol must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,9 +112,9 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
         if t >= cfg.t_max * (1.0 - 1e-14):
             status = "t_max_reached"
             break
-        if accepted + rejected >= cfg.max_steps:
+        if accepted + rejected >= MAX_STEPS:
             raise ConvergenceError(
-                f"flow exceeded {cfg.max_steps} steps (t = {t!r})", last=x)
+                f"flow exceeded {MAX_STEPS} steps (t = {t!r})", last=x)
         h = min(h, cfg.t_max - t)
         if h < 1e-14 * max(1.0, t):
             raise ConvergenceError(
@@ -254,8 +252,8 @@ def attractor_experiment(m_eq: ConeMetric, radius: float, trials: int,
     m_eq must satisfy |K| < 1e-10; perturbations are uniform in the infinity
     ball of the given radius, which must keep all lengths positive.
     """
-    state = metric_mod.curvature(m_eq)
-    if float(np.abs(state.K).max()) >= 1e-10:
+    K = metric_mod.evaluate(m_eq.tri, m_eq.x).raise_if_inadmissible().K
+    if float(np.abs(K).max()) >= 1e-10:
         raise ValueError("attractor experiment needs an equilibrium metric")
     if trials < 0:
         raise ValueError("trials must be non-negative")
@@ -290,7 +288,7 @@ class RigidityReport:
 def rigidity_probe(m: ConeMetric) -> RigidityReport:
     """Singular values of dK/dx; a nonsingular Jacobian means the curvature
     map is a local diffeomorphism, i.e. the metric is locally rigid."""
-    J = metric_mod.curvature_jacobian(m)
+    J = metric_mod.evaluate(m.tri, m.x).raise_if_inadmissible().jacobian()
     sv = np.linalg.svd(J, compute_uv=False)
     smin, smax = float(sv[-1]), float(sv[0])
     return RigidityReport(singular_values=tuple(float(s) for s in sv),

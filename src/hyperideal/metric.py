@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -58,17 +57,6 @@ class ConeMetric:
 
     def with_lengths(self, x) -> "ConeMetric":
         return ConeMetric(tri=self.tri, x=np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
-class CurvatureState:
-    """Curvature data of a metric; J and the energy fields are optional extras."""
-
-    K: np.ndarray
-    S: np.ndarray
-    J: Optional[np.ndarray] = None
-    H_val: Optional[float] = None
-    H_grad: Optional[np.ndarray] = None
 
 
 def class_matrix(tri: Triangulation) -> np.ndarray:
@@ -160,7 +148,11 @@ class Evaluation:
                 vertex=exc.vertex, value=exc.value, tet=t) from None
 
     def margin(self) -> tuple:
-        """(margin, witness) as documented in metric_margin."""
+        """Smallest admissibility margin over all tetrahedra, with its witness.
+
+        Returns (margin, witness) where the witness names the tetrahedron and
+        the corner (edge + vertex) or vertex sum that attains the margin.
+        """
         pl = self.pipeline
         t = int(np.argmin(pl.margin))
         cos, vs = pl.cosines[t], pl.vsums[t]
@@ -215,24 +207,11 @@ def solve_definite(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def tet_length_matrix(m: ConeMetric) -> np.ndarray:
-    """Per-tetrahedron length vectors, shape (tet_count, 6)."""
-    return Quotient(m.tri).gather(m.x)
-
-
-def tet_angle_matrix(m: ConeMetric) -> np.ndarray:
-    """Per-tetrahedron dihedral angles, shape (tet_count, 6).
-
-    Raises InadmissibleShapeError with the tetrahedron index filled in when
-    some tetrahedron degenerates under the metric.
-    """
-    return evaluate(m.tri, m.x).raise_if_inadmissible().angles
-
-
-def curvature(m: ConeMetric) -> CurvatureState:
-    """Angle sums S and curvatures K = 2*pi - S per edge class."""
-    ev = evaluate(m.tri, m.x).raise_if_inadmissible()
-    return CurvatureState(K=ev.K, S=ev.S)
+# perfbench/spans.py traces these four under their names; read a metric's
+# state from evaluate() instead.
+def curvature(m: ConeMetric) -> Evaluation:
+    """The metric's Evaluation, which carries S and K; raises if inadmissible."""
+    return evaluate(m.tri, m.x).raise_if_inadmissible()
 
 
 def curvature_jacobian(m: ConeMetric) -> np.ndarray:
@@ -245,28 +224,6 @@ def tet_potentials(m: ConeMetric) -> np.ndarray:
     return evaluate(m.tri, m.x).raise_if_inadmissible().potentials()
 
 
-def energy(m: ConeMetric) -> tuple:
-    """The convex energy H and its gradient -K.
-
-    H decreases along the curvature flow and is minimized exactly at the
-    hyperbolic metric.
-    """
-    ev = evaluate(m.tri, m.x).raise_if_inadmissible()
-    return ev.H, -ev.K
-
-
-def full_state(m: ConeMetric) -> CurvatureState:
-    ev = evaluate(m.tri, m.x).raise_if_inadmissible()
-    return CurvatureState(K=ev.K, S=ev.S, J=ev.jacobian(), H_val=ev.H,
-                          H_grad=-ev.K)
-
-
 def metric_margin(m: ConeMetric) -> tuple:
-    """Smallest admissibility margin over all tetrahedra, with its witness.
-
-    Returns (margin, witness) where the witness names the tetrahedron and
-    the corner (edge + vertex) or vertex sum that attains the margin.
-    """
-    ev = evaluate(m.tri, m.x)
-    tetgeom._as_lengths(ev.X)
-    return ev.margin()
+    """The metric's (margin, witness), as Evaluation.margin gives them."""
+    return evaluate(m.tri, m.x).margin()

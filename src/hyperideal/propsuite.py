@@ -70,6 +70,22 @@ def _fd_jacobian(func, x, h=1e-6):
     return J
 
 
+def schlafli_leg(p, q, order: int = 24) -> float:
+    """The integral of -(1/2) x . da along the angle segment p -> q.
+
+    Gauss-Legendre quadrature over the closed-form lengths x(a), so it
+    shares no code with the closed-form volume it is compared against.
+    """
+    z, w = np.polynomial.legendre.leggauss(order)
+    s = 0.5 * (z + 1.0)
+    x = tetgeom._newton_lengths(p + s[:, None] * (q - p))
+    return -0.25 * float(w @ (x @ (q - p)))
+
+
+def _state(tri, x) -> metric_mod.Evaluation:
+    return metric_mod.evaluate(tri, x).raise_if_inadmissible()
+
+
 def _search_instances():
     """One 2-tet search: (census, census match count, multi-class instance).
 
@@ -194,8 +210,8 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
     a1 = tetgeom.angles_from_lengths(X[0])
     a2 = tetgeom.angles_from_lengths(X[1])
     mid = 0.5 * (a1 + a2)
-    two_leg = tetgeom.schlafli_segment(a1, mid) + tetgeom.schlafli_segment(mid, a2)
-    path_gap = abs(two_leg - tetgeom.schlafli_segment(a1, a2))
+    two_leg = schlafli_leg(a1, mid) + schlafli_leg(mid, a2)
+    path_gap = abs(two_leg - float(tetgeom.volume(a2) - tetgeom.volume(a1)))
     ok &= path_gap < 2e-9
     record("tetgeom.schlafli_exact", ok,
            f"grad {worst:.3e} path {path_gap:.3e}")
@@ -242,40 +258,31 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
     for tri in (census, multi):
         base = np.full(tri.n_edges, 1.0)
         base += 0.05 * rng.standard_normal(tri.n_edges)
-        m = metric_mod.ConeMetric(tri=tri, x=base)
-        st = metric_mod.full_state(m)
-        ok &= np.array_equal(st.H_grad, -st.K)
-
-        def k_of(xv, tri=tri):
-            return metric_mod.curvature(metric_mod.ConeMetric(tri=tri, x=xv)).K
-
-        def h_of(xv, tri=tri):
-            return np.array([metric_mod.energy(
-                metric_mod.ConeMetric(tri=tri, x=xv))[0]])
-
-        fd_k = _fd_jacobian(k_of, m.x.copy())
-        gap_j = float(np.abs(fd_k - st.J).max())
-        fd_g = _fd_jacobian(h_of, m.x.copy())[0]
-        gap_g = float(np.abs(fd_g + st.K).max())
-        sym = float(np.abs(st.J - st.J.T).max())
-        max_eig = float(np.linalg.eigvalsh(st.J).max())
+        ev = _state(tri, base)
+        J = ev.jacobian()
+        fd_k = _fd_jacobian(lambda xv, tri=tri: _state(tri, xv).K, base)
+        gap_j = float(np.abs(fd_k - J).max())
+        fd_g = _fd_jacobian(lambda xv, tri=tri: np.array([_state(tri, xv).H]),
+                            base)[0]
+        gap_g = float(np.abs(fd_g + ev.K).max())
+        sym = float(np.abs(J - J.T).max())
+        max_eig = float(np.linalg.eigvalsh(J).max())
         ok &= gap_j < 1e-5 and gap_g < 1e-6 and sym < 1e-8 and max_eig < 0
         detail.append(f"fdJ {gap_j:.2e} fdG {gap_g:.2e} sym {sym:.2e}")
     record("metric.gradient_and_jacobian", ok, "; ".join(detail))
 
     m1 = metric_mod.ConeMetric(tri=census, x=np.ones(1))
-    k_a = metric_mod.curvature(m1).K
-    k_b = metric_mod.curvature(m1.with_lengths(1.37 * m1.x)).K
+    k_a = _state(census, m1.x).K
+    k_b = _state(census, 1.37 * m1.x).K
     record("metric.scale_dependence", float(np.abs(k_a - k_b).max()) > 1e-3,
            f"|K(x) - K(cx)| = {float(np.abs(k_a - k_b).max()):.3e}")
 
     ok = True
     for tri in (census, multi):
-        m = metric_mod.ConeMetric(tri=tri, x=np.full(tri.n_edges, 1.1))
-        J_full = metric_mod.curvature_jacobian(m)
+        ev = _state(tri, np.full(tri.n_edges, 1.1))
+        J_full = ev.jacobian()
         cm = metric_mod.class_matrix(tri)
-        Xl = metric_mod.tet_length_matrix(m)
-        Jt = tetgeom.jacobian_angles_lengths(Xl)
+        Jt = tetgeom.jacobian_angles_lengths(ev.X)
         lam_full = float(np.linalg.eigvalsh(J_full).max())
         for t in range(tri.tet_count):
             drop = J_full.copy()
@@ -298,7 +305,7 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
            f"{trace.steps_accepted} steps, status {trace.status}")
 
     def k_census(xv):
-        return metric_mod.curvature(m1.with_lengths(xv)).K
+        return _state(census, xv).K
 
     ok = True
     worst = 0.0
@@ -308,7 +315,7 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
         K = k_census(x)
         if float(np.abs(K).max()) < 1e-9:
             continue
-        J = metric_mod.curvature_jacobian(m1.with_lengths(x))
+        J = _state(census, x).jacobian()
         d = 1e-5
         fd = (k_census(x + d * K) - k_census(x - d * K)) / (2 * d)
         gap = float(np.abs(fd - J @ K).max() / (np.abs(J @ K).max() + 1e-8))

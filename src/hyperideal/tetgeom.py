@@ -196,7 +196,8 @@ def admissibility_margin(x) -> np.ndarray:
     """min over edges of 1 - |cosine| and over vertices of pi - angle sum.
 
     Positive and above the guards on the admissible set; <= 0 or negative
-    when a corner has degenerated.  Used by the flow as its stopping gauge.
+    when a corner has degenerated.  The flow and the energy minimizer read
+    it over a whole triangulation, with a witness, from Evaluation.margin().
     """
     pl = _pipeline(_as_lengths(x))
     return pl.margin

@@ -89,7 +89,7 @@ class GluingSpec:
     def validate(self) -> None:
         """Check structural sanity; raises GluingError with a located message."""
         n = self.tet_count
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise GluingError(f"tet_count must be a positive integer, got {n!r}")
         if not isinstance(self.pairings, (tuple, list)):
             raise GluingError("pairings must be a tuple or list, got "

@@ -14,7 +14,7 @@ import pytest
 
 from hyperideal import metric as metric_mod
 from hyperideal import triangulation as tri_mod
-from hyperideal.propsuite import sample_admissible  # noqa: F401
+from hyperideal.propsuite import sample_admissible, schlafli_leg  # noqa: F401
 
 # First 2-tet gluing with a single edge class and a chi < 0 link, in search
 # order: one valence-12 edge, one genus-2 boundary surface.
@@ -223,3 +223,8 @@ def rng():
 
 def census_metric(tri, value=1.0):
     return metric_mod.ConeMetric(tri=tri, x=np.full(tri.n_edges, value))
+
+
+def state(m):
+    """The metric's Evaluation; raises if some tetrahedron is inadmissible."""
+    return metric_mod.evaluate(m.tri, m.x).raise_if_inadmissible()

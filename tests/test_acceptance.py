@@ -21,7 +21,8 @@ from hyperideal import serialize
 from hyperideal import tetgeom
 from hyperideal import triangulation as tri_mod
 
-from conftest import CENSUS_JSON, census_metric, sample_admissible
+from conftest import (CENSUS_JSON, census_metric, sample_admissible,
+                      schlafli_leg, state)
 
 
 def _verdict(capsys, num, ok, detail):
@@ -121,8 +122,7 @@ def test_criterion_03_schlafli_formula(capsys):
         direct = tetgeom.schlafli_potential_of_angles(a)
         lam = 0.3 + 0.4 * rng.random()
         mid = (1 - lam) * ref + lam * a
-        two_leg = (tetgeom.schlafli_segment(ref, mid)
-                   + tetgeom.schlafli_segment(mid, a))
+        two_leg = schlafli_leg(ref, mid) + schlafli_leg(mid, a)
         path_err = max(path_err, abs(two_leg - direct))
     ok = grad_err < 1e-6 and path_err < 2e-9
     _verdict(capsys, 3, ok,
@@ -138,7 +138,7 @@ def test_criterion_04_assembled_jacobian_and_flow_monotonicity(capsys):
     max_eig = -np.inf
     asym = 0.0
     for v in rng.uniform(0.1, 5.0, size=100):
-        J = M.curvature_jacobian(census_metric(tri, float(v)))
+        J = state(census_metric(tri, float(v))).jacobian()
         asym = max(asym, float(np.abs(J - J.T).max()))
         max_eig = max(max_eig, float(np.linalg.eigvalsh(0.5 * (J + J.T)).max()))
     cfg = D.FlowConfig()
@@ -153,9 +153,9 @@ def test_criterion_04_assembled_jacobian_and_flow_monotonicity(capsys):
         # chain rule dK/dt = J K, finite-differenced along the K direction
         for idx in (1, len(trace.t) // 2):
             x, K = trace.x[idx], trace.K[idx]
-            J = M.curvature_jacobian(m.with_lengths(x))
-            fd = (M.curvature(m.with_lengths(x + 1e-5 * K)).K
-                  - M.curvature(m.with_lengths(x - 1e-5 * K)).K) / 2e-5
+            J = state(m.with_lengths(x)).jacobian()
+            fd = (state(m.with_lengths(x + 1e-5 * K)).K
+                  - state(m.with_lengths(x - 1e-5 * K)).K) / 2e-5
             rate_err = max(rate_err, float(
                 np.abs(fd - J @ K).max() / max(1.0, np.abs(K).max())))
     ok = asym < 1e-12 and max_eig < 0 and curv_rise < bound \
@@ -193,7 +193,7 @@ def test_criterion_06_rigidity_singular_values(capsys, census_tri, torus_tri):
     while kept < 40:
         x = rng.uniform(0.4, 2.0, size=2)
         m = M.ConeMetric(tri=torus_tri, x=x)
-        if M.metric_margin(m)[0] > 0:
+        if M.evaluate(torus_tri, x).margin()[0] > 0:
             metrics.append(m)
             kept += 1
     worst = np.inf

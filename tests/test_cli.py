@@ -234,6 +234,17 @@ def test_volmax_explicit_start(census_file, tmp_path):
                "--out", out) == 0
 
 
+@pytest.mark.parametrize("angles", [{"x": 1}, [[{}]], [[True] * 6] * 2],
+                         ids=("object", "object_entry", "bool_entries"))
+def test_volmax_non_numeric_start_exit_2(census_file, tmp_path, capsys, angles):
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps({"angles": angles}))
+    assert run("volmax", "--tri", census_file, "--start", str(start),
+               "--out", str(tmp_path / "vol.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "arrays of numbers" in err
+
+
 def test_volmax_infeasible_lp_needs_start(torus_file, tmp_path):
     # exit 3 would be the link check; bypass is not offered, so volmax on
     # the torus instance fails upstream at build

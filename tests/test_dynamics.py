@@ -8,7 +8,7 @@ from hyperideal import metric as M
 from hyperideal.errors import (ConvergenceError, DefinitenessError,
                                InadmissibleShapeError)
 
-from conftest import XSTAR, census_metric
+from conftest import XSTAR, census_metric, state
 
 
 def test_flow_config_validation():
@@ -55,11 +55,12 @@ def test_flow_trace_shapes(census_tri):
 def test_flow_energy_column_is_the_energy(census_tri):
     # potentials are relative to the unit regular shape, so they vanish at
     # x = 1 on the census gluing; each row of H is the energy of its x
-    assert np.array_equal(M.tet_potentials(census_metric(census_tri)), np.zeros(2))
+    assert np.array_equal(state(census_metric(census_tri)).potentials(),
+                          np.zeros(2))
     trace = D.flow(census_metric(census_tri, 2.0), D.FlowConfig())
     m = census_metric(census_tri)
     for k in (0, trace.t.size // 2, -1):
-        H, _ = M.energy(m.with_lengths(trace.x[k]))
+        H = state(m.with_lengths(trace.x[k])).H
         assert abs(trace.H[k] - H) <= 1e-12
 
 
@@ -132,7 +133,7 @@ def test_minimize_stops_at_degeneration_with_witness(multi_tri):
     m = M.ConeMetric(tri=multi_tri, x=np.ones(multi_tri.n_edges))
     with pytest.raises(ConvergenceError) as info:
         D.minimize_energy(m)
-    margin, witness = M.metric_margin(m.with_lengths(info.value.last))
+    margin, witness = M.evaluate(multi_tri, info.value.last).margin()
     assert 0 < margin < D.FlowConfig().degeneration_margin
     assert str(witness) in str(info.value)
 
@@ -153,9 +154,9 @@ def test_flow_heat_equation_consistency(census_tri):
     for idx in (1, len(trace.t) // 3, len(trace.t) // 2):
         x = trace.x[idx]
         K = trace.K[idx]
-        J = M.curvature_jacobian(m.with_lengths(x))
-        kp = M.curvature(m.with_lengths(x + delta * K)).K
-        km = M.curvature(m.with_lengths(x - delta * K)).K
+        J = state(m.with_lengths(x)).jacobian()
+        kp = state(m.with_lengths(x + delta * K)).K
+        km = state(m.with_lengths(x - delta * K)).K
         fd = (kp - km) / (2 * delta)
         assert np.abs(fd - J @ K).max() < 1e-6 * max(1.0, np.abs(K).max())
 
@@ -225,7 +226,7 @@ def test_rigidity_probe(census_tri):
         assert rep.nonsingular
         assert rep.sigma_min > 0
         # J symmetric: singular values are absolute eigenvalues
-        J = M.curvature_jacobian(census_metric(census_tri, val))
+        J = state(census_metric(census_tri, val)).jacobian()
         eigs = np.sort(np.abs(np.linalg.eigvalsh(J)))
         assert np.abs(np.sort(rep.singular_values) - eigs).max() < 1e-10
 

@@ -9,7 +9,7 @@ from hyperideal import metric as M
 from hyperideal import tetgeom
 from hyperideal.errors import DefinitenessError, InadmissibleShapeError
 
-from conftest import XSTAR, census_metric
+from conftest import XSTAR, census_metric, state
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,13 +26,13 @@ def test_cone_metric_validation(census_tri):
 
 
 def test_curvature_at_equilibrium(census_tri):
-    st = M.curvature(census_metric(census_tri, XSTAR))
+    st = state(census_metric(census_tri, XSTAR))
     assert abs(st.S[0] - TWO_PI) < 1e-10
     assert abs(st.K[0]) < 1e-10
 
 
 def test_curvature_at_ones(census_tri):
-    st = M.curvature(census_metric(census_tri))
+    st = state(census_metric(census_tri))
     a = math.acos(math.cosh(1.0) / (2.0 * math.cosh(1.0) - 1.0))
     assert abs(st.S[0] - 12 * a) < 1e-12
     assert abs(st.K[0] - (TWO_PI - 12 * a)) < 1e-12
@@ -43,16 +43,15 @@ def test_angle_sum_double_counting(census_tri, torus_tri, rng):
     for tri in (census_tri, torus_tri):
         x = np.exp(rng.uniform(-0.5, 0.3, size=tri.n_edges))
         m = M.ConeMetric(tri=tri, x=x)
-        st = M.curvature(m)
-        A = M.tet_angle_matrix(m)
-        assert abs(st.S.sum() - A.sum()) < 1e-12
+        st = state(m)
+        assert abs(st.S.sum() - st.angles.sum()) < 1e-12
 
 
 def test_inadmissible_metric_locates_tet(torus_tri):
     # lengths that break some tetrahedron: the error names the tet
     m = M.ConeMetric(tri=torus_tri, x=np.array([0.01, 12.0]))
     with pytest.raises(InadmissibleShapeError) as exc:
-        M.curvature(m)
+        state(m)
     assert exc.value.tet in (0, 1)
 
 
@@ -75,7 +74,7 @@ def test_jacobian_fd_and_definiteness(census_tri, torus_tri, rng):
             x = np.exp(rng.uniform(-0.4, 0.4, size=tri.n_edges))
             m = M.ConeMetric(tri=tri, x=x)
             try:
-                J = M.curvature_jacobian(m)
+                J = state(m).jacobian()
             except InadmissibleShapeError:
                 continue
             fd = np.zeros_like(J)
@@ -83,8 +82,8 @@ def test_jacobian_fd_and_definiteness(census_tri, torus_tri, rng):
                 xp, xm = x.copy(), x.copy()
                 xp[j] += h
                 xm[j] -= h
-                fd[:, j] = (M.curvature(m.with_lengths(xp)).K
-                            - M.curvature(m.with_lengths(xm)).K) / (2 * h)
+                fd[:, j] = (state(m.with_lengths(xp)).K
+                            - state(m.with_lengths(xm)).K) / (2 * h)
             assert np.abs(J - fd).max() < 1e-6
             assert np.abs(J - J.T).max() < 1e-8
             assert np.linalg.eigvalsh(0.5 * (J + J.T)).max() < 0
@@ -95,36 +94,35 @@ def test_energy_gradient_identity_and_fd(census_tri, rng):
     for _ in range(10):
         x = np.exp(rng.uniform(-0.6, 0.6, size=1))
         m = M.ConeMetric(tri=census_tri, x=x)
-        st = M.full_state(m)
-        assert np.array_equal(st.H_grad, -st.K)
-        hp = M.energy(m.with_lengths(x + h))[0]
-        hm = M.energy(m.with_lengths(x - h))[0]
-        assert abs((hp - hm) / (2 * h) - st.H_grad[0]) < 1e-6
+        st = state(m)
+        hp = state(m.with_lengths(x + h)).H
+        hm = state(m.with_lengths(x - h)).H
+        assert abs((hp - hm) / (2 * h) + st.K[0]) < 1e-6  # grad H = -K
 
 
 def test_energy_hessian_is_minus_jacobian(census_tri):
     h = 1e-5
     x = np.array([0.9])
     m = M.ConeMetric(tri=census_tri, x=x)
-    st = M.full_state(m)
-    gp = M.energy(m.with_lengths(x + h))[1]
-    gm = M.energy(m.with_lengths(x - h))[1]
+    J = state(m).jacobian()
+    gp = -state(m.with_lengths(x + h)).K
+    gm = -state(m.with_lengths(x - h)).K
     hess = (gp - gm) / (2 * h)
-    assert abs(hess[0] - (-st.J[0, 0])) < 1e-5
+    assert abs(hess[0] - (-J[0, 0])) < 1e-5
     assert hess[0] > 0
 
 
 def test_energy_gradient_zero_at_equilibrium(census_tri):
-    st = M.full_state(census_metric(census_tri, XSTAR))
-    assert np.abs(st.H_grad).max() < 1e-10
+    st = state(census_metric(census_tri, XSTAR))
+    assert np.abs(st.K).max() < 1e-10  # grad H = -K
 
 
 def test_assembly_block_ordering(census_tri):
     # dropping one tetrahedron's block (here: halving the two identical
     # blocks) strictly raises the top eigenvalue of the assembled J
     m = census_metric(census_tri, 0.8)
-    J = M.curvature_jacobian(m)
-    X = M.tet_length_matrix(m)
+    st = state(m)
+    J, X = st.jacobian(), st.X
     block = np.zeros_like(J)
     cm = M.class_matrix(census_tri)
     Jt = tetgeom.jacobian_angles_lengths(X[0])
@@ -138,13 +136,13 @@ def test_assembly_block_ordering(census_tri):
 
 def test_curvature_not_scale_invariant(census_tri):
     m = census_metric(census_tri)
-    k1 = M.curvature(m).K
-    k2 = M.curvature(m.with_lengths(1.7 * m.x)).K
+    k1 = state(m).K
+    k2 = state(m.with_lengths(1.7 * m.x)).K
     assert np.abs(k1 - k2).max() > 1e-3
 
 
 def test_metric_margin_witness(census_tri):
-    margin, wit = M.metric_margin(census_metric(census_tri))
+    margin, wit = M.evaluate(census_tri, np.ones(1)).margin()
     assert margin > 0
     assert wit["kind"] in ("corner_cosine", "vertex_sum")
     assert 0 <= wit["tet"] < 2

@@ -59,14 +59,13 @@ def tri(request, census_tri, torus_tri, multi_tri):
 def test_quotient_matches_loop_reference(tri, rng):
     used = 0
     for _ in range(8):
-        m = M.ConeMetric(tri=tri, x=np.exp(rng.uniform(-0.4, 0.4, tri.n_edges)))
-        X = M.tet_length_matrix(m)
+        ev = M.evaluate(tri, np.exp(rng.uniform(-0.4, 0.4, tri.n_edges)))
+        X = ev.X
         if not tetgeom.is_admissible(X).all():
             continue
         used += 1
-        assert np.array_equal(M.curvature_jacobian(m), ref_jacobian(tri, X))
-        assert np.array_equal(M.curvature(m).S,
-                              ref_sums(tri, tetgeom.angles_from_lengths(X)))
+        assert np.array_equal(ev.jacobian(), ref_jacobian(tri, X))
+        assert np.array_equal(ev.S, ref_sums(tri, tetgeom.angles_from_lengths(X)))
         G = rng.normal(size=(tri.tet_count, 6))
         assign = A.AngleAssignment(tri=tri, angles=G)
         assert np.array_equal(A.edge_sums(assign), ref_sums(tri, G))
@@ -91,7 +90,7 @@ def test_margin_witness_is_flow_degeneration_witness(torus_tri):
     cfg = D.FlowConfig(t_max=100.0)
     trace = D.flow(m, cfg)
     assert trace.status == "degenerated"
-    margin, witness = M.metric_margin(m.with_lengths(trace.x[-1]))
+    margin, witness = M.evaluate(torus_tri, trace.x[-1]).margin()
     assert margin < cfg.degeneration_margin
     assert witness == trace.witness
 

@@ -15,7 +15,7 @@ from hyperideal import tetgeom
 from hyperideal.errors import InadmissibleShapeError
 from hyperideal.triangulation import EDGE_VERTEX_PAIRS, OPPOSITE_EDGE, edge_index
 
-from conftest import XSTAR, sample_admissible
+from conftest import XSTAR, sample_admissible, schlafli_leg
 
 REG1 = np.ones(6)
 
@@ -305,8 +305,7 @@ def test_schlafli_path_independence(rng):
         # so the blend of two admissible angle vectors is admissible)
         lam = 0.3 + 0.4 * rng.random()
         mid = (1 - lam) * ref + lam * a
-        two_leg = (tetgeom.schlafli_segment(ref, mid)
-                   + tetgeom.schlafli_segment(mid, a))
+        two_leg = schlafli_leg(ref, mid) + schlafli_leg(mid, a)
         assert abs(two_leg - direct) < 2e-9
 
 

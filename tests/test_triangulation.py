@@ -292,6 +292,15 @@ def test_validate_rejects_non_sequence_pairings():
         T.GluingSpec(tet_count=1, pairings=5).validate()
 
 
+def test_validate_rejects_bool_tet_count():
+    # True passes isinstance(n, int), and to_json_obj would then write
+    # "tet_count": true, which from_json_obj refuses
+    pairings = T.search_gluings(1, T.any_gluing)[0].pairings
+    T.GluingSpec(tet_count=1, pairings=pairings).validate()
+    with pytest.raises(GluingError, match="tet_count must be a positive integer"):
+        T.GluingSpec(tet_count=True, pairings=pairings).validate()
+
+
 def test_non_involutive_rejected():
     import copy
     obj = copy.deepcopy(CENSUS_JSON)
