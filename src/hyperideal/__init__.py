@@ -13,10 +13,10 @@ from .errors import (BoundaryHypothesisError, ConvergenceError,
                      InadmissibleShapeError)
 from .metric import (ConeMetric, Evaluation, curvature, curvature_jacobian,
                      evaluate)
-from .tetgeom import (ConvexityProbe, TetShape, angles_from_lengths,
-                      arcs_from_lengths, is_admissible, jacobian_angles_lengths,
+from .tetgeom import (ConvexityProbe, angles_from_lengths, arcs_from_lengths,
+                      is_admissible, jacobian_angles_lengths,
                       lengths_from_angles, minkowski_oracle,
-                      probe_length_space_convexity, schlafli_potential, shape)
+                      probe_length_space_convexity, schlafli_potential)
 from .triangulation import (BoundaryLink, EdgeClass, GluingSpec, Triangulation,
                             build, search_gluings)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import simplex, tetgeom
 from .errors import ConvergenceError
-from .metric import NEWTON_MAX_ITER, Quotient, solve_definite
+from .metric import NEWTON_MAX_ITER, Quotient, line_search, solve_definite
 from .triangulation import Triangulation
 
 TWO_PI = 2.0 * math.pi
@@ -219,19 +219,17 @@ def maximize_volume(tri: Triangulation, start, tol: float = 1e-8) -> tuple:
         slope = float((g * d).sum())
         if not tetgeom.angles_strictly_feasible(a + d).all():
             d, slope = G, float((G * G).sum())
-        # Below the float resolution of the volume the sufficient-increase
-        # test compares rounding noise; there feasibility alone gates the step.
-        noise = 64.0 * np.finfo(float).eps * max(1.0, abs(vol))
-        alpha = 1.0
-        for _ in range(60):
+
+        def trial(alpha):
             cand = a + alpha * d
             if tetgeom.angles_strictly_feasible(cand).all():
-                cv = _volume(cand)
-                if slope <= noise or cv >= vol + 1e-4 * alpha * slope:
-                    break
-            alpha *= 0.5
-        else:
-            raise ConvergenceError("volume ascent line search failed", last=a)
-        a, vol = cand, cv
+                return -_volume(cand), cand
+            return None
+
+        # Ascent on V is descent on -V; negation is exact, so every test
+        # decides as it would on V itself.
+        _, neg_vol, a = line_search(-vol, -slope, trial,
+                                    "volume ascent line search failed", last=a)
+        vol = -neg_vol
     raise ConvergenceError(f"volume ascent did not reach gradient norm {tol} "
                            f"in {NEWTON_MAX_ITER} iterations", last=a)

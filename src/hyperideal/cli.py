@@ -56,9 +56,11 @@ def _load_tri(path) -> tri_mod.Triangulation:
 
 
 def _numbers(v) -> bool:
-    """Whether v is a JSON array of numbers (bools are not numbers here)."""
+    """Whether v is a JSON array of numbers a float can hold (bools are not
+    numbers here, nor are integers beyond the float range)."""
     return isinstance(v, list) and all(
-        isinstance(a, (int, float)) and not isinstance(a, bool) for a in v)
+        type(a) is float or (type(a) is int and abs(a) <= sys.float_info.max)
+        for a in v)
 
 
 def _load_metric(path, tri) -> metric_mod.ConeMetric:
@@ -177,7 +179,7 @@ def cmd_flow(args) -> int:
     cfg = dynamics.FlowConfig(
         t_max=args.t_max, initial_step=args.initial_step,
         curvature_tol=args.tol, degeneration_margin=args.margin,
-        method=args.method, rtol=args.rtol, atol=args.atol)
+        rtol=args.rtol, atol=args.atol)
     trace = dynamics.flow(m, cfg)
     with open(args.out, "w") as f:
         f.write(serialize.trace_csv(trace))
@@ -335,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="curvature norm that counts as converged")
     q.add_argument("--margin", type=float, default=flow_cfg.degeneration_margin,
                    help="admissibility margin that counts as degenerated")
-    q.add_argument("--method", choices=dynamics.METHODS, default=flow_cfg.method)
     q.add_argument("--initial-step", type=float, default=flow_cfg.initial_step)
     q.add_argument("--rtol", type=float, default=flow_cfg.rtol)
     q.add_argument("--atol", type=float, default=flow_cfg.atol)

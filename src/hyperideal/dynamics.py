@@ -35,9 +35,6 @@ _RKF_A = (
 )
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-_RK4_A = ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
-
-METHODS = ("rkf45_adaptive", "rk4_fixed")
 MAX_STEPS = 200000  # accepted plus rejected steps before flow gives up
 
 
@@ -47,7 +44,6 @@ class FlowConfig:
     initial_step: float = 0.01
     curvature_tol: float = 1e-12
     degeneration_margin: float = 1e-7
-    method: str = "rkf45_adaptive"
     rtol: float = 1e-12
     atol: float = 1e-14
 
@@ -61,8 +57,6 @@ class FlowConfig:
                              "is not resolvable")
         if not (0 < self.degeneration_margin < math.inf):
             raise ValueError("degeneration_margin must be positive and finite")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
             raise ValueError("rtol and atol must be positive and finite")
 
@@ -83,6 +77,30 @@ class FlowTrace:
     config: FlowConfig
 
 
+def _rkf45_step(tri, x, K, h, cfg):
+    """One Fehlberg 4(5) step of size h from (x, K).
+
+    Returns (evaluation, error ratio).  The evaluation is None when the step
+    fails: a stage or the new state leaves the admissible set, or the error
+    ratio exceeds 1.
+    """
+    stages = [K]
+    for coeff in _RKF_A[1:]:
+        stage = metric_mod.evaluate(
+            tri, x + h * sum(c * k for c, k in zip(coeff, stages)))
+        if not stage.admissible:
+            return None, 0.0
+        stages.append(stage.K)
+    x_new = x + h * sum(b * k for b, k in zip(_RKF_B5, stages))
+    err = h * sum((b5 - b4) * k for b5, b4, k in zip(_RKF_B5, _RKF_B4, stages))
+    scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
+    err_ratio = float(np.abs(err / scale).max())
+    if err_ratio > 1.0:
+        return None, err_ratio
+    ev_new = metric_mod.evaluate(tri, x_new)
+    return (ev_new if ev_new.admissible else None), err_ratio
+
+
 def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
     """Integrate dx/dt = K from m0 until convergence, degeneration or t_max.
 
@@ -92,84 +110,52 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
     cfg.validate()
     tri = m0.tri
     ev = metric_mod.evaluate(tri, m0.x).raise_if_inadmissible()
-    x, K = ev.x, ev.K
-    margin, witness = ev.margin()
-
-    ts, xs, ks, angs = [0.0], [x.copy()], [K.copy()], [ev.angles]
-    status, final_witness = None, None
-    if margin < cfg.degeneration_margin:
-        status, final_witness = "degenerated", witness
-    elif float(np.abs(K).max()) < cfg.curvature_tol:
-        status = "converged"
-
-    t = 0.0
-    h = cfg.initial_step
+    t, h = 0.0, cfg.initial_step
     accepted = rejected = 0
-    adaptive = cfg.method == "rkf45_adaptive"
-    tableau = _RKF_A if adaptive else _RK4_A
-
-    while status is None:
-        if t >= cfg.t_max * (1.0 - 1e-14):
-            status = "t_max_reached"
-            break
-        if accepted + rejected >= MAX_STEPS:
-            raise ConvergenceError(
-                f"flow exceeded {MAX_STEPS} steps (t = {t!r})", last=x)
-        h = min(h, cfg.t_max - t)
-        if h < 1e-14 * max(1.0, t):
-            raise ConvergenceError(
-                f"flow step size underflowed at t = {t!r}", last=x)
-
-        stages = [K]
-        ev_new, err_ratio = None, 0.0
-        for coeff in tableau[1:]:
-            stage = metric_mod.evaluate(
-                tri, x + h * sum(c * k for c, k in zip(coeff, stages)))
-            if not stage.admissible:
-                break
-            stages.append(stage.K)
-        else:  # every stage admissible
-            if adaptive:
-                x_new = x + h * sum(b * k for b, k in zip(_RKF_B5, stages))
-                err = h * sum((b5 - b4) * k
-                              for b5, b4, k in zip(_RKF_B5, _RKF_B4, stages))
-                scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
-                err_ratio = float(np.abs(err / scale).max())
-            else:
-                x_new = x + (h / 6.0) * (stages[0] + 2 * stages[1]
-                                         + 2 * stages[2] + stages[3])
-            if err_ratio <= 1.0:
-                ev_new = metric_mod.evaluate(tri, x_new)
-
-        if ev_new is None or not ev_new.admissible:
-            rejected += 1
-            h *= max(0.2, 0.9 * err_ratio ** -0.2) if err_ratio > 1.0 else 0.5
-            continue
-
-        t += h
-        ev = ev_new
+    ts, xs, ks, angs = [], [], [], []
+    while True:
+        # ev is the state at t, the start or an accepted step: record it
+        # and stop if it degenerated, converged or used up the time.
         x, K = ev.x, ev.K
-        accepted += 1
         ts.append(t)
         xs.append(x.copy())
         ks.append(K.copy())
         angs.append(ev.angles)
-
         margin, witness = ev.margin()
         if margin < cfg.degeneration_margin:
-            status, final_witness = "degenerated", witness
-        elif float(np.abs(K).max()) < cfg.curvature_tol:
+            status = "degenerated"
+            break
+        if float(np.abs(K).max()) < cfg.curvature_tol:
             status = "converged"
-        elif adaptive:
-            grow = 5.0 if err_ratio == 0.0 else min(5.0, max(0.2, 0.9 * err_ratio ** -0.2))
-            h *= grow
+            break
+        if t >= cfg.t_max * (1.0 - 1e-14):
+            status = "t_max_reached"
+            break
+        while True:
+            if accepted + rejected >= MAX_STEPS:
+                raise ConvergenceError(
+                    f"flow exceeded {MAX_STEPS} steps (t = {t!r})", last=x)
+            h = min(h, cfg.t_max - t)
+            if h < 1e-14 * max(1.0, t):
+                raise ConvergenceError(
+                    f"flow step size underflowed at t = {t!r}", last=x)
+            ev_new, err_ratio = _rkf45_step(tri, x, K, h, cfg)
+            if ev_new is not None:
+                break
+            rejected += 1
+            h *= max(0.2, 0.9 * err_ratio ** -0.2) if err_ratio > 1.0 else 0.5
+        t += h
+        ev = ev_new
+        accepted += 1
+        h *= 5.0 if err_ratio == 0.0 else min(5.0, max(0.2, 0.9 * err_ratio ** -0.2))
 
     Xmat, Kmat = np.array(xs), np.array(ks)
     V = (tetgeom.volume(np.array(angs)) - tetgeom.V_REF).sum(axis=1)
     H = 2.0 * V - (Kmat * Xmat).sum(axis=1)
     return FlowTrace(t=np.array(ts), x=Xmat, K=Kmat,
                      total_curv=(Kmat ** 2).sum(axis=1), H=H,
-                     status=status, witness=final_witness,
+                     status=status,
+                     witness=witness if status == "degenerated" else None,
                      steps_accepted=accepted, steps_rejected=rejected,
                      config=cfg)
 
@@ -188,8 +174,8 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12) -> tuple:
     Each step solves (-J) d = K with `metric.solve_definite`, whose Cholesky
     factorization of -J certifies it positive definite (a failure raises
     DefinitenessError); `angles.maximize_volume` solves the same matrix.
-    The backtracking line search rejects iterates that leave the admissible
-    set, and an accepted iterate whose admissibility margin falls below the
+    `metric.line_search` rejects iterates that leave the admissible set,
+    and an accepted iterate whose admissibility margin falls below the
     flow's degeneration floor ends the descent with a ConvergenceError
     naming the witness.  At most `metric.NEWTON_MAX_ITER` steps are taken.
     """
@@ -205,24 +191,16 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12) -> tuple:
                 H_val=ev.H, step_sizes=tuple(steps))
         d = metric_mod.solve_definite(-ev.jacobian(), K,
                                       "negated curvature Jacobian -dK/dx")
-        H0 = ev.H
-        slope = -float(K @ d)  # gradient of H is -K
-        # Once the predicted decrease drops below the float resolution of H
-        # the sufficient-decrease test compares pure rounding noise; from
-        # there only admissibility gates the (locally quadratic) Newton step.
-        noise = 64.0 * np.finfo(float).eps * max(1.0, abs(H0))
-        alpha = 1.0
-        for _ in range(60):
+
+        def trial(alpha):
             cand = metric_mod.evaluate(m0.tri, x + alpha * d)
-            if cand.admissible and (-slope <= noise
-                                    or cand.H <= H0 + 1e-4 * alpha * slope):
-                break
-            alpha *= 0.5
-        else:
-            raise ConvergenceError(
-                "energy line search failed: the Newton direction leaves the "
-                "admissible set", last=x)
-        ev = cand
+            return (cand.H, cand) if cand.admissible else None
+
+        # the gradient of H is -K
+        alpha, _, ev = metric_mod.line_search(
+            ev.H, -float(K @ d), trial,
+            "energy line search failed: the Newton direction leaves the "
+            "admissible set", last=x)
         steps.append(alpha)
         margin, witness = ev.margin()
         if margin < FlowConfig.degeneration_margin:

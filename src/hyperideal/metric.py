@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tetgeom
-from .errors import DefinitenessError, InadmissibleShapeError
+from .errors import ConvergenceError, DefinitenessError, InadmissibleShapeError
 from .triangulation import EDGE_VERTEX_PAIRS, Triangulation
 
 NEWTON_MAX_ITER = 100  # iteration budget of the energy and volume Newton solvers
@@ -205,6 +205,29 @@ def solve_definite(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError(f"{what}: {exc}") from None
     return np.linalg.solve(A, b)
+
+
+def line_search(f0: float, slope: float, trial, failure: str, last) -> tuple:
+    """Backtracking search for a descent step on f, both Newton solvers' one.
+
+    slope is f's derivative along the direction at step 0.  trial(alpha)
+    returns (f, candidate) at step alpha, or None where the candidate is
+    infeasible.  Steps start at 1 and halve until a feasible candidate
+    passes the sufficient-decrease test f <= f0 + 1e-4 alpha slope.  Once
+    the predicted decrease -slope drops below the float resolution of f
+    that test compares rounding noise; from there feasibility alone gates
+    the (locally quadratic) Newton step.  Returns (alpha, f, candidate);
+    after 60 halvings raises ConvergenceError(failure, last=last).
+    """
+    noise = 64.0 * np.finfo(float).eps * max(1.0, abs(f0))
+    alpha = 1.0
+    for _ in range(60):
+        cand = trial(alpha)
+        if cand is not None and (-slope <= noise
+                                 or cand[0] <= f0 + 1e-4 * alpha * slope):
+            return (alpha, *cand)
+        alpha *= 0.5
+    raise ConvergenceError(failure, last=last)
 
 
 # perfbench/spans.py traces these four under their names; read a metric's

@@ -27,8 +27,10 @@ the faces' right-angled hexagons give, are a separate report.
 Not every positive length vector is admissible.  Admissibility is decided
 operationally: every corner cosine strictly inside (-1, 1) with a small
 guard (so det H < 0), and the three angles at each vertex summing to less
-than pi.  An independent Minkowski-model oracle (`minkowski_oracle`)
-cross-checks this classification.
+than pi.  Lengths long enough to overflow the cofactor products (from about
+120 on the regular shape) leave NaN cosines and so are never admissible.
+An independent Minkowski-model oracle (`minkowski_oracle`) cross-checks
+this classification.
 
 The volume is a function of the dihedral angles alone, in closed form: the
 Murakami-Yano formula, extended by Ushijima to truncated tetrahedra, puts
@@ -134,15 +136,17 @@ def _pipeline(x: np.ndarray) -> _Pipeline:
         # -det H, expanded along row 0
         root = np.sqrt(np.maximum(face[0] + (ch[:3] * cof[:3]).sum(axis=0), 0.0))
         r = np.sqrt(face[_OPP_I] * face[_OPP_J])
-        cosines = cof[::-1] / r
+        # An overflowed r or root would pass for a zero cosine or a right
+        # angle; such corners get NaN cosines, so the shape is never ok.
+        cosines = np.where(np.isfinite(r + root), cof[::-1] / r, np.nan)
         sines = root * sh / r
         angles = np.arctan2(sines, cosines)
         vsums = angles[_VERT_E.T].sum(axis=0)
         slack = 1.0 - np.abs(cosines).max(axis=0)
-        corner = np.where(np.isnan(slack), -np.inf, slack)
+        corner = np.fmax(slack, -np.inf)  # a NaN slack counts as -inf
         top = vsums.max(axis=0)
         ok = (corner > COSINE_GUARD) & (top < math.pi)
-        margin = np.minimum(corner, math.pi - top)
+        margin = np.fmin(corner, math.pi - top)  # never NaN
     return _Pipeline(ch, sh, cof, r, root, cosines.transpose(shape_major),
                      sines.transpose(shape_major), angles.transpose(shape_major),
                      vsums.transpose(shape_major), ok, margin)
@@ -271,28 +275,6 @@ def jacobian_angles_lengths(x) -> np.ndarray:
     pl = _pipeline(x)
     _raise_inadmissible(x, pl)
     return _jacobian(pl)
-
-
-@dataclass(frozen=True)
-class TetShape:
-    """A fully evaluated hyperideal tetrahedron."""
-
-    lengths: np.ndarray
-    arcs: np.ndarray
-    angles: np.ndarray
-    jac_angles_lengths: np.ndarray
-    jac_lengths_angles: np.ndarray
-
-
-def shape(x) -> TetShape:
-    x = _as_lengths(np.asarray(x, dtype=float))
-    if x.shape != (6,):
-        raise ValueError("shape() takes a single length vector")
-    pl = _pipeline(x)
-    _raise_inadmissible(x, pl)
-    J = _jacobian(pl)
-    return TetShape(lengths=x.copy(), arcs=arcs_from_lengths(x), angles=pl.angles,
-                    jac_angles_lengths=J, jac_lengths_angles=np.linalg.inv(J))
 
 
 # perfbench/spans.py traces this function under its historical name.

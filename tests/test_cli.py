@@ -123,6 +123,14 @@ def test_metric_json_validation(census_file, tmp_path):
                    "--out", str(tmp_path / "s.json")) == 2
 
 
+def test_metric_integer_beyond_float_range_exit_2(census_file, tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text('{"lengths": [1' + "0" * 400 + ']}')
+    assert run("shapes", "--tri", census_file, "--metric", str(m),
+               "--out", str(tmp_path / "s.json")) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_flow_converges_exit_0(census_file, metric_file, tmp_path):
     out = str(tmp_path / "trace.csv")
     assert run("flow", "--tri", census_file, "--metric", metric_file,
@@ -243,6 +251,16 @@ def test_volmax_non_numeric_start_exit_2(census_file, tmp_path, capsys, angles):
                "--out", str(tmp_path / "vol.json")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "arrays of numbers" in err
+
+
+def test_volmax_start_integer_beyond_float_range_exit_2(census_file, tmp_path,
+                                                       capsys):
+    start = tmp_path / "start.json"
+    start.write_text('{"angles": [[1' + "0" * 400 + ', 1, 1, 1, 1, 1], '
+                     '[1, 1, 1, 1, 1, 1]]}')
+    assert run("volmax", "--tri", census_file, "--start", str(start),
+               "--out", str(tmp_path / "vol.json")) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_volmax_infeasible_lp_needs_start(torus_file, tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 from hyperideal import metric as M
 from hyperideal import tetgeom
-from hyperideal.errors import DefinitenessError, InadmissibleShapeError
+from hyperideal.errors import (ConvergenceError, DefinitenessError,
+                               InadmissibleShapeError)
 
 from conftest import XSTAR, census_metric, state
 
@@ -65,6 +66,57 @@ def test_solve_definite_certifies_or_raises_definiteness_error():
     # numpy's LinAlgError is a ValueError, which the CLI reads as bad input
     assert not isinstance(info.value, (ValueError, np.linalg.LinAlgError))
     assert "test matrix" in str(info.value)
+
+
+def test_line_search_halves_past_infeasible_candidates():
+    tried = []
+
+    def trial(alpha):
+        tried.append(alpha)
+        return (0.0, "cand") if alpha <= 0.25 else None
+
+    assert M.line_search(1.0, -1.0, trial, "unused", last=None) == (0.25, 0.0, "cand")
+    assert tried == [1.0, 0.5, 0.25]
+
+
+def test_line_search_noise_floor_accepts_first_feasible():
+    # below the float resolution of f the decrease test is not applied:
+    # the first feasible candidate wins even though f went up
+    def trial(alpha):
+        return (2.0, alpha) if alpha <= 0.5 else None
+
+    assert M.line_search(1.0, -1e-20, trial, "unused", last=None)[0] == 0.5
+    # with a resolvable slope the same candidates never pass
+    with pytest.raises(ConvergenceError):
+        M.line_search(1.0, -1.0, trial, "no decrease", last=None)
+
+
+def test_line_search_failure_names_caller():
+    calls = []
+    last = np.array([1.0, 2.0])
+
+    def trial(alpha):
+        calls.append(alpha)
+
+    with pytest.raises(ConvergenceError) as info:
+        M.line_search(0.0, -1.0, trial, "caller's message", last=last)
+    assert str(info.value) == "caller's message"
+    assert info.value.last is last
+    assert len(calls) == 60 and calls[-1] == 0.5 ** 59
+
+
+def test_line_search_ascent_and_descent_agree_on_the_bound(rng):
+    # maximize_volume tests v >= v0 + 1e-4 alpha s as descent on -v; a
+    # candidate exactly on the bound, or one ulp either side of it, gets
+    # the same verdict both ways
+    for v0, s in zip(rng.uniform(-5.0, 5.0, 200), rng.uniform(1e-3, 10.0, 200)):
+        bound = v0 + 1e-4 * 1.0 * s
+        for v in (bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)):
+            def trial(alpha, v=v):
+                return (-v, "first") if alpha == 1.0 else (-np.inf, "later")
+
+            _, _, which = M.line_search(-v0, -s, trial, "unused", last=None)
+            assert (which == "first") == (v >= bound)
 
 
 def test_jacobian_fd_and_definiteness(census_tri, torus_tri, rng):

@@ -13,6 +13,7 @@ import pytest
 
 from hyperideal import tetgeom
 from hyperideal.errors import InadmissibleShapeError
+from hyperideal.metric import evaluate
 from hyperideal.triangulation import EDGE_VERTEX_PAIRS, OPPOSITE_EDGE, edge_index
 
 from conftest import XSTAR, sample_admissible, schlafli_leg
@@ -146,7 +147,7 @@ def test_known_inadmissible_witness():
 def test_inadmissible_error_is_located():
     x = np.array([10.0, 0.01, 0.01, 0.01, 0.01, 10.0])
     with pytest.raises(InadmissibleShapeError) as exc:
-        tetgeom.shape(x)
+        tetgeom.angles_from_lengths(x)
     err = exc.value
     assert err.reason in ("corner_cosine", "vertex_sum")
     if err.reason == "corner_cosine":
@@ -247,10 +248,17 @@ def test_jacobian_symmetric_and_matches_hexagon_reference(rng):
     assert (np.abs(J - ref).max(axis=(-2, -1)) / scale).max() <= 1e-9
 
 
-def test_shape_bundles_inverse():
-    sh = tetgeom.shape(np.array([0.7, 1.1, 0.9, 1.3, 0.8, 1.0]))
-    assert np.abs(sh.jac_angles_lengths @ sh.jac_lengths_angles
-                  - np.eye(6)).max() < 1e-10
+@pytest.mark.parametrize("length", [120.0, 150.0, 175.0, 180.0, 300.0])
+def test_overflowing_regular_shape_is_inadmissible(census_tri, length):
+    # cofactor products overflow from about 120 on, below MAX_LENGTH; the
+    # shape must come out inadmissible with a margin that is not NaN
+    x = np.full(6, length)
+    assert not tetgeom.is_admissible(x)
+    assert not np.isnan(tetgeom.admissibility_margin(x))
+    with pytest.raises(InadmissibleShapeError):
+        tetgeom.angles_from_lengths(x)
+    ev = evaluate(census_tri, [length])
+    assert not ev.admissible and not np.isnan(ev.margin()[0])
 
 
 def test_inversion_roundtrips(rng):
