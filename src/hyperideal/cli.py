@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Every command reads its inputs from explicit flags, writes machine output
-to --out (JSON, or CSV for flow traces), drops a `<out>.manifest.json`
-sidecar recording command, inputs, configuration, version and wall-clock
-times, and prints a short human summary to stdout.  Data files never
-contain timestamps, so a rerun with the same inputs is byte-identical.
+to --out (JSON, or CSV for flow traces) and prints a short human summary to
+stdout.  `main` then drops a `<out>.manifest.json` sidecar recording the
+command, the file flags as `inputs`, every other flag as `config`, the
+version and wall-clock times.  A command refuses by raising; `main` maps
+the error to an exit code and writes no manifest.  Data files never contain
+timestamps, so a rerun with the same inputs is byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -21,7 +22,8 @@ from . import angles as angles_mod
 from . import dynamics, metric as metric_mod, propsuite, serialize, tetgeom
 from . import triangulation as tri_mod
 from .errors import (BoundaryHypothesisError, ConvergenceError,
-                     DefinitenessError, GluingError, InadmissibleShapeError)
+                     DefinitenessError, GluingError, HyperidealError,
+                     InadmissibleShapeError)
 
 EXIT_OK = 0
 EXIT_INPUT = 2         # unreadable, ill-formed or structurally invalid input
@@ -43,6 +45,15 @@ exit codes:
   7  iterative solver failed to converge
   8  invariant battery found violations
 """
+
+_INPUTS = ("tri", "metric", "start")
+
+# Exit codes of the errors a command may raise; any other one exits 2.
+_ERROR_EXITS = (
+    (BoundaryHypothesisError, EXIT_HYPOTHESIS),
+    (InadmissibleShapeError, EXIT_INADMISSIBLE),
+    ((ConvergenceError, DefinitenessError), EXIT_NOCONVERGE),
+)
 
 _FILTERS = {
     "census": tri_mod.single_hyperbolic_class,
@@ -91,15 +102,9 @@ def _curvature_obj(ev: metric_mod.Evaluation) -> dict:
     }
 
 
-def _manifest(args, out_path, started, config: dict, inputs: dict) -> None:
-    serialize.write_manifest(out_path, args.command, inputs, config,
-                             __version__, started)
-
-
 def cmd_validate(args) -> int:
-    started = serialize.now_iso()
     tri = _load_tri(args.tri)
-    report = {
+    serialize.write_json(args.out, {
         "tet_count": tri.tet_count,
         "orientable": True,
         "edges": [{"id": ec.index, "valence": ec.valence,
@@ -110,9 +115,7 @@ def cmd_validate(args) -> int:
                    "triangles": l.triangles, "sides": l.sides,
                    "corners": l.corners}
                   for l in tri.boundary_links],
-    }
-    serialize.write_json(args.out, report)
-    _manifest(args, args.out, started, {}, {"tri": args.tri})
+    })
     chis = ", ".join(str(l.chi) for l in tri.boundary_links)
     print(f"valid gluing: {tri.tet_count} tets, {tri.n_edges} edge class(es), "
           f"{len(tri.boundary_links)} boundary link(s) with chi = {chis}")
@@ -120,19 +123,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    started = serialize.now_iso()
     if args.limit < 0:
-        print("error: --limit must be non-negative", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--limit must be non-negative")
     specs = tri_mod.search_gluings(args.tets, _FILTERS[args.filter])
-    config = {"tets": args.tets, "filter": args.filter, "limit": args.limit,
-              "first": args.first}
     if args.first:
         if not specs:
-            print(f"no {args.tets}-tet gluing matched filter '{args.filter}'")
-            return EXIT_INPUT
+            raise ValueError(
+                f"no {args.tets}-tet gluing matched filter '{args.filter}'")
         serialize.write_json(args.out, specs[0].to_json_obj())
-        _manifest(args, args.out, started, config, {})
         print(f"{len(specs)} match(es); wrote the first to {args.out}")
         return EXIT_OK
     kept = specs if args.limit == 0 else specs[:args.limit]
@@ -142,14 +140,12 @@ def cmd_search(args) -> int:
         "count": len(specs),
         "gluings": [s.to_json_obj() for s in kept],
     })
-    _manifest(args, args.out, started, config, {})
     print(f"{len(specs)} gluing(s) matched filter '{args.filter}'"
           + (f", wrote first {len(kept)}" if len(kept) < len(specs) else ""))
     return EXIT_OK
 
 
 def cmd_shapes(args) -> int:
-    started = serialize.now_iso()
     tri = _load_tri(args.tri)
     m = _load_metric(args.metric, tri)
     ev = metric_mod.evaluate(tri, m.x).raise_if_inadmissible()
@@ -165,25 +161,20 @@ def cmd_shapes(args) -> int:
     } for t in range(tri.tet_count)]
     report = {"tets": tets, "curvature": _curvature_obj(ev)}
     serialize.write_json(args.out, report)
-    _manifest(args, args.out, started, {},
-              {"tri": args.tri, "metric": args.metric})
     kmax = max(abs(v) for v in report["curvature"]["K"])
     print(f"{tri.tet_count} admissible tet(s); max |K| = {kmax:.6g}")
     return EXIT_OK
 
 
 def cmd_flow(args) -> int:
-    started = serialize.now_iso()
     tri = _load_tri(args.tri)
     m = _load_metric(args.metric, tri)
-    cfg = dynamics.FlowConfig(
-        t_max=args.t_max, initial_step=args.initial_step,
-        curvature_tol=args.tol, degeneration_margin=args.margin,
-        rtol=args.rtol, atol=args.atol)
+    fields = dataclasses.fields(dynamics.FlowConfig)
+    cfg = dynamics.FlowConfig(**{f.name: getattr(args, f.name) for f in fields})
     trace = dynamics.flow(m, cfg)
     with open(args.out, "w") as f:
         f.write(serialize.trace_csv(trace))
-    status_obj = {
+    serialize.write_json(str(args.out) + ".status.json", {
         "status": trace.status,
         "t_end": float(trace.t[-1]),
         "steps_accepted": trace.steps_accepted,
@@ -191,10 +182,7 @@ def cmd_flow(args) -> int:
         "x_end": list(trace.x[-1]),
         "K_end": list(trace.K[-1]),
         "witness": trace.witness,
-    }
-    serialize.write_json(str(args.out) + ".status.json", status_obj)
-    _manifest(args, args.out, started, dataclasses.asdict(cfg),
-              {"tri": args.tri, "metric": args.metric})
+    })
     print(f"flow {trace.status} at t = {trace.t[-1]:.6g} after "
           f"{trace.steps_accepted} steps; max |K| = "
           f"{float(np.abs(trace.K[-1]).max()):.3e}")
@@ -207,40 +195,33 @@ def cmd_flow(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    started = serialize.now_iso()
     tri = _load_tri(args.tri)
     m = _load_metric(args.metric, tri)
     m_opt, rep = dynamics.minimize_energy(m, tol=args.tol)
-    report = {
+    serialize.write_json(args.out, {
         "lengths": list(m_opt.x),
         "iterations": rep.iterations,
         "K_norm": rep.K_norm,
         "H": rep.H_val,
         "step_sizes": list(rep.step_sizes),
         "curvature": _curvature_obj(metric_mod.evaluate(tri, m_opt.x)),
-    }
-    serialize.write_json(args.out, report)
-    _manifest(args, args.out, started, {"tol": args.tol},
-              {"tri": args.tri, "metric": args.metric})
+    })
     print(f"minimized in {rep.iterations} Newton step(s); "
           f"max |K| = {rep.K_norm:.3e}")
     return EXIT_OK
 
 
 def cmd_lp(args) -> int:
-    started = serialize.now_iso()
     tri = _load_tri(args.tri)
     res = angles_mod.lp_feasibility(tri)
-    report = {
+    serialize.write_json(args.out, {
         "feasible": res.feasible,
         "epsilon": res.epsilon,
         "witness": ({"angles": [list(r) for r in res.witness.angles]}
                     if res.witness is not None else None),
         "pivots": dict(zip(("phase1", "drive_out", "phase2"),
                            res.phase_pivots)),
-    }
-    serialize.write_json(args.out, report)
-    _manifest(args, args.out, started, {}, {"tri": args.tri})
+    })
     if res.feasible:
         print(f"feasible: margin epsilon = {res.epsilon!r}")
     else:
@@ -249,19 +230,17 @@ def cmd_lp(args) -> int:
 
 
 def cmd_volmax(args) -> int:
-    started = serialize.now_iso()
     tri = _load_tri(args.tri)
     if args.start is not None:
         start = _load_assignment(args.start, tri)
     else:
         lp = angles_mod.lp_feasibility(tri)
         if not lp.feasible:
-            print("error: the angle polytope is infeasible and --start was "
-                  "not given", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError("the angle polytope is infeasible and --start "
+                             "was not given")
         start = lp.witness
     assign, rep = angles_mod.maximize_volume(tri, start, tol=args.tol)
-    report = {
+    serialize.write_json(args.out, {
         "angles": [list(r) for r in assign.angles],
         "objective": rep.objective,
         "iterations": rep.iterations,
@@ -269,21 +248,15 @@ def cmd_volmax(args) -> int:
         "spreads": list(rep.spreads),
         "max_spread": rep.max_spread,
         "lengths": [list(r) for r in rep.lengths],
-    }
-    serialize.write_json(args.out, report)
-    _manifest(args, args.out, started, {"tol": args.tol},
-              {"tri": args.tri, "start": args.start})
+    })
     print(f"volume maximized in {rep.iterations} step(s); "
           f"max per-class length spread = {rep.max_spread:.3e}")
     return EXIT_OK
 
 
 def cmd_propsuite(args) -> int:
-    started = serialize.now_iso()
     report = propsuite.run(seed=args.seed, probe_trials=args.probe_trials)
     serialize.write_json(args.out, report.to_json_obj())
-    _manifest(args, args.out, started,
-              {"seed": args.seed, "probe_trials": args.probe_trials}, {})
     for c in report.checks:
         mark = "ok " if c.ok else "FAIL"
         print(f"  [{mark}] {c.name}" + (f" ({c.detail})" if c.detail else ""))
@@ -333,11 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace CSV; status lands in <out>.status.json")
     flow_cfg = dynamics.FlowConfig
     q.add_argument("--t-max", type=float, default=flow_cfg.t_max)
-    q.add_argument("--tol", type=float, default=flow_cfg.curvature_tol,
-                   help="curvature norm that counts as converged")
-    q.add_argument("--margin", type=float, default=flow_cfg.degeneration_margin,
-                   help="admissibility margin that counts as degenerated")
     q.add_argument("--initial-step", type=float, default=flow_cfg.initial_step)
+    q.add_argument("--tol", dest="curvature_tol", type=float,
+                   default=flow_cfg.curvature_tol,
+                   help="curvature norm that counts as converged")
+    q.add_argument("--margin", dest="degeneration_margin", type=float,
+                   default=flow_cfg.degeneration_margin,
+                   help="admissibility margin that counts as degenerated")
     q.add_argument("--rtol", type=float, default=flow_cfg.rtol)
     q.add_argument("--atol", type=float, default=flow_cfg.atol)
     q.set_defaults(func=cmd_flow)
@@ -374,23 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = serialize.now_iso()
     try:
-        return args.func(args)
-    except GluingError as exc:
+        status = args.func(args)
+        flags = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "func", "out")}
+        inputs = {k: v for k, v in flags.items() if k in _INPUTS}
+        config = {k: v for k, v in flags.items() if k not in _INPUTS}
+        serialize.write_manifest(args.out, args.command, inputs, config,
+                                 __version__, started)
+        return status
+    except (HyperidealError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BoundaryHypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except InadmissibleShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except (ConvergenceError, DefinitenessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONVERGE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next((code for kind, code in _ERROR_EXITS
+                     if isinstance(exc, kind)), EXIT_INPUT)
 
 
 def entry() -> None:

@@ -184,9 +184,13 @@ class Evaluation:
 
 
 def evaluate(tri: Triangulation, x) -> Evaluation:
-    """Run the angle pipeline once over all tetrahedra; never raises."""
+    """Run the angle pipeline once over all tetrahedra.  x must hold one
+    length per edge class, else ValueError; an inadmissible x is reported
+    in the Evaluation, never raised."""
     q = Quotient(tri)
     x = np.asarray(x, dtype=float)
+    if x.shape != (q.n,):
+        raise ValueError(f"metric needs {q.n} lengths, got shape {x.shape}")
     X = q.gather(x)
     pl = tetgeom._pipeline(X)
     ok = pl.ok & ((X > 0.0) & (X <= tetgeom.MAX_LENGTH)).all(axis=-1)

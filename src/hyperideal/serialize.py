@@ -111,19 +111,13 @@ def now_iso() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def manifest_obj(command: str, inputs: dict, config: dict, version: str,
-                 started: str, finished: str) -> dict:
-    return {
+def write_manifest(out_path, command: str, inputs: dict, config: dict,
+                   version: str, started: str) -> None:
+    write_json(str(out_path) + ".manifest.json", {
         "command": command,
         "inputs": inputs,
         "config": config,
         "version": version,
         "started": started,
-        "finished": finished,
-    }
-
-
-def write_manifest(out_path, command: str, inputs: dict, config: dict,
-                   version: str, started: str) -> None:
-    write_json(str(out_path) + ".manifest.json",
-               manifest_obj(command, inputs, config, version, started, now_iso()))
+        "finished": now_iso(),
+    })

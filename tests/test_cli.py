@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperideal import cli
+from hyperideal import __version__, cli, dynamics
 
 from conftest import CENSUS_JSON, SAMPLED6_JSON, TORUS_JSON, XSTAR
 
@@ -263,11 +263,29 @@ def test_volmax_start_integer_beyond_float_range_exit_2(census_file, tmp_path,
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_volmax_infeasible_lp_needs_start(torus_file, tmp_path):
-    # exit 3 would be the link check; bypass is not offered, so volmax on
-    # the torus instance fails upstream at build
+def test_volmax_torus_hypothesis_exit_3(torus_file, tmp_path):
+    # the torus gluing fails the boundary hypothesis at build, before the LP
     assert run("volmax", "--tri", torus_file,
                "--out", str(tmp_path / "v.json")) == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--tets", "1", "--filter", "any", "--limit", "-1"],
+     "--limit must be non-negative"),
+    (["search", "--tets", "1", "--filter", "census", "--first"],
+     "no 1-tet gluing matched filter 'census'"),
+    (["volmax", "--tri", "sampled6.json"],
+     "the angle polytope is infeasible and --start was not given"),
+], ids=("negative_limit", "no_match", "volmax_infeasible_lp"))
+def test_refusal_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    # SAMPLED6 meets the boundary hypothesis but its angle LP is infeasible
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sampled6.json").write_text(json.dumps(SAMPLED6_JSON))
+    assert run(*argv, "--out", "out.json") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out.json.manifest.json").exists()
 
 
 def test_reruns_byte_identical(census_file, metric_file, tmp_path):
@@ -294,6 +312,74 @@ def test_manifests_equal_minus_timestamps(census_file, tmp_path):
         man.pop("started"), man.pop("finished")
         reps.append(man)
     assert reps[0] == reps[1]
+
+
+_FLOW_DEFAULTS = {"t_max": 50.0, "initial_step": 0.01, "curvature_tol": 1e-12,
+                  "degeneration_margin": 1e-7, "rtol": 1e-12, "atol": 1e-14}
+_SIX_FLAGS = ["--t-max", "40", "--initial-step", "0.02", "--tol", "1e-11",
+              "--margin", "1e-6", "--rtol", "1e-10", "--atol", "1e-13"]
+_SIX_CONFIG = {"t_max": 40.0, "initial_step": 0.02, "curvature_tol": 1e-11,
+               "degeneration_margin": 1e-6, "rtol": 1e-10, "atol": 1e-13}
+_CENSUS_METRIC = {"tri": "census.json", "metric": "m.json"}
+
+
+# Each command's manifest without `started`/`finished`; `version` is added in
+# the test.  `inputs` holds the file flags, `config` every other flag.
+@pytest.mark.parametrize("argv, expected", [
+    (["validate", "--tri", "census.json"],
+     {"command": "validate", "inputs": {"tri": "census.json"}, "config": {}}),
+    (["search", "--tets", "1", "--filter", "any", "--limit", "5"],
+     {"command": "search", "inputs": {},
+      "config": {"tets": 1, "filter": "any", "limit": 5, "first": False}}),
+    (["shapes", "--tri", "census.json", "--metric", "m.json"],
+     {"command": "shapes", "inputs": _CENSUS_METRIC, "config": {}}),
+    (["flow", "--tri", "census.json", "--metric", "m.json"],
+     {"command": "flow", "inputs": _CENSUS_METRIC, "config": _FLOW_DEFAULTS}),
+    (["flow", "--tri", "census.json", "--metric", "m.json"] + _SIX_FLAGS,
+     {"command": "flow", "inputs": _CENSUS_METRIC, "config": _SIX_CONFIG}),
+    (["minimize", "--tri", "census.json", "--metric", "m.json"],
+     {"command": "minimize", "inputs": _CENSUS_METRIC,
+      "config": {"tol": 1e-12}}),
+    (["lp", "--tri", "census.json"],
+     {"command": "lp", "inputs": {"tri": "census.json"}, "config": {}}),
+    (["volmax", "--tri", "census.json"],
+     {"command": "volmax", "inputs": {"tri": "census.json", "start": None},
+      "config": {"tol": 1e-8}}),
+    (["volmax", "--tri", "census.json", "--start", "start.json",
+      "--tol", "1e-9"],
+     {"command": "volmax",
+      "inputs": {"tri": "census.json", "start": "start.json"},
+      "config": {"tol": 1e-9}}),
+    (["propsuite", "--seed", "0", "--probe-trials", "20"],
+     {"command": "propsuite", "inputs": {},
+      "config": {"seed": 0, "probe_trials": 20}}),
+], ids=("validate", "search", "shapes", "flow", "flow_six_flags", "minimize",
+        "lp", "volmax", "volmax_start", "propsuite"))
+def test_manifest_pinned(tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "census.json").write_text(json.dumps(CENSUS_JSON))
+    (tmp_path / "m.json").write_text(json.dumps({"lengths": [1.0]}))
+    (tmp_path / "start.json").write_text(
+        json.dumps({"angles": [[math.pi / 6] * 6] * 2}))
+    assert run(*argv, "--out", "out.json") == 0
+    man = json.loads((tmp_path / "out.json.manifest.json").read_text())
+    assert isinstance(man.pop("started"), str)
+    assert isinstance(man.pop("finished"), str)
+    assert man == {**expected, "version": __version__}
+    # key order is part of the manifest's bytes
+    assert list(man["inputs"]) == list(expected["inputs"])
+    assert list(man["config"]) == list(expected["config"])
+
+
+def test_flow_flags_are_flow_config_fields(census_file, metric_file, tmp_path,
+                                           monkeypatch):
+    seen = []
+    real_flow = dynamics.flow
+    monkeypatch.setattr(dynamics, "flow",
+                        lambda m, cfg: seen.append(cfg) or real_flow(m, cfg))
+    assert run("flow", "--tri", census_file, "--metric", metric_file,
+               *_SIX_FLAGS, "--out", str(tmp_path / "t.csv")) == 0
+    assert seen == [dynamics.FlowConfig(**_SIX_CONFIG)]
 
 
 def test_help_lists_exit_codes(capsys):

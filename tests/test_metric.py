@@ -26,6 +26,14 @@ def test_cone_metric_validation(census_tri):
         m.x[0] = 2.0  # read-only
 
 
+@pytest.mark.parametrize("x", [[1.0, 5.0], [], [[1.0]]],
+                         ids=("too_long", "empty", "nested"))
+def test_evaluate_rejects_wrong_shape(census_tri, x):
+    # one edge class: anything but shape (1,) is refused, never read in part
+    with pytest.raises(ValueError, match=r"metric needs 1 lengths, got shape"):
+        M.evaluate(census_tri, x)
+
+
 def test_curvature_at_equilibrium(census_tri):
     st = state(census_metric(census_tri, XSTAR))
     assert abs(st.S[0] - TWO_PI) < 1e-10
