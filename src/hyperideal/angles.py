@@ -83,7 +83,7 @@ class VolumeMaxReport:
 
 def edge_sums(assign: AngleAssignment) -> np.ndarray:
     """Angle totals per edge class."""
-    return Quotient(assign.tri).scatter(assign.angles)
+    return assign.tri.quotient.scatter(assign.angles)
 
 
 def validate_assignment(assign: AngleAssignment, eq_tol: float = EDGE_SUM_TOL) -> None:
@@ -120,7 +120,7 @@ def lp_feasibility(tri: Triangulation) -> LPResult:
     iep, iem = nA, nA + 1
 
     A_eq = np.zeros((tri.n_edges, ncols))
-    A_eq[:, :nA] = Quotient(tri).matrix()
+    A_eq[:, :nA] = tri.quotient.matrix()
     b_eq = np.full(tri.n_edges, TWO_PI)
 
     # Rows: the vertex triple of every (tet, vertex), then -angle per corner;
@@ -158,7 +158,7 @@ def realize_structure(assign: AngleAssignment) -> Realization:
     """
     validate_assignment(assign)
     X = tetgeom._newton_lengths(assign.angles)
-    spreads = Quotient(assign.tri).spread(X)
+    spreads = assign.tri.quotient.spread(X)
     return Realization(lengths=X, spreads=spreads,
                        max_spread=float(spreads.max()))
 
@@ -196,7 +196,7 @@ def maximize_volume(tri: Triangulation, start, tol: float = 1e-8) -> tuple:
         raise ValueError("start assignment belongs to a different gluing")
     a = np.array(getattr(start, "angles", start), dtype=float)
     validate_assignment(AngleAssignment(tri=tri, angles=a))
-    q = Quotient(tri)
+    q = tri.quotient
     a = a + q.gather((TWO_PI - q.scatter(a)) / q.counts)
     if not tetgeom.angles_strictly_feasible(a).all():
         raise ValueError("start assignment is not strictly feasible")

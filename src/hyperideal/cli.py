@@ -179,6 +179,7 @@ def cmd_flow(args) -> int:
         "t_end": float(trace.t[-1]),
         "steps_accepted": trace.steps_accepted,
         "steps_rejected": trace.steps_rejected,
+        "rejections": trace.rejections,
         "x_end": list(trace.x[-1]),
         "K_end": list(trace.K[-1]),
         "witness": trace.witness,

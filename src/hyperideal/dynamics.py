@@ -1,12 +1,13 @@
 """Curvature flow, energy minimization, and stability experiments.
 
-The flow integrates dx/dt = K(x) on the space of admissible cone metrics.
-Every right-hand-side evaluation revalidates admissibility first; a stage
-or step that leaves the admissible set is rejected and retried with half
-the step, never silently clamped.  A run ends in exactly one of three
-states: ``converged`` (curvature below tolerance), ``degenerated`` (some
-tetrahedron's admissibility margin fell below the configured floor, with a
-witness corner), or ``t_max_reached``.
+The flow integrates dx/dt = K(x) on the space of admissible cone metrics
+with exponential Rosenbrock steps, which take the stiff linear part dK/dx
+exactly.  Every right-hand-side evaluation revalidates admissibility
+first; a stage or step that leaves the admissible set is rejected and
+retried with half the step, never silently clamped.  A run ends in
+exactly one of three states: ``converged`` (curvature below tolerance),
+``degenerated`` (some tetrahedron's admissibility margin fell below the
+configured floor, with a witness corner), or ``t_max_reached``.
 """
 
 from __future__ import annotations
@@ -24,18 +25,10 @@ from .metric import ConeMetric
 
 RECOVERY_TOL = 1e-6  # distance to the equilibrium that counts as recovered
 
-# Fehlberg 4(5) tableau
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 MAX_STEPS = 200000  # accepted plus rejected steps before flow gives up
+# why a step was rejected: its error ratio exceeded 1, or a stage or the
+# new state left the admissible set
+REJECT_REASONS = ("error_ratio", "inadmissible_stage", "inadmissible_endpoint")
 
 
 @dataclass(frozen=True)
@@ -44,7 +37,7 @@ class FlowConfig:
     initial_step: float = 0.01
     curvature_tol: float = 1e-12
     degeneration_margin: float = 1e-7
-    rtol: float = 1e-12
+    rtol: float = 1e-8
     atol: float = 1e-14
 
     def validate(self) -> None:
@@ -74,36 +67,99 @@ class FlowTrace:
     witness: Optional[dict]
     steps_accepted: int
     steps_rejected: int
+    rejections: dict  # rejected steps per reason in REJECT_REASONS
     config: FlowConfig
 
 
-def _rkf45_step(tri, x, K, h, cfg):
-    """One Fehlberg 4(5) step of size h from (x, K).
+_PHI_SERIES = 16  # Taylor terms of phi_4 below |z| = 0.5; the 16th is < 1e-19
 
-    Returns (evaluation, error ratio).  The evaluation is None when the step
-    fails: a stage or the new state leaves the admissible set, or the error
-    ratio exceeds 1.
+
+def _phi(z: np.ndarray) -> np.ndarray:
+    """phi_1 .. phi_4 of z elementwise, stacked along a new first axis.
+
+    phi_0(z) = e^z and phi_(k+1)(z) = (phi_k(z) - 1/k!) / z.  Above |z| = 0.5
+    the recurrence runs upward from expm1; below it, where its subtractions
+    cancel, phi_4 is summed as its series sum_j z^j / (j + 4)! and the lower
+    ones follow downward, phi_k = 1/k! + z phi_(k+1).  Overflow for large
+    positive z gives inf, never NaN.
     """
-    stages = [K]
-    for coeff in _RKF_A[1:]:
-        stage = metric_mod.evaluate(
-            tri, x + h * sum(c * k for c, k in zip(coeff, stages)))
+    small = np.abs(z) < 0.5
+    zs = np.where(small, z, 0.0)
+    p4 = np.zeros_like(zs)
+    for j in range(_PHI_SERIES - 1, -1, -1):
+        p4 = p4 * zs + 1.0 / math.factorial(j + 4)
+    p3 = 1.0 / 6.0 + zs * p4
+    p2 = 0.5 + zs * p3
+    series = (1.0 + zs * p2, p2, p3, p4)
+    zl = np.where(small, 1.0, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1 = np.expm1(zl) / zl
+        r2 = (r1 - 1.0) / zl
+        r3 = (r2 - 0.5) / zl
+        r4 = (r3 - 1.0 / 6.0) / zl
+    return np.where(small, series, (r1, r2, r3, r4))
+
+
+def _exprb43_step(tri, ev, J, lam, Q, h, cfg):
+    """One exponential Rosenbrock step exprb43 of size h from the state ev.
+
+    J = dK/dx at ev and J = Q diag(lam) Q^T; the phi-functions of hJ act
+    exactly through that eigendecomposition (Hochbruck, Ostermann and
+    Schweitzer, SIAM J. Numer. Anal. 47, 2009).  With the nonlinear
+    remainders D_i = K(U_i) - K(x) - J (U_i - x):
+
+        U_2 = x + h/2 phi_1(hJ/2) K
+        U_3 = x + h phi_1(hJ) (K + D_2)
+        x_new = x + h phi_1(hJ) K + h [(16 phi_3 - 48 phi_4) D_2
+                                       + (-2 phi_3 + 12 phi_4) D_3]
+
+    and the error estimate h phi_4 (-48 D_2 + 12 D_3) is the gap to the
+    embedded third-order solution.  Returns (evaluation, error ratio,
+    reason); the evaluation is None when the step fails, and reason, one of
+    REJECT_REASONS, says why.
+    """
+    x, K = ev.x, ev.K
+    z = h * lam
+    p = _phi(np.concatenate((0.5 * z, z)))
+    half1 = p[0, :lam.size]
+    p1, p3, p4 = p[0, lam.size:], p[2, lam.size:], p[3, lam.size:]
+    kq = Q.T @ K
+
+    def remainder(u):
+        # Q^T D for the stage u, or None where u is inadmissible
+        stage = metric_mod.evaluate(tri, u)
         if not stage.admissible:
-            return None, 0.0
-        stages.append(stage.K)
-    x_new = x + h * sum(b * k for b, k in zip(_RKF_B5, stages))
-    err = h * sum((b5 - b4) * k for b5, b4, k in zip(_RKF_B5, _RKF_B4, stages))
+            return None
+        return Q.T @ (stage.K - K - J @ (u - x))
+
+    d2 = remainder(x + 0.5 * h * (Q @ (half1 * kq)))
+    if d2 is None:
+        return None, 0.0, "inadmissible_stage"
+    d3 = remainder(x + h * (Q @ (p1 * (kq + d2))))
+    if d3 is None:
+        return None, 0.0, "inadmissible_stage"
+    x_new = x + h * (Q @ (p1 * kq + (16.0 * p3 - 48.0 * p4) * d2
+                          + (-2.0 * p3 + 12.0 * p4) * d3))
+    err = h * (Q @ (p4 * (-48.0 * d2 + 12.0 * d3)))
     scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
     err_ratio = float(np.abs(err / scale).max())
     if err_ratio > 1.0:
-        return None, err_ratio
+        return None, err_ratio, "error_ratio"
     ev_new = metric_mod.evaluate(tri, x_new)
-    return (ev_new if ev_new.admissible else None), err_ratio
+    if not ev_new.admissible:
+        return None, err_ratio, "inadmissible_endpoint"
+    return ev_new, err_ratio, None
 
 
 def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
     """Integrate dx/dt = K from m0 until convergence, degeneration or t_max.
 
+    Every step is an `_exprb43_step` from the eigendecomposition of dK/dx,
+    taken once per accepted state.  rtol and atol bound each step's local
+    error, so they set the accuracy of the trace; curvature_tol decides
+    where it ends.  A step whose error ratio r exceeds 1 is retried with h
+    scaled by 0.9 r^(-1/4), at least 0.2; one with an inadmissible stage or
+    new state, with h halved.  `FlowTrace.rejections` counts each reason.
     The energy column H is computed after the loop, from the angles of
     every accepted step in one batched volume evaluation.
     """
@@ -111,7 +167,8 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
     tri = m0.tri
     ev = metric_mod.evaluate(tri, m0.x).raise_if_inadmissible()
     t, h = 0.0, cfg.initial_step
-    accepted = rejected = 0
+    accepted = 0
+    rejections = dict.fromkeys(REJECT_REASONS, 0)
     ts, xs, ks, angs = [], [], [], []
     while True:
         # ev is the state at t, the start or an accepted step: record it
@@ -131,23 +188,27 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
         if t >= cfg.t_max * (1.0 - 1e-14):
             status = "t_max_reached"
             break
+        J = ev.jacobian()
+        lam, Q = np.linalg.eigh(J)
         while True:
-            if accepted + rejected >= MAX_STEPS:
+            if accepted + sum(rejections.values()) >= MAX_STEPS:
                 raise ConvergenceError(
                     f"flow exceeded {MAX_STEPS} steps (t = {t!r})", last=x)
             h = min(h, cfg.t_max - t)
             if h < 1e-14 * max(1.0, t):
                 raise ConvergenceError(
                     f"flow step size underflowed at t = {t!r}", last=x)
-            ev_new, err_ratio = _rkf45_step(tri, x, K, h, cfg)
+            ev_new, err_ratio, reason = _exprb43_step(
+                tri, ev, J, lam, Q, h, cfg)
             if ev_new is not None:
                 break
-            rejected += 1
-            h *= max(0.2, 0.9 * err_ratio ** -0.2) if err_ratio > 1.0 else 0.5
+            rejections[reason] += 1
+            h *= max(0.2, 0.9 * err_ratio ** -0.25) if err_ratio > 1.0 else 0.5
         t += h
         ev = ev_new
         accepted += 1
-        h *= 5.0 if err_ratio == 0.0 else min(5.0, max(0.2, 0.9 * err_ratio ** -0.2))
+        growth = 0.9 * err_ratio ** -0.25 if err_ratio > 0.0 else 5.0
+        h *= min(5.0, max(0.2, growth))
 
     Xmat, Kmat = np.array(xs), np.array(ks)
     V = (tetgeom.volume(np.array(angs)) - tetgeom.V_REF).sum(axis=1)
@@ -156,8 +217,9 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
                      total_curv=(Kmat ** 2).sum(axis=1), H=H,
                      status=status,
                      witness=witness if status == "degenerated" else None,
-                     steps_accepted=accepted, steps_rejected=rejected,
-                     config=cfg)
+                     steps_accepted=accepted,
+                     steps_rejected=sum(rejections.values()),
+                     rejections=rejections, config=cfg)
 
 
 @dataclass(frozen=True)

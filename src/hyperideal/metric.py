@@ -69,13 +69,16 @@ class Quotient:
 
     Every per-class quantity is a pull-back (gather) or push-forward
     (scatter) through this one map.  Scatters accumulate corner by corner
-    in (t, e) order, so their sums are reproducible to the last bit.
+    in (t, e) order, so their sums are reproducible to the last bit.  A
+    triangulation keeps one as `Triangulation.quotient`, shared by every
+    evaluation on it, so its arrays are read-only.
     """
 
     def __init__(self, tri: Triangulation):
         self.cm = class_matrix(tri)
         self.n = tri.n_edges
         self.counts = np.bincount(self.cm.ravel(), minlength=self.n)  # valences
+        self.cm.flags.writeable = self.counts.flags.writeable = False
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """Per-corner copies of per-class values, shape (tet_count, 6)."""
@@ -187,7 +190,7 @@ def evaluate(tri: Triangulation, x) -> Evaluation:
     """Run the angle pipeline once over all tetrahedra.  x must hold one
     length per edge class, else ValueError; an inadmissible x is reported
     in the Evaluation, never raised."""
-    q = Quotient(tri)
+    q = tri.quotient
     x = np.asarray(x, dtype=float)
     if x.shape != (q.n,):
         raise ValueError(f"metric needs {q.n} lengths, got shape {x.shape}")

@@ -299,7 +299,9 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
     trace = dynamics.flow(m1.with_lengths(np.full(1, 2.0)), cfg)
     lyap_ok = trace.status == "converged"
     for series in (trace.total_curv, trace.H):
-        bound = 10.0 * (cfg.atol + cfg.rtol * np.maximum(1.0, np.abs(series[:-1])))
+        # a fixed bound, not one read from cfg: a looser rtol must not
+        # loosen the check
+        bound = 10.0 * (1e-14 + 1e-12 * np.maximum(1.0, np.abs(series[:-1])))
         lyap_ok &= bool(np.all(np.diff(series) <= bound))
     record("dynamics.lyapunov", lyap_ok,
            f"{trace.steps_accepted} steps, status {trace.status}")
@@ -363,7 +365,7 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
     worst = -np.inf
     used = 0
     w0 = lp.witness.angles
-    q = metric_mod.Quotient(census)
+    q = census.quotient
     for _ in range(12):
         d1 = angles_mod._project_gradient(q, rng.standard_normal(w0.shape))
         d2 = angles_mod._project_gradient(q, rng.standard_normal(w0.shape))

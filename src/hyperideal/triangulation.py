@@ -22,6 +22,7 @@ Euler characteristic; `build` enforces that hypothesis unless asked not to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .errors import BoundaryHypothesisError, GluingError
@@ -239,6 +240,13 @@ class Triangulation:
             return len(self.edge_classes)
         edge = self._parents[0]
         return sum(edge[x] == x for x in range(len(edge)))
+
+    @cached_property
+    def quotient(self):
+        """The quotient map as a `metric.Quotient`, built on first read and
+        kept, like the class fields."""
+        from .metric import Quotient  # metric imports this module
+        return Quotient(self)
 
 
 class _Quotients:

@@ -141,7 +141,10 @@ def test_flow_converges_exit_0(census_file, metric_file, tmp_path):
     assert float(first[0]) == 0.0 and float(first[1]) == 1.0
     status = json.loads(open(out + ".status.json").read())
     assert status["status"] == "converged"
+    assert status["t_end"] < 50.0  # converged on a step not clipped to t_max
     assert abs(status["x_end"][0] - XSTAR) < 1e-8
+    assert list(status["rejections"]) == list(dynamics.REJECT_REASONS)
+    assert sum(status["rejections"].values()) == status["steps_rejected"]
     # every float round-trips: rewriting rows from parsed values is lossless
     for line in lines[1:3]:
         vals = [float(v) for v in line.split(",")]
@@ -315,7 +318,7 @@ def test_manifests_equal_minus_timestamps(census_file, tmp_path):
 
 
 _FLOW_DEFAULTS = {"t_max": 50.0, "initial_step": 0.01, "curvature_tol": 1e-12,
-                  "degeneration_margin": 1e-7, "rtol": 1e-12, "atol": 1e-14}
+                  "degeneration_margin": 1e-7, "rtol": 1e-8, "atol": 1e-14}
 _SIX_FLAGS = ["--t-max", "40", "--initial-step", "0.02", "--tol", "1e-11",
               "--margin", "1e-6", "--rtol", "1e-10", "--atol", "1e-13"]
 _SIX_CONFIG = {"t_max": 40.0, "initial_step": 0.02, "curvature_tol": 1e-11,

@@ -1,5 +1,8 @@
 """Flow integration, energy minimization, attractor and rigidity probes."""
 
+import dataclasses
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +16,9 @@ from conftest import XSTAR, census_metric, state
 
 def test_flow_config_validation():
     D.FlowConfig().validate()
+    assert [f.name for f in dataclasses.fields(D.FlowConfig)] == [
+        "t_max", "initial_step", "curvature_tol", "degeneration_margin",
+        "rtol", "atol"]
     with pytest.raises(ValueError):
         D.FlowConfig(t_max=-1.0).validate()
     with pytest.raises(ValueError):
@@ -72,7 +78,7 @@ def test_flow_immediate_convergence_at_equilibrium(census_tri):
 
 def test_flow_monotonicity(census_tri, rng):
     cfg = D.FlowConfig()
-    bound = 10.0 * (cfg.atol + cfg.rtol)
+    bound = 10.0 * (1e-14 + 1e-12)  # fixed, not read from cfg
     for _ in range(4):
         x0 = np.exp(rng.uniform(-0.8, 0.8, size=1))
         trace = D.flow(census_metric(census_tri).with_lengths(x0), cfg)
@@ -136,13 +142,82 @@ def test_minimize_stops_at_degeneration_with_witness(multi_tri):
     assert str(witness) in str(info.value)
 
 
-@pytest.mark.parametrize("x0, accepted, rejected", [(2.0, 394, 1),
-                                                     (0.3, 339, 2)])
+@pytest.mark.parametrize("x0, accepted, rejected", [(2.0, 139, 3),
+                                                     (0.3, 94, 1)])
 def test_flow_step_counts_pinned(census_tri, x0, accepted, rejected):
-    # the RKF45 step controller's accepted/rejected counts on the census
+    # the exprb43 step controller's accepted/rejected counts on the census
     trace = D.flow(census_metric(census_tri, x0), D.FlowConfig())
     assert trace.status == "converged"
     assert (trace.steps_accepted, trace.steps_rejected) == (accepted, rejected)
+
+
+@pytest.mark.parametrize("tri_fixture, x0, t_max, rejections", [
+    ("census_tri", 2.0, 50.0, (3, 0, 0)),
+    ("torus_tri", 1.0, 100.0, (14, 7, 0)),
+], ids=("census", "torus"))
+def test_flow_rejections_by_reason_pinned(tri_fixture, x0, t_max, rejections,
+                                          request):
+    tri = request.getfixturevalue(tri_fixture)
+    trace = D.flow(census_metric(tri, x0), D.FlowConfig(t_max=t_max))
+    assert trace.rejections == dict(zip(D.REJECT_REASONS, rejections))
+    assert sum(trace.rejections.values()) == trace.steps_rejected
+
+
+def _phi_reference(k, z):
+    # (e^z - sum_{j<k} z^j / j!) / z^k at 80 digits, by its series near 0
+    z = mpmath.mpf(z)
+    if abs(z) < 1e-3:
+        return mpmath.nsum(lambda j: z ** j / mpmath.factorial(j + k),
+                           [0, mpmath.inf])
+    head = sum(z ** j / mpmath.factorial(j) for j in range(k))
+    return (mpmath.exp(z) - head) / z ** k
+
+
+def test_phi_functions_match_mpmath():
+    # both sides of the switch from series to recurrence at |z| = 0.5, and
+    # every positive z whose phi_k is a finite float (e^z overflows past 709)
+    mags = np.concatenate((np.logspace(-10, 3, 131),
+                           [0.5 - 1e-9, 0.5, 0.5 + 1e-9]))
+    z = np.concatenate((-mags, mags[mags < 700.0]))
+    got = D._phi(z)
+    worst = 0.0
+    with mpmath.workdps(80):
+        for i, zi in enumerate(z):
+            for k in range(1, 5):
+                ref = _phi_reference(k, float(zi))
+                worst = max(worst, float(abs((got[k - 1, i] - ref) / ref)))
+    assert worst <= 1e-13
+    assert np.isposinf(D._phi(np.array([1e3]))).all()
+
+
+def _census_curvature(y):
+    # K on the census gluing: both tetrahedra are regular, and the regular
+    # shape of edge length y has every dihedral angle arccos(c / (2c - 1)),
+    # c = cosh y; the one edge class has valence 12.
+    c = mpmath.cosh(y)
+    return 2 * mpmath.pi - 12 * mpmath.acos(c / (2 * c - 1))
+
+
+@pytest.mark.parametrize("x0", [0.3, 1.0, 3.0])
+def test_flow_follows_trajectory_oracle(census_tri, x0):
+    # On one edge class dx/dt = K(x) separates: the time to reach x_k is the
+    # integral of dy / K(y) from x0, independent of the code under test.
+    # Rows with |K| > 1e-3 must sit on the exact trajectory to 5e-8 in x.
+    trace = D.flow(census_metric(census_tri, x0), D.FlowConfig())
+    assert trace.status == "converged"
+    assert abs(trace.x[-1][0] - XSTAR) <= 1e-13
+    with mpmath.workdps(25):
+        assert abs(_census_curvature(mpmath.mpf(XSTAR))) < 1e-14
+        t_exact, prev = mpmath.mpf(0), mpmath.mpf(x0)
+        for k in range(1, trace.t.size):
+            xk = mpmath.mpf(float(trace.x[k][0]))
+            t_exact += mpmath.quad(lambda y: 1 / _census_curvature(y),
+                                   [prev, xk])
+            prev = xk
+            K = float(trace.K[k][0])
+            assert abs(K - float(_census_curvature(xk))) <= 1e-13
+            if abs(K) > 1e-3:
+                assert abs(float(t_exact) - trace.t[k]) * abs(K) <= 5e-8
 
 
 def test_flow_heat_equation_consistency(census_tri):

@@ -1,10 +1,10 @@
 """Luo's equivalence on sampled gluings: the length and angle sides agree.
 
 An angle structure exists exactly when the energy H has a critical point,
-and then the volume maximum over the angle polytope and the energy minimum
-are the same metric.  The draws are the inputs of the benchmark's ntet
-workload: sampler.sample(n, rng) for n in SIZES, from one
-random.Random(seed) per seed, feasible and infeasible alike.
+and then the volume maximum over the angle polytope, the energy minimum and
+the limit of Luo's curvature flow are the same metric.  The draws are the
+inputs of the benchmark's ntet workload: sampler.sample(n, rng) for n in
+SIZES, from one random.Random(seed) per seed, feasible and infeasible alike.
 """
 
 import random
@@ -52,3 +52,25 @@ def test_energy_minimum_is_volume_maximum(draws, seed, k):
     assert rep.iterations <= 10
     corner = m.x[M.class_matrix(tri)]
     assert np.abs(corner - rep.lengths).max() <= 1e-6
+
+
+@pytest.mark.parametrize("k", range(len(SIZES)))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_flow_ends_as_the_lp_says(draws, seed, k):
+    # Luo's flow from x = 1, with time to spare: on a feasible draw it must
+    # converge before t_max, on a step not clipped to it, to the energy
+    # minimum; on an infeasible one it has no equilibrium to reach and must
+    # leave the admissible set (with a witness) or run out of time, never
+    # raise.
+    tri = draws[seed, k]
+    m0 = M.ConeMetric(tri=tri, x=np.ones(tri.n_edges))
+    cfg = D.FlowConfig(t_max=100.0)
+    trace = D.flow(m0, cfg)
+    if (seed, k) in FEASIBLE:
+        assert trace.status == "converged"
+        assert trace.t[-1] < cfg.t_max
+        m, _ = D.minimize_energy(m0)
+        assert np.abs(trace.x[-1] - m.x).max() <= 1e-9
+    else:
+        assert trace.status in ("degenerated", "t_max_reached")
+        assert (trace.witness is not None) == (trace.status == "degenerated")

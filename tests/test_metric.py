@@ -208,3 +208,30 @@ def test_metric_margin_witness(census_tri):
     assert 0 <= wit["tet"] < 2
     # margin matches the per-tet computation
     assert abs(margin - tetgeom.admissibility_margin(np.ones(6))) < 1e-15
+
+
+def test_quotient_built_once_per_triangulation(census_spec, monkeypatch):
+    # A whole flow on a fresh triangulation builds its Quotient once, and
+    # evaluations through the kept one match those through a new one bit
+    # for bit.
+    from hyperideal import dynamics
+    from hyperideal import triangulation as tri_mod
+    built = []
+    init = M.Quotient.__init__
+
+    def counting_init(self, tri):
+        built.append(tri)
+        init(self, tri)
+
+    monkeypatch.setattr(M.Quotient, "__init__", counting_init)
+    tri = tri_mod.build(census_spec)
+    trace = dynamics.flow(M.ConeMetric(tri=tri, x=np.full(1, 2.0)))
+    assert trace.status == "converged" and len(built) == 1
+    assert tri.quotient is M.evaluate(tri, trace.x[0]).quotient
+    for x in trace.x[::10]:
+        kept = M.evaluate(tri, x)
+        new = M.evaluate(tri_mod.build(census_spec), x)
+        for name in ("X", "angles", "S", "K"):
+            assert np.array_equal(getattr(kept, name), getattr(new, name))
+        assert np.array_equal(kept.jacobian(), new.jacobian())
+        assert kept.H == new.H
