@@ -11,12 +11,11 @@ from .dynamics import (AttractorReport, FlowConfig, FlowTrace, MinimizeReport,
 from .errors import (BoundaryHypothesisError, ConvergenceError,
                      DefinitenessError, GluingError, HyperidealError,
                      InadmissibleShapeError)
-from .metric import (ConeMetric, Evaluation, curvature, curvature_jacobian,
-                     evaluate)
-from .tetgeom import (ConvexityProbe, angles_from_lengths, arcs_from_lengths,
-                      is_admissible, jacobian_angles_lengths,
-                      lengths_from_angles, minkowski_oracle,
-                      probe_length_space_convexity, schlafli_potential)
+from .metric import ConeMetric, Evaluation, evaluate
+from .propsuite import (ConvexityProbe, minkowski_oracle,
+                        probe_length_space_convexity)
+from .tetgeom import (angles_from_lengths, arcs_from_lengths, is_admissible,
+                      jacobian_angles_lengths, lengths_from_angles)
 from .triangulation import (BoundaryLink, EdgeClass, GluingSpec, Triangulation,
                             build, search_gluings)
 

@@ -37,7 +37,8 @@ EDGE_SUM_TOL = 1e-9      # accepted defect in the 2*pi edge equations
 
 @dataclass(frozen=True)
 class AngleAssignment:
-    """One dihedral angle per (tetrahedron, local edge) corner."""
+    """One dihedral angle per (tetrahedron, local edge) corner; validate_assignment
+    checks them."""
 
     tri: Triangulation
     angles: np.ndarray
@@ -47,8 +48,6 @@ class AngleAssignment:
         if a.shape != (self.tri.tet_count, 6):
             raise ValueError(
                 f"angles must have shape ({self.tri.tet_count}, 6), got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("angles must be finite")
         a.flags.writeable = False
         object.__setattr__(self, "angles", a)
 
@@ -86,23 +85,16 @@ def edge_sums(assign: AngleAssignment) -> np.ndarray:
     return assign.tri.quotient.scatter(assign.angles)
 
 
-def validate_assignment(assign: AngleAssignment, eq_tol: float = EDGE_SUM_TOL) -> None:
-    """Check the defining conditions; raises ValueError with a located message."""
-    a = assign.angles
-    if np.any(a <= 0.0) or np.any(a >= math.pi):
-        t, e = map(int, divmod(int(np.argmax((a <= 0.0) | (a >= math.pi))), 6))
-        raise ValueError(
-            f"corner ({t},{e}) carries angle {a[t, e]!r}, outside (0, pi)")
+def validate_assignment(assign: AngleAssignment) -> None:
+    """Check the defining conditions, with located errors: each tetrahedron's
+    angles pass tetgeom.validate_angles (else InadmissibleShapeError), and
+    every edge class sums to 2*pi within EDGE_SUM_TOL (else ValueError)."""
+    tetgeom.validate_angles(assign.angles)
     defect = np.abs(edge_sums(assign) - TWO_PI)
-    if np.any(defect > eq_tol):
+    if np.any(defect > EDGE_SUM_TOL):
         i = int(np.argmax(defect))
         raise ValueError(
             f"edge class {i} has angle sum off 2*pi by {defect[i]:.3e}")
-    vs = tetgeom.vertex_angle_sums(a)
-    if np.any(vs >= math.pi):
-        t, v = map(int, divmod(int(np.argmax(vs >= math.pi)), 4))
-        raise ValueError(
-            f"vertex {v} of tetrahedron {t} has angle sum {vs[t, v]!r} >= pi")
 
 
 def lp_feasibility(tri: Triangulation) -> LPResult:
@@ -181,9 +173,10 @@ def _project_gradient(q: Quotient, G: np.ndarray) -> np.ndarray:
 def maximize_volume(tri: Triangulation, start, tol: float = 1e-8) -> tuple:
     """Constrained Newton ascent of the volume over the angle polytope.
 
-    start (an AngleAssignment or a (tet_count, 6) array) must be strictly
-    feasible; its edge sums are recentred onto 2*pi first.  By Schlafli the
-    Hessian is -J^-1/2, J = da/dx blockwise at the realized lengths X; with
+    start (an AngleAssignment or a (tet_count, 6) array) must pass
+    validate_assignment, and still tetgeom.validate_angles once its edge
+    sums are recentred onto 2*pi.  By Schlafli the Hessian is -J^-1/2,
+    J = da/dx blockwise at the realized lengths X; with
     g = -X/2 the step d = 2J(g - Q^T lam) solves (QJQ^T) lam = QJg, the
     -dK/dx of `minimize_energy`, under its Cholesky certificate.  Iterates
     stay strictly feasible; a full step that leaves the polytope gives way
@@ -197,9 +190,7 @@ def maximize_volume(tri: Triangulation, start, tol: float = 1e-8) -> tuple:
     a = np.array(getattr(start, "angles", start), dtype=float)
     validate_assignment(AngleAssignment(tri=tri, angles=a))
     q = tri.quotient
-    a = a + q.gather((TWO_PI - q.scatter(a)) / q.counts)
-    if not tetgeom.angles_strictly_feasible(a).all():
-        raise ValueError("start assignment is not strictly feasible")
+    a = tetgeom.validate_angles(a + q.gather((TWO_PI - q.scatter(a)) / q.counts))
 
     vol = _volume(a)
     for it in range(NEWTON_MAX_ITER):

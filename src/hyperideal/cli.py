@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -26,22 +27,22 @@ from .errors import (BoundaryHypothesisError, ConvergenceError,
                      InadmissibleShapeError)
 
 EXIT_OK = 0
-EXIT_INPUT = 2         # unreadable, ill-formed or structurally invalid input
+EXIT_INPUT = 2         # unreadable, ill-formed or invalid input, NaN included
 EXIT_HYPOTHESIS = 3    # a boundary link has non-negative Euler characteristic
 EXIT_DEGENERATED = 4   # the flow stopped at a degenerating tetrahedron
 EXIT_TMAX = 5          # the flow ran out of time before converging
-EXIT_INADMISSIBLE = 6  # a metric or shape lies outside the admissible set
+EXIT_INADMISSIBLE = 6  # a well-formed length or angle is not admissible
 EXIT_NOCONVERGE = 7    # an iterative solver exhausted its budget
 EXIT_VIOLATIONS = 8    # the invariant battery reported violations
 
 _EPILOG = """\
 exit codes:
   0  success (for `flow`: converged)
-  2  unreadable or structurally invalid input
+  2  unreadable or invalid input (NaN, Infinity, out-of-range numbers)
   3  boundary hypothesis violated (some link has chi >= 0)
   4  flow stopped: a tetrahedron degenerated (witness in the status file)
   5  flow stopped: t_max reached before convergence
-  6  metric or shape outside the admissible set
+  6  a well-formed length or angle outside the admissible set
   7  iterative solver failed to converge
   8  invariant battery found violations
 """
@@ -67,11 +68,12 @@ def _load_tri(path) -> tri_mod.Triangulation:
 
 
 def _numbers(v) -> bool:
-    """Whether v is a JSON array of numbers a float can hold (bools are not
-    numbers here, nor are integers beyond the float range)."""
+    """Whether v is a JSON array of numbers a float holds finitely (bools
+    are not numbers here, nor are NaN, the infinities, or numbers beyond
+    the float range, which parse as infinities or big integers)."""
     return isinstance(v, list) and all(
-        type(a) is float or (type(a) is int and abs(a) <= sys.float_info.max)
-        for a in v)
+        (type(a) is float and math.isfinite(a))
+        or (type(a) is int and abs(a) <= sys.float_info.max) for a in v)
 
 
 def _load_metric(path, tri) -> metric_mod.ConeMetric:

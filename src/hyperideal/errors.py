@@ -29,7 +29,7 @@ class InadmissibleShapeError(HyperidealError, ValueError):
     offending corner in the local labelling; one cosine serves both ends of
     an edge, so a ``corner_cosine`` names the edge's first endpoint
     ``EDGE_VERTEX_PAIRS[edge][0]``.  ``tet`` is filled in when the shape
-    sits inside a triangulated manifold.
+    sits in a batch, a triangulation's tetrahedra included: its flat index.
     """
 
     def __init__(self, message, *, reason=None, edge=None, vertex=None,

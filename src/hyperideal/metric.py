@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tetgeom
-from .errors import ConvergenceError, DefinitenessError, InadmissibleShapeError
+from .errors import ConvergenceError, DefinitenessError
 from .triangulation import EDGE_VERTEX_PAIRS, Triangulation
 
 NEWTON_MAX_ITER = 100  # iteration budget of the energy and volume Newton solvers
@@ -37,7 +37,8 @@ NEWTON_MAX_ITER = 100  # iteration budget of the energy and volume Newton solver
 
 @dataclass(frozen=True)
 class ConeMetric:
-    """Edge-class lengths on a triangulation, one positive float per class."""
+    """Edge-class lengths on a triangulation, one per class, each passing
+    tetgeom.validate_lengths."""
 
     tri: Triangulation
     x: np.ndarray
@@ -47,11 +48,7 @@ class ConeMetric:
         if x.shape != (self.tri.n_edges,):
             raise ValueError(
                 f"metric needs {self.tri.n_edges} lengths, got shape {x.shape}")
-        if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-            bad = int(np.argmin(np.where(np.isfinite(x), x, -np.inf)))
-            raise InadmissibleShapeError(
-                f"edge length {bad} is {float(x[bad])!r}, not positive and finite",
-                reason="nonpositive_length", edge=bad, value=float(x[bad]))
+        tetgeom.validate_lengths(x)
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
 
@@ -134,21 +131,15 @@ class Evaluation:
         return bool(self.ok.all())
 
     def raise_if_inadmissible(self) -> "Evaluation":
-        """Raise InadmissibleShapeError naming the first bad tetrahedron.
+        """Raise for the first bad tetrahedron, as tetgeom names it.
 
-        Out-of-range lengths raise first, exactly as tetgeom rejects them.
+        The length rule comes first, exactly as tetgeom applies it.
         Returns self, so the call chains after evaluate().
         """
-        if self.admissible:
-            return self
-        tetgeom._as_lengths(self.X)
-        t = int(np.argmax(~self.ok))
-        try:
-            tetgeom._raise_inadmissible(self.X, self.pipeline)
-        except InadmissibleShapeError as exc:
-            raise InadmissibleShapeError(
-                f"tetrahedron {t}: {exc}", reason=exc.reason, edge=exc.edge,
-                vertex=exc.vertex, value=exc.value, tet=t) from None
+        if not self.admissible:
+            tetgeom.validate_lengths(self.X)
+            tetgeom._raise_inadmissible(self.pipeline)
+        return self
 
     def margin(self) -> tuple:
         """Smallest admissibility margin over all tetrahedra, with its witness.
@@ -196,9 +187,8 @@ def evaluate(tri: Triangulation, x) -> Evaluation:
         raise ValueError(f"metric needs {q.n} lengths, got shape {x.shape}")
     X = q.gather(x)
     pl = tetgeom._pipeline(X)
-    ok = pl.ok & ((X > 0.0) & (X <= tetgeom.MAX_LENGTH)).all(axis=-1)
     S = q.scatter(pl.angles)
-    return Evaluation(quotient=q, x=x, X=X, pipeline=pl, ok=ok,
+    return Evaluation(quotient=q, x=x, X=X, pipeline=pl, ok=pl.ok,
                       angles=pl.angles, S=S, K=2.0 * math.pi - S)
 
 

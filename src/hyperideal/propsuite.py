@@ -6,7 +6,8 @@ differential, oracle agreement, Lyapunov monotonicity, LP witness
 substitution, concavity, KKT spreads, determinism) on seeded random
 samples plus the canonical census instance, and reports one named check
 per property.  The CLI exposes it as `propsuite`; a non-empty violation
-list is an error exit there.
+list is an error exit there.  The Minkowski-model oracle and the
+length-space convexity probe live here, since only the battery uses them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,98 @@ import numpy as np
 from . import angles as angles_mod
 from . import dynamics, metric as metric_mod, tetgeom
 from . import triangulation as tri_mod
+
+ORACLE_TOL = 1e-9                  # cofactor map vs Minkowski oracle
+PROBE_LOW, PROBE_HIGH = 0.02, 8.0  # convexity probe draws, log-uniform
+_MINK_METRIC = np.array([-1.0, 1.0, 1.0, 1.0])
+_EIG_GUARD = 1e-12
+
+
+def minkowski_oracle(x):
+    """Recompute the dihedral angles from the Gram matrix, or None if inadmissible.
+
+    Independent of the pipeline's cofactor formulas: form the symmetric
+    matrix G with unit diagonal and G_vw = -cosh x_vw, demand Lorentz
+    signature (3, 1) from its eigenvalues, embed the four vertex rays in
+    Minkowski space, take space-like face normals and read angles off their
+    inner products.  Used only for cross-validation.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (6,):
+        raise ValueError("oracle takes a single length vector")
+    tetgeom.validate_lengths(x)
+    G = np.eye(4)
+    for e, (v, w) in enumerate(tri_mod.EDGE_VERTEX_PAIRS):
+        G[v, w] = G[w, v] = -math.cosh(x[e])
+    lam, Q = np.linalg.eigh(G)
+    scale = float(np.abs(lam).max())
+    if not (lam[0] < -_EIG_GUARD * scale and lam[1] > _EIG_GUARD * scale):
+        return None
+    P = Q * np.sqrt(np.abs(lam))[None, :]
+    normals = np.zeros((4, 4))
+    for f in range(4):
+        rows = P[[v for v in range(4) if v != f], :]
+        _, sv, vh = np.linalg.svd(rows * _MINK_METRIC[None, :])
+        n = vh[-1]
+        nn = float(np.sum(_MINK_METRIC * n * n))
+        if nn <= _EIG_GUARD:
+            return None
+        n = n / math.sqrt(nn)
+        if float(np.sum(_MINK_METRIC * n * P[f])) > 0.0:
+            n = -n
+        normals[f] = n
+    angles = np.zeros(6)
+    for e, (v, w) in enumerate(tri_mod.EDGE_VERTEX_PAIRS):
+        f1, f2 = [z for z in range(4) if z not in (v, w)]
+        c = -float(np.sum(_MINK_METRIC * normals[f1] * normals[f2]))
+        if not -1.0 < c < 1.0:
+            return None
+        angles[e] = math.acos(c)
+    return angles
+
+
+@dataclass(frozen=True)
+class ConvexityProbe:
+    """Result of sampling length-vector pairs for midpoint inadmissibility."""
+
+    seed: int
+    trials: int
+    pairs_admissible: int
+    witnesses: tuple
+
+    def to_json_obj(self) -> dict:
+        return {
+            "seed": self.seed, "trials": self.trials,
+            "low": PROBE_LOW, "high": PROBE_HIGH,
+            "pairs_admissible": self.pairs_admissible,
+            "witness_count": len(self.witnesses),
+            "witnesses": [[list(a), list(b)] for a, b in self.witnesses],
+        }
+
+
+def probe_length_space_convexity(trials: int, seed: int) -> ConvexityProbe:
+    """Sample admissible pairs log-uniformly and test their midpoints.
+
+    The admissible set is not convex, so with enough trials some midpoint
+    fails; every failing pair is recorded verbatim as a witness.
+    """
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
+    witnesses = []
+    pairs = 0
+    if trials > 0:
+        rng = np.random.default_rng(seed)
+        draws = np.exp(rng.uniform(math.log(PROBE_LOW), math.log(PROBE_HIGH),
+                                   size=(trials, 2, 6)))
+        ok = tetgeom._pipeline(draws).ok
+        both = ok[:, 0] & ok[:, 1]
+        pairs = int(both.sum())
+        cand = draws[both]
+        mid_ok = tetgeom._pipeline(0.5 * (cand[:, 0] + cand[:, 1])).ok
+        for a, b in cand[~mid_ok]:
+            witnesses.append((tuple(float(v) for v in a), tuple(float(v) for v in b)))
+    return ConvexityProbe(seed=seed, trials=trials,
+                          pairs_admissible=pairs, witnesses=tuple(witnesses))
 
 
 @dataclass(frozen=True)
@@ -33,7 +126,7 @@ class PropsuiteReport:
     seed: int
     checks: tuple
     violations: int
-    probe: tetgeom.ConvexityProbe
+    probe: ConvexityProbe
 
     def to_json_obj(self) -> dict:
         return {
@@ -222,14 +315,14 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
     worst = 0.0
     for x in draws:
         trig_ok = bool(tetgeom.is_admissible(x))
-        oracle = tetgeom.minkowski_oracle(x)
+        oracle = minkowski_oracle(x)
         if trig_ok != (oracle is not None):
             mism += 1
         elif trig_ok:
             worst = max(worst, float(np.abs(tetgeom.angles_from_lengths(x)
                                             - oracle).max()))
     record("tetgeom.oracle_agreement",
-           mism == 0 and worst < tetgeom.ORACLE_TOL,
+           mism == 0 and worst < ORACLE_TOL,
            f"mismatches {mism}, max angle gap {worst:.3e}")
 
     # Regular tetrahedra: cos a = cosh x / (2 cosh x - 1), so a increases
@@ -246,8 +339,8 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
           and common[-1] < math.pi / 3)
     record("tetgeom.regular_family_monotone", ok)
 
-    probe = tetgeom.probe_length_space_convexity(probe_trials, seed)
-    probe2 = tetgeom.probe_length_space_convexity(probe_trials, seed)
+    probe = probe_length_space_convexity(probe_trials, seed)
+    probe2 = probe_length_space_convexity(probe_trials, seed)
     record("tetgeom.convexity_probe",
            len(probe.witnesses) > 0 and probe == probe2,
            f"{len(probe.witnesses)} witnesses from {probe.pairs_admissible} pairs")

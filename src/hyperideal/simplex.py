@@ -40,6 +40,7 @@ import numpy as np
 
 _TOL = 1e-11
 _FEAS_TOL = 1e-8
+MAX_PIVOTS = 100000  # per phase; RuntimeError beyond
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,7 @@ def _block(A, b, kind: str, n: int) -> tuple:
     return A.reshape(A.shape[0], n), b
 
 
-def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None,
-             max_iter: int = 100000) -> SimplexResult:
+def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     n = c.size
     A_eq, b_eq = _block(A_eq, b_eq, "eq", n)
@@ -150,8 +150,7 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None,
         # Phase 1: minimize the artificial sum.
         T[-1] = np.subtract.reduce(T[need], axis=0, initial=0.0)
         T[-1, n_body:total] = 0.0
-        status, its1 = _iterate(T, basis, np.ones(total, dtype=bool),
-                                max_iter)
+        status, its1 = _iterate(T, basis, np.ones(total, dtype=bool), MAX_PIVOTS)
         if status != "optimal" or -T[-1, -1] > _FEAS_TOL:
             return SimplexResult(status="infeasible", x=None, objective=None,
                                  iterations=its1, phase_pivots=(its1, 0, 0))
@@ -168,7 +167,7 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None,
     rows = np.flatnonzero(cost[basis] != 0.0)
     T[-1] = np.subtract.reduce(
         np.vstack([cost, cost[basis[rows], None] * T[rows]]), axis=0)
-    status, its2 = _iterate(T, basis, np.arange(total) < n_body, max_iter)
+    status, its2 = _iterate(T, basis, np.arange(total) < n_body, MAX_PIVOTS)
     pivots = (its1, drive_out, its2)
     if status == "unbounded":
         return SimplexResult(status="unbounded", x=None, objective=None,

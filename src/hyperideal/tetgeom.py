@@ -24,13 +24,16 @@ expanded along one row of the same cofactors, and the angle Jacobian is
 their polynomial gradient.  The truncation-triangle sides (`arcs`), which
 the faces' right-angled hexagons give, are a separate report.
 
+Both input domains are decided here, once: `validate_lengths` and
+`validate_angles` are the package's only length and angle rules, and every
+entry point applies them.
+
 Not every positive length vector is admissible.  Admissibility is decided
 operationally: every corner cosine strictly inside (-1, 1) with a small
 guard (so det H < 0), and the three angles at each vertex summing to less
 than pi.  Lengths long enough to overflow the cofactor products (from about
 120 on the regular shape) leave NaN cosines and so are never admissible.
-An independent Minkowski-model oracle (`minkowski_oracle`) cross-checks
-this classification.
+The Minkowski-model oracle in `propsuite` cross-checks this classification.
 
 The volume is a function of the dihedral angles alone, in closed form: the
 Murakami-Yano formula, extended by Ushijima to truncated tetrahedra, puts
@@ -47,7 +50,6 @@ a length vector is any float array of shape (..., 6).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +58,6 @@ from .errors import InadmissibleShapeError
 from .triangulation import EDGE_VERTEX_PAIRS, VERTEX_EDGES, edge_index
 
 COSINE_GUARD = 1e-9     # corner cosines must stay this far inside (-1, 1)
-ORACLE_TOL = 1e-9       # cofactor map vs Minkowski oracle
 MAX_LENGTH = 350.0      # cosh and sinh stay finite in float64
 
 ARC_VERTEX_FACE = tuple((v, f) for v in range(4) for f in range(4) if f != v)
@@ -87,22 +88,51 @@ _EDGE_VW = np.array(EDGE_VERTEX_PAIRS)
 _OPP_I, _OPP_J = _EDGE_VW[::-1].T
 
 
+def _refuse(bad, values, message: str, reason=None, at: str = "edge") -> None:
+    """Raise for the first entry of values (..., k) that bad marks, if any.
+
+    message is formatted with its index, named `at` (a corner cosine also
+    gets its edge's first vertex), and its value as a plain float.  Inside
+    a batch the shape is named too: 'tetrahedron t: ' and tet=t, t its flat
+    index.  Without a reason the error is a plain ValueError.
+    """
+    if not bad.any():
+        return
+    flat = np.reshape(bad, (-1, np.shape(bad)[-1]))
+    t = int(np.argmax(flat.any(axis=1)))
+    k = int(np.argmax(flat[t]))
+    value = float(np.reshape(values, flat.shape)[t, k])
+    where = {at: k}
+    if reason == "corner_cosine":
+        where["vertex"] = EDGE_VERTEX_PAIRS[k][0]
+    message = message.format(value=value, **where)
+    if np.ndim(bad) > 1:
+        message = f"tetrahedron {t}: {message}"
+    else:
+        t = None
+    if reason is None:
+        raise ValueError(message)
+    raise InadmissibleShapeError(message, reason=reason, tet=t, value=value, **where)
+
+
+def validate_lengths(x) -> np.ndarray:
+    """The length rule, for lengths of any shape (..., k), as a float array:
+    finite and at most MAX_LENGTH, else ValueError; positive, else
+    InadmissibleShapeError."""
+    x = np.asarray(x, dtype=float)
+    _refuse(~np.isfinite(x), x, "edge {edge} has non-finite length {value}")
+    _refuse(x > MAX_LENGTH, x,
+            f"edge {{edge}} has length {{value}}, above the supported {MAX_LENGTH}")
+    _refuse(x <= 0.0, x, "edge {edge} has non-positive length {value}",
+            "nonpositive_length")
+    return x
+
+
 def _as_lengths(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (6,):
         raise ValueError(f"length vector must have trailing dimension 6, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("edge lengths must be finite")
-    if np.any(x > MAX_LENGTH):
-        raise ValueError(f"edge lengths above {MAX_LENGTH} exceed the supported range")
-    if np.any(x <= 0.0):
-        flat = x.reshape(-1, 6)
-        row = int(np.argmax(np.any(flat <= 0.0, axis=1)))
-        e = int(np.argmax(flat[row] <= 0.0))
-        raise InadmissibleShapeError(
-            f"edge {e} has non-positive length {flat[row][e]!r}",
-            reason="nonpositive_length", edge=e, value=float(flat[row][e]))
-    return x
+    return validate_lengths(x)
 
 
 class _Pipeline(NamedTuple):
@@ -117,7 +147,7 @@ class _Pipeline(NamedTuple):
     sines: np.ndarray   # (..., 6)
     angles: np.ndarray  # (..., 6) atan2(sines, cosines)
     vsums: np.ndarray   # (..., 4) angle sum at each vertex
-    ok: np.ndarray      # (...) admissibility mask
+    ok: np.ndarray      # (...) admissibility mask, lengths in (0, MAX_LENGTH] too
     margin: np.ndarray  # (...) min corner / vertex-sum slack
 
 
@@ -145,32 +175,27 @@ def _pipeline(x: np.ndarray) -> _Pipeline:
         slack = 1.0 - np.abs(cosines).max(axis=0)
         corner = np.fmax(slack, -np.inf)  # a NaN slack counts as -inf
         top = vsums.max(axis=0)
-        ok = (corner > COSINE_GUARD) & (top < math.pi)
+        in_range = ((xe > 0.0) & (xe <= MAX_LENGTH)).all(axis=0)
+        ok = (corner > COSINE_GUARD) & (top < math.pi) & in_range
         margin = np.fmin(corner, math.pi - top)  # never NaN
     return _Pipeline(ch, sh, cof, r, root, cosines.transpose(shape_major),
                      sines.transpose(shape_major), angles.transpose(shape_major),
                      vsums.transpose(shape_major), ok, margin)
 
 
-def _raise_inadmissible(x: np.ndarray, pl: _Pipeline) -> None:
-    flat_ok = np.atleast_1d(pl.ok).reshape(-1)
-    if flat_ok.all():
-        return
-    row = int(np.argmax(~flat_ok))
-    cos = pl.cosines.reshape(-1, 6)[row]
-    vs = pl.vsums.reshape(-1, 4)[row]
-    bad = ~(1.0 - np.abs(cos) > COSINE_GUARD)
-    if bad.any():
-        e = int(np.argmax(bad))
-        v = EDGE_VERTEX_PAIRS[e][0]
-        raise InadmissibleShapeError(
-            f"corner cosine at edge {e}, vertex {v} is {float(cos[e])!r}, "
-            f"outside (-1, 1) by more than the {COSINE_GUARD} guard",
-            reason="corner_cosine", edge=e, vertex=v, value=float(cos[e]))
-    v = int(np.argmax(vs >= math.pi))
-    raise InadmissibleShapeError(
-        f"angles at vertex {v} sum to {vs[v]!r} >= pi",
-        reason="vertex_sum", vertex=v, value=float(vs[v]))
+def _raise_inadmissible(pl: _Pipeline) -> None:
+    """Raise for the first failing corner cosine, else vertex sum, of
+    lengths that passed validate_lengths."""
+    if not np.all(pl.ok):
+        _refuse(~(1.0 - np.abs(pl.cosines) > COSINE_GUARD), pl.cosines,
+                "corner cosine at edge {edge}, vertex {vertex} is {value}, outside "
+                f"(-1, 1) by more than the {COSINE_GUARD} guard", "corner_cosine")
+        _refuse_vertex_sums(pl.vsums)
+
+
+def _refuse_vertex_sums(vs: np.ndarray) -> None:
+    _refuse(~(vs < math.pi), vs, "angles at vertex {vertex} sum to {value}, "
+            "not strictly below pi", "vertex_sum", at="vertex")
 
 
 def arcs_from_lengths(x) -> np.ndarray:
@@ -209,9 +234,8 @@ def admissibility_margin(x) -> np.ndarray:
 
 def angles_from_lengths(x) -> np.ndarray:
     """Dihedral angles (..., 6); raises InadmissibleShapeError with the offending corner."""
-    x = _as_lengths(x)
-    pl = _pipeline(x)
-    _raise_inadmissible(x, pl)
+    pl = _pipeline(_as_lengths(x))
+    _raise_inadmissible(pl)
     return pl.angles
 
 
@@ -229,22 +253,16 @@ def angles_strictly_feasible(angles) -> np.ndarray:
 
 
 def validate_angles(a) -> np.ndarray:
+    """The angle rule, for angle vectors (..., 6), as a float array: finite,
+    else ValueError; each angle in (0, pi) and every vertex sum below pi,
+    else InadmissibleShapeError.  angles_strictly_feasible is its mask."""
     a = np.asarray(a, dtype=float)
-    if a.shape != (6,):
-        raise ValueError(f"angle vector must have shape (6,), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("angles must be finite")
-    if np.any(a <= 0.0) or np.any(a >= math.pi):
-        e = int(np.argmax((a <= 0.0) | (a >= math.pi)))
-        raise InadmissibleShapeError(
-            f"angle at edge {e} is {a[e]!r}, outside the open interval (0, pi)",
-            reason="angle_range", edge=e, value=float(a[e]))
-    vs = vertex_angle_sums(a)
-    if np.any(vs >= math.pi):
-        v = int(np.argmax(vs >= math.pi))
-        raise InadmissibleShapeError(
-            f"angles at vertex {v} sum to {vs[v]!r}, not strictly below pi",
-            reason="vertex_sum", vertex=v, value=float(vs[v]))
+    if a.shape[-1:] != (6,):
+        raise ValueError(f"angle vector must have trailing dimension 6, got shape {a.shape}")
+    _refuse(~np.isfinite(a), a, "edge {edge} has non-finite angle {value}")
+    _refuse((a <= 0.0) | (a >= math.pi), a, "angle at edge {edge} is {value}, "
+            "outside the open interval (0, pi)", "angle_range")
+    _refuse_vertex_sums(vertex_angle_sums(a))
     return a
 
 
@@ -271,9 +289,8 @@ def _jacobian(pl: _Pipeline) -> np.ndarray:
 
 def jacobian_angles_lengths(x) -> np.ndarray:
     """d(angles)/d(lengths), shape (..., 6, 6); symmetric positive definite."""
-    x = _as_lengths(x)
-    pl = _pipeline(x)
-    _raise_inadmissible(x, pl)
+    pl = _pipeline(_as_lengths(x))
+    _raise_inadmissible(pl)
     return _jacobian(pl)
 
 
@@ -297,11 +314,11 @@ def _newton_lengths(target: np.ndarray) -> np.ndarray:
 
 
 def lengths_from_angles(a) -> np.ndarray:
-    """Invert the angle map for one admissible angle vector.
+    """Invert the angle map for admissible angle vectors (..., 6).
 
-    The target must lie strictly inside the angle polytope (each angle in
-    (0, pi), vertex sums below pi); boundary targets are rejected since the
-    corresponding tetrahedron degenerates.
+    Each target must lie strictly inside the angle polytope (validate_angles:
+    each angle in (0, pi), vertex sums below pi); boundary targets are
+    rejected since the corresponding tetrahedron degenerates.
     """
     return _newton_lengths(validate_angles(a))
 
@@ -412,101 +429,6 @@ def schlafli_potential_of_angles(a) -> float:
 def schlafli_potential(x) -> float:
     """Volume relative to the regular unit-length shape, as a function of lengths."""
     return float(volume(angles_from_lengths(x)) - V_REF)
-
-
-_MINK_METRIC = np.array([-1.0, 1.0, 1.0, 1.0])
-_EIG_GUARD = 1e-12
-
-
-def minkowski_oracle(x):
-    """Recompute the dihedral angles from the Gram matrix, or None if inadmissible.
-
-    Independent of the pipeline's cofactor formulas: form the symmetric
-    matrix G with unit diagonal and G_vw = -cosh x_vw, demand Lorentz
-    signature (3, 1) from its eigenvalues, embed the four vertex rays in
-    Minkowski space, take space-like face normals and read angles off their
-    inner products.  Used only for cross-validation.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (6,):
-        raise ValueError("oracle takes a single length vector")
-    _as_lengths(x)
-    G = np.eye(4)
-    for e, (v, w) in enumerate(EDGE_VERTEX_PAIRS):
-        G[v, w] = G[w, v] = -math.cosh(x[e])
-    lam, Q = np.linalg.eigh(G)
-    scale = float(np.abs(lam).max())
-    if not (lam[0] < -_EIG_GUARD * scale and lam[1] > _EIG_GUARD * scale):
-        return None
-    P = Q * np.sqrt(np.abs(lam))[None, :]
-    normals = np.zeros((4, 4))
-    for f in range(4):
-        rows = P[[v for v in range(4) if v != f], :]
-        _, sv, vh = np.linalg.svd(rows * _MINK_METRIC[None, :])
-        n = vh[-1]
-        nn = float(np.sum(_MINK_METRIC * n * n))
-        if nn <= _EIG_GUARD:
-            return None
-        n = n / math.sqrt(nn)
-        if float(np.sum(_MINK_METRIC * n * P[f])) > 0.0:
-            n = -n
-        normals[f] = n
-    angles = np.zeros(6)
-    for e, (v, w) in enumerate(EDGE_VERTEX_PAIRS):
-        f1, f2 = [z for z in range(4) if z not in (v, w)]
-        c = -float(np.sum(_MINK_METRIC * normals[f1] * normals[f2]))
-        if not -1.0 < c < 1.0:
-            return None
-        angles[e] = math.acos(c)
-    return angles
-
-
-@dataclass(frozen=True)
-class ConvexityProbe:
-    """Result of sampling length-vector pairs for midpoint inadmissibility."""
-
-    seed: int
-    trials: int
-    low: float
-    high: float
-    pairs_admissible: int
-    witnesses: tuple
-
-    def to_json_obj(self) -> dict:
-        return {
-            "seed": self.seed, "trials": self.trials,
-            "low": self.low, "high": self.high,
-            "pairs_admissible": self.pairs_admissible,
-            "witness_count": len(self.witnesses),
-            "witnesses": [[list(a), list(b)] for a, b in self.witnesses],
-        }
-
-
-def probe_length_space_convexity(trials: int, seed: int,
-                                 low: float = 0.02, high: float = 8.0) -> ConvexityProbe:
-    """Sample admissible pairs log-uniformly and test their midpoints.
-
-    The admissible set is not convex, so with enough trials some midpoint
-    fails; every failing pair is recorded verbatim as a witness.
-    """
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
-    if not 0.0 < low < high:
-        raise ValueError("need 0 < low < high")
-    witnesses = []
-    pairs = 0
-    if trials > 0:
-        rng = np.random.default_rng(seed)
-        draws = np.exp(rng.uniform(math.log(low), math.log(high), size=(trials, 2, 6)))
-        ok = _pipeline(draws).ok
-        both = ok[:, 0] & ok[:, 1]
-        pairs = int(both.sum())
-        cand = draws[both]
-        mid_ok = _pipeline(0.5 * (cand[:, 0] + cand[:, 1])).ok
-        for a, b in cand[~mid_ok]:
-            witnesses.append((tuple(float(v) for v in a), tuple(float(v) for v in b)))
-    return ConvexityProbe(seed=seed, trials=trials, low=low, high=high,
-                          pairs_admissible=pairs, witnesses=tuple(witnesses))
 
 
 REF_LENGTHS = np.ones(6)

@@ -17,7 +17,7 @@ from hyperideal import angles as A
 from hyperideal import cli
 from hyperideal import dynamics as D
 from hyperideal import metric as M
-from hyperideal import serialize
+from hyperideal import propsuite, serialize
 from hyperideal import tetgeom
 from hyperideal import triangulation as tri_mod
 
@@ -60,7 +60,7 @@ def test_criterion_01_pipeline_oracle_equivalence(capsys):
     admissible = 0
     for x in draws:
         trig = bool(tetgeom.is_admissible(x))
-        oracle = tetgeom.minkowski_oracle(x)
+        oracle = propsuite.minkowski_oracle(x)
         assert trig == (oracle is not None), f"classification split at {x}"
         if trig:
             admissible += 1
@@ -243,7 +243,7 @@ def test_criterion_08_volume_maximization(capsys, census_tri,
             ends = [A.AngleAssignment(tri=census_tri, angles=base + s * d)
                     for s in (-1.0, 0.0, 1.0)]
             for e in ends:
-                A.validate_assignment(e, eq_tol=1e-9)
+                A.validate_assignment(e)
         except ValueError:
             continue
         vm, v0, vp = (total_volume(e) for e in ends)
@@ -258,7 +258,7 @@ def test_criterion_08_volume_maximization(capsys, census_tri,
 
 
 def test_criterion_09_nonconvexity_witness_persisted(capsys, tmp_path):
-    probe = tetgeom.probe_length_space_convexity(1500, seed=0)
+    probe = propsuite.probe_length_space_convexity(1500, seed=0)
     path = tmp_path / "witnesses.json"
     serialize.write_json(path, probe.to_json_obj())
     stored = serialize.load_json(path)

@@ -169,7 +169,7 @@ def test_lp_one_tet_instances_match_oracle():
 def test_lp_witness_substitution(census_tri):
     lp = A.lp_feasibility(census_tri)
     w = lp.witness
-    A.validate_assignment(w, eq_tol=1e-12)
+    A.validate_assignment(w)
     sums = A.edge_sums(w)
     assert np.abs(sums - 2 * math.pi).max() < 1e-12
     eps = lp.epsilon
@@ -241,19 +241,18 @@ def test_lp_determinism(census_tri):
 
 def test_symmetric_assignment_is_feasible(census_tri):
     sym = A.AngleAssignment(tri=census_tri, angles=np.full((2, 6), math.pi / 6))
-    A.validate_assignment(sym, eq_tol=1e-12)
+    A.validate_assignment(sym)
+    assert np.abs(A.edge_sums(sym) - 2 * math.pi).max() <= 1e-12
 
 
 def test_validate_assignment_rejects(census_tri):
     bad = np.full((2, 6), math.pi / 6)
     bad[0, 0] += 0.01  # breaks the edge-sum equality
     with pytest.raises(ValueError):
-        A.validate_assignment(A.AngleAssignment(tri=census_tri, angles=bad),
-                              eq_tol=1e-9)
+        A.validate_assignment(A.AngleAssignment(tri=census_tri, angles=bad))
     vs = np.full((2, 6), math.pi / 3)  # vertex sums hit pi
     with pytest.raises(ValueError):
-        A.validate_assignment(A.AngleAssignment(tri=census_tri, angles=vs),
-                              eq_tol=1e-9)
+        A.validate_assignment(A.AngleAssignment(tri=census_tri, angles=vs))
 
 
 def test_realize_symmetric_witness(census_tri):
@@ -380,7 +379,7 @@ def test_segment_concavity(census_tri, rng):
             ends = [A.AngleAssignment(tri=census_tri, angles=base + s * d)
                     for s in (-1.0, 0.0, 1.0)]
             for e in ends:
-                A.validate_assignment(e, eq_tol=1e-9)
+                A.validate_assignment(e)
         except ValueError:
             continue
         vm, v0, vp = (total_volume(e) for e in ends)

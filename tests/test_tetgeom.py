@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hyperideal import tetgeom
+from hyperideal import propsuite, tetgeom
 from hyperideal.errors import InadmissibleShapeError
 from hyperideal.metric import evaluate
 from hyperideal.triangulation import EDGE_VERTEX_PAIRS, OPPOSITE_EDGE, edge_index
@@ -189,7 +189,7 @@ def test_regular_angle_against_mpmath(x):
 def test_long_edge_shapes_against_mpmath(x):
     x = np.array(x)
     assert tetgeom.is_admissible(x)
-    assert tetgeom.minkowski_oracle(x) is not None
+    assert propsuite.minkowski_oracle(x) is not None
     a = tetgeom.angles_from_lengths(x)
     assert max(abs(float(mpmath.mpf(float(v)) - w))
                for v, w in zip(a, mp_angles(x))) <= 1e-14
@@ -322,7 +322,7 @@ def test_minkowski_oracle_agreement(rng):
     admissible = 0
     for x in draws:
         trig = tetgeom.is_admissible(x)
-        oracle = tetgeom.minkowski_oracle(x)
+        oracle = propsuite.minkowski_oracle(x)
         assert trig == (oracle is not None)
         if trig:
             admissible += 1
@@ -332,13 +332,13 @@ def test_minkowski_oracle_agreement(rng):
 
 
 def test_minkowski_oracle_regular_symmetry():
-    a = tetgeom.minkowski_oracle(REG1)
+    a = propsuite.minkowski_oracle(REG1)
     assert a is not None
     assert np.abs(a - a[0]).max() < 1e-12
 
 
 def test_convexity_probe():
-    rep = tetgeom.probe_length_space_convexity(1500, seed=0)
+    rep = propsuite.probe_length_space_convexity(1500, seed=0)
     assert len(rep.witnesses) > 0
     x0, x1 = (np.array(w) for w in rep.witnesses[0])
     assert tetgeom.is_admissible(x0) and tetgeom.is_admissible(x1)
@@ -346,10 +346,10 @@ def test_convexity_probe():
 
 
 def test_convexity_probe_deterministic_and_empty():
-    a = tetgeom.probe_length_space_convexity(300, seed=9)
-    b = tetgeom.probe_length_space_convexity(300, seed=9)
+    a = propsuite.probe_length_space_convexity(300, seed=9)
+    b = propsuite.probe_length_space_convexity(300, seed=9)
     assert a.to_json_obj() == b.to_json_obj()
-    empty = tetgeom.probe_length_space_convexity(0, seed=9)
+    empty = propsuite.probe_length_space_convexity(0, seed=9)
     assert empty.pairs_admissible == 0 and empty.witnesses == ()
 
 
