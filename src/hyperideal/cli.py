@@ -92,6 +92,10 @@ def _load_assignment(path, tri) -> angles_mod.AngleAssignment:
     rows = obj["angles"]
     if not (isinstance(rows, list) and all(_numbers(r) for r in rows)):
         raise GluingError("assignment 'angles' must be an array of arrays of numbers")
+    for t, row in enumerate(rows):
+        if len(row) != 6:
+            raise GluingError(
+                f"assignment row {t} has {len(row)} angles, expected 6")
     return angles_mod.AngleAssignment(tri=tri, angles=np.array(rows, dtype=float))
 
 
@@ -132,7 +136,7 @@ def cmd_search(args) -> int:
         if not specs:
             raise ValueError(
                 f"no {args.tets}-tet gluing matched filter '{args.filter}'")
-        serialize.write_json(args.out, specs[0].to_json_obj())
+        serialize.write_json(args.out, specs[0])
         print(f"{len(specs)} match(es); wrote the first to {args.out}")
         return EXIT_OK
     kept = specs if args.limit == 0 else specs[:args.limit]
@@ -140,7 +144,7 @@ def cmd_search(args) -> int:
         "tet_count": args.tets,
         "filter": args.filter,
         "count": len(specs),
-        "gluings": [s.to_json_obj() for s in kept],
+        "gluings": kept,
     })
     print(f"{len(specs)} gluing(s) matched filter '{args.filter}'"
           + (f", wrote first {len(kept)}" if len(kept) < len(specs) else ""))

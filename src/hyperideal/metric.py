@@ -146,7 +146,15 @@ class Evaluation:
 
         Returns (margin, witness) where the witness names the tetrahedron and
         the corner (edge + vertex) or vertex sum that attains the margin.
+        Lengths that fail the length rule come first: margin -inf, and a
+        witness of kind "length" names the first such edge.
         """
+        if not self.admissible:
+            bad = ~((self.X > 0.0) & (self.X <= tetgeom.MAX_LENGTH))
+            if bad.any():
+                t, e = (int(i) for i in np.argwhere(bad)[0])
+                return -math.inf, {"tet": t, "kind": "length", "edge": e,
+                                   "value": float(self.X[t, e])}
         pl = self.pipeline
         t = int(np.argmin(pl.margin))
         cos, vs = pl.cosines[t], pl.vsums[t]

@@ -21,23 +21,6 @@ def fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _int_list(obj: list, indent: int):
-    # The text of a list nested from plain ints alone (a pairing row of a
-    # search report is one), or None when it holds anything else.
-    items = []
-    for v in obj:
-        if type(v) is int:
-            items.append(str(v))
-        elif type(v) is list:
-            text = _int_list(v, indent + 1)
-            if text is None:
-                return None
-            items.append(text)
-        else:
-            return None
-    return _layout(items, indent)
-
-
 def _layout(items: list, indent: int) -> str:
     # One line when no item wraps and the items' own widths sum under 100;
     # no items make "[]".
@@ -49,10 +32,6 @@ def _layout(items: list, indent: int) -> str:
 
 
 def _render(obj, indent: int) -> str:
-    if type(obj) is list:
-        text = _int_list(obj, indent)
-        if text is not None:
-            return text
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -77,6 +56,9 @@ def _render(obj, indent: int) -> str:
             parts.append("  " * (indent + 1) + json.dumps(k) + ": "
                          + _render(v, indent + 1))
         return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
+    json_text = getattr(obj, "json_text", None)
+    if json_text is not None:
+        return json_text(indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

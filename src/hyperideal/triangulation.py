@@ -26,6 +26,7 @@ from functools import cached_property
 from itertools import permutations
 
 from .errors import BoundaryHypothesisError, GluingError
+from .serialize import _layout
 
 EDGE_VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 OPPOSITE_EDGE = (5, 4, 3, 2, 1, 0)
@@ -43,6 +44,9 @@ _PERMS4 = tuple(permutations(range(4)))
 _SIGN = {s: (-1) ** sum(s[i] > s[j] for i in range(4) for j in range(i + 1, 4))
          for s in _PERMS4}
 _INVERSE = {s: tuple(s.index(i) for i in range(4)) for s in _PERMS4}
+# Four one-digit items always fit on one line, so a permutation's JSON text
+# is the same at every indent.
+_PERM_TEXT = {s: _layout([str(v) for v in s], 0) for s in _PERMS4}
 
 
 def edge_index(a: int, b: int) -> int:
@@ -142,6 +146,19 @@ class GluingSpec:
                 t2, f2, s = self.pairings[4 * t + f]
                 out.append([t, f, t2, f2, list(s)])
         return {"tet_count": self.tet_count, "pairings": out}
+
+    def json_text(self, indent: int) -> str:
+        """The text serialize.dumps gives to_json_obj() at this indent,
+        composed from the pairing table; every gluing file is written by it."""
+        rows = []
+        for i, (t2, f2, s) in enumerate(self.pairings):
+            t, f = divmod(i, 4)
+            rows.append(_layout([str(t), str(f), str(t2), str(f2),
+                                 _PERM_TEXT[tuple(s)]], indent + 2))
+        pad = "  " * (indent + 1)
+        return ("{\n" + pad + '"tet_count": ' + str(self.tet_count) + ",\n"
+                + pad + '"pairings": ' + _layout(rows, indent + 1) + "\n"
+                + "  " * indent + "}")
 
     @classmethod
     def from_json_obj(cls, obj) -> "GluingSpec":

@@ -17,7 +17,7 @@ import hyperideal
 from hyperideal import angles as A
 from hyperideal import cli, tetgeom
 from hyperideal import metric as M
-from hyperideal.errors import InadmissibleShapeError
+from hyperideal.errors import GluingError, InadmissibleShapeError
 
 from conftest import CENSUS_JSON
 
@@ -138,6 +138,18 @@ def test_one_verdict_per_angle_vector(census_tri, tmp_path, capsys, case):
     (tmp_path / "start.json").write_text(json.dumps({"angles": rows.tolist()}))
     assert run_cli(tmp_path, capsys,
                    ["volmax", "--start", str(tmp_path / "start.json")]) == code
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0.5, 0.5], [0.5]], "row 0 has 2 angles"),
+    ([[0.5] * 6, [0.5] * 7], "row 1 has 7 angles"),
+], ids=["ragged", "long_row"])
+def test_start_rows_of_six(census_tri, tmp_path, capsys, rows, message):
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps({"angles": rows}))
+    with pytest.raises(GluingError, match=rf"^assignment {message}, expected 6$"):
+        cli._load_assignment(start, census_tri)
+    assert run_cli(tmp_path, capsys, ["volmax", "--start", str(start)]) == 2
 
 
 def test_package_exports_no_tracer_only_names():

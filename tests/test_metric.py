@@ -210,6 +210,32 @@ def test_metric_margin_witness(census_tri):
     assert abs(margin - tetgeom.admissibility_margin(np.ones(6))) < 1e-15
 
 
+@pytest.mark.parametrize("x, witness", [
+    ([-1.0], (0, 0, -1.0)),
+    ([0.0], (0, 0, 0.0)),
+    ([400.0], (0, 0, 400.0)),
+], ids=["negative", "zero", "above_max"])
+def test_margin_of_rejected_lengths(census_tri, x, witness):
+    # The mirrored shape of x = -1 has a healthy corner; the length rule
+    # still decides first.
+    ev = M.evaluate(census_tri, x)
+    assert not ev.ok.any()
+    t, e, value = witness
+    assert ev.margin() == (-math.inf, {"tet": t, "kind": "length",
+                                       "edge": e, "value": value})
+
+
+def test_margin_names_the_rejected_tetrahedron(multi_tri):
+    # Edge class 2 is corner (1, 0) alone, class 1 is corner (0, 5).
+    ev = M.evaluate(multi_tri, [1.0, 1.0, -0.5])
+    assert list(ev.ok) == [True, False]
+    assert ev.margin() == (-math.inf, {"tet": 1, "kind": "length",
+                                       "edge": 0, "value": -0.5})
+    ev = M.evaluate(multi_tri, [1.0, 400.0, 0.0])
+    assert ev.margin()[1] == {"tet": 0, "kind": "length", "edge": 5,
+                              "value": 400.0}
+
+
 def test_quotient_built_once_per_triangulation(census_spec, monkeypatch):
     # A whole flow on a fresh triangulation builds its Quotient once, and
     # evaluations through the kept one match those through a new one bit

@@ -14,7 +14,8 @@ from conftest import CENSUS_JSON, census_metric
 
 
 def _ref_render(obj, indent):
-    # The renderer before flat int lists got their own path.
+    # The reference renderer: a list goes inline when none of its items
+    # wraps and their widths sum under 100.
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -142,8 +143,8 @@ def _inner(width):
     pytest.param([{"short": 1}], id="wrapped_short_item"),
 ])
 def test_dumps_matches_reference_on_rows(obj):
-    # Lists nested from plain ints alone take their own path, under the same
-    # inline rule; anything else in a row falls back.
+    # Pairing-shaped rows, and rows with anything else in them, under the
+    # one inline rule.
     assert serialize.dumps(obj) == _ref_dumps(obj)
 
 
@@ -152,6 +153,17 @@ def test_dumps_matches_reference_on_rows(obj):
     ("shapes", "--tri", "{census}", "--metric", "{metric}"),
     ("lp", "--tri", "{census}"),
     ("volmax", "--tri", "{census}"),
+    # every shape of search report, the empty "gluings": [] included
+    pytest.param(("search", "--tets", "1", "--filter", "any"),
+                 id="search_one_tet"),
+    pytest.param(("search", "--tets", "1", "--filter", "census"),
+                 id="search_empty"),
+    pytest.param(("search", "--tets", "2", "--filter", "census",
+                  "--limit", "3"), id="search_limit"),
+    pytest.param(("search", "--tets", "2", "--filter", "torus"),
+                 id="search_torus"),
+    pytest.param(("search", "--tets", "2", "--filter", "census", "--first"),
+                 id="search_first"),
 ], ids=lambda a: a[0])
 def test_dumps_matches_reference_on_reports(tmp_path, argv):
     census = tmp_path / "census.json"

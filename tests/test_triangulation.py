@@ -5,6 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from hyperideal import serialize
 from hyperideal import triangulation as T
 from hyperideal.errors import BoundaryHypothesisError, GluingError
 
@@ -382,6 +383,21 @@ def test_search_matches_reference_two_tet(two_tet_reference, predicate):
     # so filtering its full record gives its result for each predicate.
     want = [tri.spec for tri in two_tet_reference if predicate(tri)]
     assert T.search_gluings(2, predicate) == want
+
+
+@pytest.mark.parametrize("indent", [0, 2])
+def test_json_text_is_the_generic_rendering(two_tet_reference, indent):
+    # A spec's text, composed from its pairing table, is what the generic
+    # renderer makes of its JSON object.
+    specs = T.search_gluings(1, T.any_gluing)
+    assert len(specs) == 27
+    specs += [tri.spec for tri in two_tet_reference]
+    # a row too wide for one line, which no valid gluing has
+    specs.append(T.GluingSpec(tet_count=1, pairings=(
+        (int("9" * 90), 1, (1, 0, 2, 3)),) * 4))
+    for spec in specs:
+        assert spec.json_text(indent) == serialize._render(spec.to_json_obj(),
+                                                           indent)
 
 
 def _search_leaves(tet_count):
