@@ -267,9 +267,9 @@ class Triangulation:
 
 
 class _Quotients:
-    """Union-find over local edges 6t+e, vertices 4t+v and corner points
-    16t+4v+w of n tetrahedra (slots with v == w stay unused singletons),
-    with an undo log.
+    """Union-find over the tetrahedra t, local edges 6t+e, vertices 4t+v and
+    corner points 16t+4v+w of n tetrahedra (slots with v == w stay unused
+    singletons), with an undo log.
 
     A union links the larger root under the smaller, so every link points to
     a smaller item and each root is the least member of its orbit.  Paths
@@ -277,16 +277,44 @@ class _Quotients:
     resets.  The log lists each change as two items, the parent list and
     the index: a tuple per change would be one more object for the garbage
     collector to track, which slows large builds.
+
+    The orbits of the tetrahedra are the components of the gluing.  A
+    tetrahedron's parity bit is set where its orientation opposes its
+    parent's: an odd pairing keeps a coherent orientation and an even one
+    reverses it, so `glue` refuses a pairing closing a cycle of odd parity.
     """
 
     def __init__(self, n: int):
-        self.edge, self.vert, self.point = (list(range(k * n)) for k in (6, 4, 16))
+        self.tet, self.edge, self.vert, self.point = (
+            list(range(k * n)) for k in (1, 6, 4, 16))
+        self.parity = [0] * n
         self.log = []
 
-    def glue(self, t: int, f: int, t2: int, s: tuple) -> None:
+    def glue(self, t: int, f: int, t2: int, s: tuple) -> bool:
         """Identify what the pairing of face (t, f) into tetrahedron t2
-        through s identifies."""
+        through s identifies; False, gluing nothing, if that pairing makes
+        the gluing non-orientable."""
         log = self.log
+        tet, parity = self.tet, self.parity
+        # Whether the orientations of a and b differ, as each walks to its
+        # root: an even map reverses the orientation across the face.
+        flip = _SIGN[s] > 0
+        a, b = t, t2
+        while tet[a] != a:
+            flip ^= parity[a]
+            a = tet[a]
+        while tet[b] != b:
+            flip ^= parity[b]
+            b = tet[b]
+        if b < a:
+            a, b = b, a
+        if a < b:
+            tet[b] = a
+            parity[b] = flip
+            log.append(tet)
+            log.append(b)
+        elif flip:
+            return False
         for parent, k, pairs in zip((self.edge, self.vert, self.point),
                                     (6, 4, 16), _FACE_MAPS[(f, s)]):
             for a, b in pairs:
@@ -302,6 +330,7 @@ class _Quotients:
                     parent[b] = a
                     log.append(parent)
                     log.append(b)
+        return True
 
     def undo(self, mark: int) -> None:
         """Roll back every union made since len(self.log) was mark."""
@@ -324,48 +353,26 @@ def _orbits(parent):
     return orbits, of
 
 
-def _check_orientable(spec: GluingSpec) -> None:
-    # Two-colouring of tetrahedra: a pairing with odd permutation preserves a
-    # coherent orientation, an even one reverses it.  Any odd cycle of
-    # constraints means the quotient is non-orientable.
-    n = spec.tet_count
-    eps = [0] * n
-    for start in range(n):
-        if eps[start] != 0:
-            continue
-        eps[start] = 1
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for f in range(4):
-                t2, _f2, s = spec.pairing(t, f)
-                want = eps[t] if perm_sign(s) == -1 else -eps[t]
-                if eps[t2] == 0:
-                    eps[t2] = want
-                    stack.append(t2)
-                elif eps[t2] != want:
-                    raise GluingError(
-                        f"gluing is non-orientable (inconsistent orientation "
-                        f"across face ({t},{f}))")
-
-
 def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangulation:
     """Validate a gluing and derive its edge/vertex classes and boundary links.
 
-    Checks the pairing table and orientability and glues each face pairing
-    once into a `_Quotients` union-find; the classes and links are read off
-    its orbits when first asked for (see `Triangulation`).  With
-    enforce_link_hypothesis (the default), reads the links at once and raises
-    BoundaryHypothesisError unless every boundary link has Euler
-    characteristic < 0, the standing hypothesis of the geometric modules.
-    Search predicates and purely combinatorial diagnostics may disable it.
+    Checks the pairing table and glues each face pairing once into a
+    `_Quotients` union-find, which refuses a non-orientable gluing; the
+    classes and links are read off its orbits when first asked for (see
+    `Triangulation`).  With enforce_link_hypothesis (the default), reads
+    the links at once and raises BoundaryHypothesisError unless every
+    boundary link has Euler characteristic < 0, the standing hypothesis of
+    the geometric modules.  Search predicates and purely combinatorial
+    diagnostics may disable it.
     """
     spec.validate()
-    _check_orientable(spec)
     quotients = _Quotients(spec.tet_count)
     for i, (t2, f2, s) in enumerate(spec.pairings):
-        if 4 * t2 + f2 > i:  # the partner face carries the same pairing
-            quotients.glue(i // 4, i % 4, t2, tuple(s))
+        t, f = divmod(i, 4)
+        if 4 * t2 + f2 > i and not quotients.glue(t, f, t2, tuple(s)):
+            raise GluingError(
+                "gluing is non-orientable (inconsistent orientation across "
+                f"face ({t},{f}))")
     tri = _leaf(spec, quotients)
     if enforce_link_hypothesis:
         links = tri.boundary_links
@@ -437,81 +444,50 @@ def search_gluings(tet_count: int, predicate) -> list:
     Faces are paired in lexicographic order (the lowest unpaired face is
     matched against every strictly later face under the six compatible
     permutations in a fixed order, each with its inverse written at the
-    partner), so the result list is deterministic and order-stable.
-    Gluings whose tetrahedra
-    split into independent components describe disjoint unions rather than a
-    single manifold and are skipped.  Orientation is pruned during the
-    enumeration: each placed pairing fixes or checks the orientation of the
-    tetrahedra it joins, so only permutations that keep the gluing orientable
-    are tried.  A `_Quotients` union-find glues each pairing as it is placed
-    and undoes it on backtrack.  Every complete gluing hands predicate a
-    `Triangulation` holding a copy of the union-find's parent lists, which
-    derives its classes from that copy only when first read: it equals what
-    `build(spec, enforce_link_hypothesis=False)` returns, without
-    re-checking what the enumeration guarantees, and stays valid after the
-    search has undone its unions.  A gluing is kept iff predicate(tri)
-    holds.
+    partner), so the result list is deterministic and order-stable.  A
+    `_Quotients` union-find glues each pairing as it is placed and undoes
+    it on backtrack; a permutation it refuses as non-orientable is skipped,
+    so only orientable gluings are completed.  Gluings whose tetrahedra
+    split into more than one component describe disjoint unions rather than
+    a single manifold and are skipped.  Every complete gluing hands
+    predicate a `Triangulation` holding a copy of the union-find's parent
+    lists, which derives its classes from that copy only when first read:
+    it equals what `build(spec, enforce_link_hypothesis=False)` returns,
+    without re-checking what the enumeration guarantees, and stays valid
+    after the search has undone its unions.  A gluing is kept iff
+    predicate(tri) holds.
     """
     if tet_count not in (1, 2):
         raise ValueError("search supports 1 or 2 tetrahedra")
     n_faces = 4 * tet_count
     table = [None] * n_faces  # entry 4*t + f, as in GluingSpec.pairings
-    # Orientation of each tetrahedron, 0 while unset; a pairing through s
-    # forces eps[t2] = -perm_sign(s) * eps[t] (the rule of _check_orientable).
-    eps = [1] + [0] * (tet_count - 1)
     quotients = _Quotients(tet_count)
     found = []
-
-    def connected() -> bool:
-        seen = {0}
-        queue = [0]
-        while queue:
-            t = queue.pop()
-            for f in range(4):
-                t2 = table[4 * t + f][0]
-                if t2 not in seen:
-                    seen.add(t2)
-                    queue.append(t2)
-        return len(seen) == tet_count
 
     def place(i):
         while i < n_faces and table[i] is not None:
             i += 1
         if i == n_faces:
-            if not connected():
+            if sum(quotients.tet[x] == x for x in range(tet_count)) > 1:
                 return
             spec = GluingSpec(tet_count=tet_count, pairings=tuple(table))
             if predicate(_leaf(spec, quotients)):
                 found.append(spec)
             return
         t, f = divmod(i, 4)
-        fresh = eps[t] == 0
-        if fresh:
-            eps[t] = 1  # a tetrahedron no placed pairing reaches yet
         mark = len(quotients.log)
         for j in range(i + 1, n_faces):
             if table[j] is not None:
                 continue
             t2, f2 = divmod(j, 4)
-            free = eps[t2] == 0
             for s in _PERMS4:
-                if s[f] != f2:
-                    continue
-                want = -_SIGN[s] * eps[t]
-                if free:
-                    eps[t2] = want
-                elif eps[t2] != want:
+                if s[f] != f2 or not quotients.glue(t, f, t2, s):
                     continue
                 table[i] = (t2, f2, s)
                 table[j] = (t, f, _INVERSE[s])
-                quotients.glue(t, f, t2, s)
                 place(i + 1)
                 quotients.undo(mark)
             table[i] = table[j] = None
-            if free:
-                eps[t2] = 0
-        if fresh:
-            eps[t] = 0
 
     place(0)
     return found

@@ -1,5 +1,6 @@
 """Gluing validation, derived classes, boundary links, and the search."""
 
+import random
 from itertools import permutations
 
 import numpy as np
@@ -15,8 +16,9 @@ PREDICATES = (T.any_gluing, T.single_hyperbolic_class, T.all_torus_links)
 
 
 # ---------------------------------------------------------------------------
-# References: the permutation loops, the tuple-keyed union-find `build` and
-# the unpruned search that the tables and the orientation pruning replaced.
+# References: the permutation loops, the 2-colouring of the tetrahedra, the
+# tuple-keyed union-find `build` and the unpruned search that the tables and
+# the union-find's orientation verdicts replaced.
 
 def _ref_perm_inverse(s):
     inv = [0, 0, 0, 0]
@@ -32,6 +34,31 @@ def _ref_perm_sign(s):
             if s[i] > s[j]:
                 sign = -sign
     return sign
+
+
+def _ref_check_orientable(spec):
+    # Two-colouring of tetrahedra: a pairing with odd permutation preserves a
+    # coherent orientation, an even one reverses it.  Any odd cycle of
+    # constraints means the quotient is non-orientable.
+    n = spec.tet_count
+    eps = [0] * n
+    for start in range(n):
+        if eps[start] != 0:
+            continue
+        eps[start] = 1
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            for f in range(4):
+                t2, _f2, s = spec.pairing(t, f)
+                want = eps[t] if _ref_perm_sign(s) == -1 else -eps[t]
+                if eps[t2] == 0:
+                    eps[t2] = want
+                    stack.append(t2)
+                elif eps[t2] != want:
+                    raise GluingError(
+                        f"gluing is non-orientable (inconsistent orientation "
+                        f"across face ({t},{f}))")
 
 
 class _RefDSU:
@@ -69,7 +96,7 @@ def _ref_check_links(links):
 
 def _ref_build(spec, enforce_link_hypothesis=True):
     spec.validate()
-    T._check_orientable(spec)
+    _ref_check_orientable(spec)
     n = spec.tet_count
     edges = _RefDSU([(t, e) for t in range(n) for e in range(6)])
     verts = _RefDSU([(t, v) for t in range(n) for v in range(4)])
@@ -547,3 +574,83 @@ def test_even_face_map_is_non_orientable(tet_count, odd_pairs, face, partner):
     with pytest.raises(GluingError, match="non-orientable"):
         T.build(_glue(tet_count, odd_pairs + [(face, partner, even)]),
                 enforce_link_hypothesis=False)
+
+
+def _map(f, f2, sign):
+    """First permutation of the given sign that sends face f to face f2."""
+    return next(s for s in permutations(range(4))
+                if s[f] == f2 and _ref_perm_sign(s) == sign)
+
+
+def _switched(spec, rng):
+    """spec with the pairings across a random cut of its tetrahedra switched
+    to even maps, then each pairing toggled between an odd and an even map
+    with probability one in the number of pairings; still involutive."""
+    n = spec.tet_count
+    flipped = [rng.random() < 0.5 for _ in range(n)]
+    table = list(spec.pairings)
+    for i, (t2, f2, s) in enumerate(spec.pairings):
+        t, f = divmod(i, 4)
+        if 4 * t2 + f2 < i:
+            continue
+        even = (flipped[t] != flipped[t2]) != (rng.random() < 0.5 / n)
+        s = _map(f, f2, 1 if even else -1)
+        table[i] = (t2, f2, s)
+        table[4 * t2 + f2] = (t, f, _ref_perm_inverse(s))
+    switched = T.GluingSpec(tet_count=n, pairings=tuple(table))
+    switched.validate()
+    return switched
+
+
+def _orientable(check, spec):
+    try:
+        check(spec)
+    except GluingError as exc:
+        assert "non-orientable" in str(exc)
+        return False
+    return True
+
+
+def test_orientability_matches_reference_beyond_two_tets(sampler):
+    # Even maps across a cut keep the gluing orientable with tetrahedra of
+    # both orientations; one more toggled pairing closes an odd cycle.
+    rng = random.Random(18)
+    verdicts = []
+    for n in range(3, 13):
+        for _ in range(30):
+            spec = _switched(sampler.draw_spec(n, rng), rng)
+            want = _orientable(_ref_check_orientable, spec)
+            assert _orientable(
+                lambda s: T.build(s, enforce_link_hypothesis=False),
+                spec) == want, spec
+            verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("sign", (1, -1), ids=("even", "odd"))
+def test_three_tets_orientation_set_late(sign):
+    # Tetrahedron 1 meets only tetrahedron 2, which tetrahedron 0 reaches
+    # first: no lower tetrahedron reaches tetrahedron 1 before its own faces
+    # are placed.  The gluing is orientable with it in either orientation.
+    spec = _glue(3, [((0, 0), (0, 1), _map(0, 1, -1)),
+                     ((0, 2), (2, 0), _map(2, 0, -1)),
+                     ((0, 3), (2, 1), _map(3, 1, -1)),
+                     ((1, 0), (2, 2), _map(0, 2, sign)),
+                     ((1, 1), (2, 3), _map(1, 3, sign)),
+                     ((1, 2), (1, 3), _map(2, 3, -1))])
+    _ref_check_orientable(spec)
+    T.build(spec, enforce_link_hypothesis=False)
+    quotients = T._Quotients(3)
+    for i, (t2, f2, s) in enumerate(spec.pairings):
+        if 4 * t2 + f2 > i:
+            assert quotients.glue(i // 4, i % 4, t2, s)
+    assert [quotients.tet[x] == x for x in range(3)].count(True) == 1
+    # Across any face, the map of the other sign would close an odd cycle:
+    # it is refused and glues nothing.
+    state = [quotients.tet[:], quotients.parity[:], quotients.edge[:],
+             quotients.vert[:], quotients.point[:], quotients.log[:]]
+    for i, (t2, f2, s) in enumerate(spec.pairings):
+        t, f = divmod(i, 4)
+        assert not quotients.glue(t, f, t2, _map(f, f2, -_ref_perm_sign(s)))
+    assert state == [quotients.tet, quotients.parity, quotients.edge,
+                     quotients.vert, quotients.point, quotients.log]
