@@ -111,10 +111,10 @@ class Quotient:
 class Evaluation:
     """One run of the angle pipeline over every tetrahedron of a length vector.
 
-    ok[t] says whether tetrahedron t is admissible; lengths that are not
-    positive, not finite or above tetgeom.MAX_LENGTH make it False.  The
-    angle-derived fields (angles, S, K and everything computed from them)
-    are meaningful only when every tetrahedron is ok.
+    ok[t] says whether tetrahedron t is admissible; lengths that break
+    tetgeom's length rule make it False.  The angle-derived fields (angles,
+    S, K and everything computed from them) are meaningful only when every
+    tetrahedron is ok.
     """
 
     quotient: Quotient
@@ -145,31 +145,25 @@ class Evaluation:
         """Smallest admissibility margin over all tetrahedra, with its witness.
 
         Returns (margin, witness) where the witness names the tetrahedron and
-        the corner (edge + vertex) or vertex sum that attains the margin.
-        Lengths that fail the length rule come first: margin -inf, and a
-        witness of kind "length" names the first such edge.
+        the corner (edge + vertex) or vertex sum that attains the margin: the
+        first minimum of the pipeline's slack in (tetrahedron, edges 0-5,
+        vertices 0-3) order.  Lengths that fail the length rule come first:
+        margin -inf, and a witness of kind "length" names the first such edge.
         """
-        if not self.admissible:
-            bad = ~((self.X > 0.0) & (self.X <= tetgeom.MAX_LENGTH))
-            if bad.any():
-                t, e = (int(i) for i in np.argwhere(bad)[0])
-                return -math.inf, {"tet": t, "kind": "length", "edge": e,
-                                   "value": float(self.X[t, e])}
         pl = self.pipeline
-        t = int(np.argmin(pl.margin))
-        cos, vs = pl.cosines[t], pl.vsums[t]
-        corner = np.where(np.isfinite(cos), 1.0 - np.abs(cos), -np.inf)
-        slack = np.where(np.isfinite(vs), math.pi - vs, -np.inf)
-        if corner.min() <= slack.min():
-            e = int(np.argmin(corner))
-            witness = {"tet": t, "kind": "corner_cosine", "edge": e,
-                       "vertex": EDGE_VERTEX_PAIRS[e][0],
-                       "value": float(cos[e])}
+        if not pl.in_range.all():
+            t, e = (int(i) for i in np.argwhere(~pl.in_range)[0])
+            return -math.inf, {"tet": t, "kind": "length", "edge": e,
+                               "value": float(self.X[t, e])}
+        t, k = divmod(int(np.argmin(pl.slack)), 10)
+        if k < 6:
+            witness = {"tet": t, "kind": "corner_cosine", "edge": k,
+                       "vertex": EDGE_VERTEX_PAIRS[k][0],
+                       "value": float(pl.cosines[t, k])}
         else:
-            v = int(np.argmin(slack))
-            witness = {"tet": t, "kind": "vertex_sum", "vertex": v,
-                       "value": float(vs[v])}
-        return float(pl.margin[t]), witness
+            witness = {"tet": t, "kind": "vertex_sum", "vertex": k - 6,
+                       "value": float(pl.vsums[t, k - 6])}
+        return float(pl.slack[t, k]), witness
 
     def jacobian(self) -> np.ndarray:
         """dK/dx: minus the per-tetrahedron angle Jacobians, assembled."""

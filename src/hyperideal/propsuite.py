@@ -289,15 +289,8 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
     ok = True
     worst = 0.0
     for x in X[:6]:
-        a = tetgeom.angles_from_lengths(x)
-        g = np.zeros(6)
-        h = 1e-6
-        for j in range(6):
-            ap, am = a.copy(), a.copy()
-            ap[j] += h
-            am[j] -= h
-            g[j] = (tetgeom.schlafli_potential_of_angles(ap)
-                    - tetgeom.schlafli_potential_of_angles(am)) / (2 * h)
+        g = _fd_jacobian(lambda a: np.array([tetgeom.schlafli_potential_of_angles(a)]),
+                         tetgeom.angles_from_lengths(x))[0]
         worst = max(worst, float(np.abs(g + 0.5 * x).max()))
     ok &= worst < 1e-6
     a1 = tetgeom.angles_from_lengths(X[0])

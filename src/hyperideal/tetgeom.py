@@ -29,11 +29,14 @@ Both input domains are decided here, once: `validate_lengths` and
 entry point applies them.
 
 Not every positive length vector is admissible.  Admissibility is decided
-operationally: every corner cosine strictly inside (-1, 1) with a small
-guard (so det H < 0), and the three angles at each vertex summing to less
-than pi.  Lengths long enough to overflow the cofactor products (from about
-120 on the regular shape) leave NaN cosines and so are never admissible.
-The Minkowski-model oracle in `propsuite` cross-checks this classification.
+operationally, by ten slacks per shape: 1 - |cos| at each edge must exceed
+a small guard (so det H < 0), and pi minus the angle sum at each vertex
+must be positive.  A NaN slack counts as -inf, and so does every slack of
+a shape with a length outside the length rule.  Lengths long enough to
+overflow the cofactor products (from about 120 on the regular shape) leave
+NaN cosines and so are never admissible.  The verdict, the margin (the
+smallest slack), the refusal and the witness all read these slacks.  The
+Minkowski-model oracle in `propsuite` cross-checks this classification.
 
 The volume is a function of the dihedral angles alone, in closed form: the
 Murakami-Yano formula, extended by Ushijima to truncated tetrahedra, puts
@@ -59,6 +62,10 @@ from .triangulation import EDGE_VERTEX_PAIRS, VERTEX_EDGES, edge_index
 
 COSINE_GUARD = 1e-9     # corner cosines must stay this far inside (-1, 1)
 MAX_LENGTH = 350.0      # cosh and sinh stay finite in float64
+
+# What each slot of _Pipeline.slack must exceed: the guard at a corner, 0
+# at a vertex.
+_SLACK_FLOOR = np.array([COSINE_GUARD] * 6 + [0.0] * 4)
 
 ARC_VERTEX_FACE = tuple((v, f) for v in range(4) for f in range(4) if f != v)
 
@@ -147,8 +154,13 @@ class _Pipeline(NamedTuple):
     sines: np.ndarray   # (..., 6)
     angles: np.ndarray  # (..., 6) atan2(sines, cosines)
     vsums: np.ndarray   # (..., 4) angle sum at each vertex
-    ok: np.ndarray      # (...) admissibility mask, lengths in (0, MAX_LENGTH] too
-    margin: np.ndarray  # (...) min corner / vertex-sum slack
+    in_range: np.ndarray  # (..., 6) length in (0, MAX_LENGTH]
+    # (..., 10) 1 - |cosine| for edges 0-5, then pi - angle sum for
+    # vertices 0-3; NaN counts as -inf, and so does every slot of a shape
+    # with a length out of range.  ok and margin are read off it.
+    slack: np.ndarray
+    ok: np.ndarray      # (...) every corner slack above the guard, every vertex slack > 0
+    margin: np.ndarray  # (...) slack.min(-1), never NaN
 
 
 def _pipeline(x: np.ndarray) -> _Pipeline:
@@ -172,22 +184,21 @@ def _pipeline(x: np.ndarray) -> _Pipeline:
         sines = root * sh / r
         angles = np.arctan2(sines, cosines)
         vsums = angles[_VERT_E.T].sum(axis=0)
-        slack = 1.0 - np.abs(cosines).max(axis=0)
-        corner = np.fmax(slack, -np.inf)  # a NaN slack counts as -inf
-        top = vsums.max(axis=0)
-        in_range = ((xe > 0.0) & (xe <= MAX_LENGTH)).all(axis=0)
-        ok = (corner > COSINE_GUARD) & (top < math.pi) & in_range
-        margin = np.fmin(corner, math.pi - top)  # never NaN
+        in_range = (xe > 0.0) & (xe <= MAX_LENGTH)
+        slack = np.concatenate([1.0 - np.abs(cosines), math.pi - vsums])
+        slack = np.where(in_range.all(axis=0), np.fmax(slack, -np.inf), -np.inf)
+    slack = slack.transpose(shape_major)
     return _Pipeline(ch, sh, cof, r, root, cosines.transpose(shape_major),
                      sines.transpose(shape_major), angles.transpose(shape_major),
-                     vsums.transpose(shape_major), ok, margin)
+                     vsums.transpose(shape_major), in_range.transpose(shape_major),
+                     slack, (slack > _SLACK_FLOOR).all(axis=-1), slack.min(axis=-1))
 
 
 def _raise_inadmissible(pl: _Pipeline) -> None:
     """Raise for the first failing corner cosine, else vertex sum, of
     lengths that passed validate_lengths."""
     if not np.all(pl.ok):
-        _refuse(~(1.0 - np.abs(pl.cosines) > COSINE_GUARD), pl.cosines,
+        _refuse(pl.slack[..., :6] <= COSINE_GUARD, pl.cosines,
                 "corner cosine at edge {edge}, vertex {vertex} is {value}, outside "
                 f"(-1, 1) by more than the {COSINE_GUARD} guard", "corner_cosine")
         _refuse_vertex_sums(pl.vsums)
@@ -219,17 +230,6 @@ def is_admissible(x) -> np.ndarray:
     """Boolean mask (scalar for a single shape): do the lengths define a tetrahedron?"""
     pl = _pipeline(_as_lengths(x))
     return pl.ok
-
-
-def admissibility_margin(x) -> np.ndarray:
-    """min over edges of 1 - |cosine| and over vertices of pi - angle sum.
-
-    Positive and above the guards on the admissible set; <= 0 or negative
-    when a corner has degenerated.  The flow and the energy minimizer read
-    it over a whole triangulation, with a witness, from Evaluation.margin().
-    """
-    pl = _pipeline(_as_lengths(x))
-    return pl.margin
 
 
 def angles_from_lengths(x) -> np.ndarray:

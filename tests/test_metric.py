@@ -9,6 +9,7 @@ from hyperideal import metric as M
 from hyperideal import tetgeom
 from hyperideal.errors import (ConvergenceError, DefinitenessError,
                                InadmissibleShapeError)
+from hyperideal.triangulation import EDGE_VERTEX_PAIRS
 
 from conftest import XSTAR, census_metric, state
 
@@ -207,7 +208,7 @@ def test_metric_margin_witness(census_tri):
     assert wit["kind"] in ("corner_cosine", "vertex_sum")
     assert 0 <= wit["tet"] < 2
     # margin matches the per-tet computation
-    assert abs(margin - tetgeom.admissibility_margin(np.ones(6))) < 1e-15
+    assert abs(margin - tetgeom._pipeline(np.ones(6)).margin) < 1e-15
 
 
 @pytest.mark.parametrize("x, witness", [
@@ -234,6 +235,60 @@ def test_margin_names_the_rejected_tetrahedron(multi_tri):
     ev = M.evaluate(multi_tri, [1.0, 400.0, 0.0])
     assert ev.margin()[1] == {"tet": 0, "kind": "length", "edge": 5,
                               "value": 400.0}
+
+
+def _ref_margin(ev):
+    """Evaluation.margin() by brute force: the first length outside
+    (0, MAX_LENGTH] in (tet, edge) order, else the first smallest slack in
+    (tet, edges 0-5, vertices 0-3) order, a NaN slack counting as -inf."""
+    X, cos, vs = ev.X, ev.pipeline.cosines, ev.pipeline.vsums
+    for t in range(len(X)):
+        for e in range(6):
+            if not 0.0 < X[t, e] <= tetgeom.MAX_LENGTH:
+                return -math.inf, {"tet": t, "kind": "length", "edge": e,
+                                   "value": float(X[t, e])}
+    best = None
+    for t in range(len(X)):
+        slots = [(1.0 - abs(float(cos[t, e])),
+                  {"tet": t, "kind": "corner_cosine", "edge": e,
+                   "vertex": EDGE_VERTEX_PAIRS[e][0], "value": float(cos[t, e])})
+                 for e in range(6)]
+        slots += [(math.pi - float(vs[t, v]),
+                   {"tet": t, "kind": "vertex_sum", "vertex": v,
+                    "value": float(vs[t, v])}) for v in range(4)]
+        for slack, witness in slots:
+            slack = -math.inf if math.isnan(slack) else slack
+            if best is None or slack < best[0]:
+                best = (slack, witness)
+    return best
+
+
+@pytest.mark.parametrize("tri_fixture", ["multi_tri", "sampled6_tri", "ntet12_tri"])
+def test_margin_matches_brute_force_reference(tri_fixture, request):
+    tri = request.getfixturevalue(tri_fixture)
+    rng = np.random.default_rng(19)
+    n = tri.n_edges
+    xs = [np.ones(n), np.full(n, 2.0), np.full(n, 45.0)]
+    for _ in range(40):
+        xs.append(np.exp(rng.uniform(math.log(0.01), math.log(20.0), n)))
+        xs.append(rng.uniform(130.0, 300.0, n))
+        x = np.exp(rng.uniform(math.log(0.3), math.log(3.0), n))
+        x[rng.integers(n)] = rng.uniform(130.0, 300.0)
+        xs.append(x)
+        for bad in (-1.0, 0.0, 400.0, math.nan):
+            x = np.exp(rng.uniform(math.log(0.3), math.log(3.0), n))
+            x[rng.integers(n)] = bad
+            xs.append(x)
+    kinds = set()
+    for x in xs:
+        ev = M.evaluate(tri, x)
+        got, ref = ev.margin(), _ref_margin(ev)
+        # repr tells NaN values apart from mismatches and pins every bit
+        assert repr(got) == repr(ref), x
+        kinds.add((got[1]["kind"], ev.admissible, got[0] == -math.inf))
+    assert kinds >= {("corner_cosine", True, False), ("vertex_sum", True, False),
+                     ("corner_cosine", False, False), ("vertex_sum", False, False),
+                     ("corner_cosine", False, True), ("length", False, True)}
 
 
 def test_quotient_built_once_per_triangulation(census_spec, monkeypatch):

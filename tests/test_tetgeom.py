@@ -196,12 +196,30 @@ def test_long_edge_shapes_against_mpmath(x):
 
 
 def test_admissibility_margin():
-    m = tetgeom.admissibility_margin(REG1)
+    m = tetgeom._pipeline(REG1).margin
     a = regular_angle(1.0)
     # regular case: cosine guard 1 - cos(a) vs vertex slack pi - 3a
     assert abs(m - min(1.0 - math.cos(a), math.pi - 3 * a)) < 1e-12
-    assert tetgeom.admissibility_margin(
-        np.array([10.0, 0.01, 0.01, 0.01, 0.01, 10.0])) <= 0.0
+    assert tetgeom._pipeline(
+        np.array([10.0, 0.01, 0.01, 0.01, 0.01, 10.0])).margin <= 0.0
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, 400.0, math.nan],
+                         ids=["negative", "zero", "above_max", "nan"])
+@pytest.mark.parametrize("edges", [[0], [3], list(range(6))],
+                         ids=["edge0", "edge3", "all"])
+def test_margin_of_rejected_lengths_is_minus_inf(value, edges):
+    # The length rule decides first, even where the mirrored shape of
+    # x = -1 has healthy corners; batch neighbours keep their own margins.
+    x = REG1.copy()
+    x[edges] = value
+    pl = tetgeom._pipeline(x)
+    assert pl.margin == -math.inf and not pl.ok
+    assert (pl.slack == -math.inf).all()
+    reg = tetgeom._pipeline(REG1)
+    pl = tetgeom._pipeline(np.stack([REG1, x, REG1]))
+    assert list(pl.ok) == [True, False, True]
+    assert list(pl.margin) == [reg.margin, -math.inf, reg.margin]
 
 
 def test_jacobian_symmetry_structure():
@@ -254,7 +272,7 @@ def test_overflowing_regular_shape_is_inadmissible(census_tri, length):
     # shape must come out inadmissible with a margin that is not NaN
     x = np.full(6, length)
     assert not tetgeom.is_admissible(x)
-    assert not np.isnan(tetgeom.admissibility_margin(x))
+    assert not np.isnan(tetgeom._pipeline(x).margin)
     with pytest.raises(InadmissibleShapeError):
         tetgeom.angles_from_lengths(x)
     ev = evaluate(census_tri, [length])
