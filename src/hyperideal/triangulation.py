@@ -47,6 +47,11 @@ _INVERSE = {s: tuple(s.index(i) for i in range(4)) for s in _PERMS4}
 # Four one-digit items always fit on one line, so a permutation's JSON text
 # is the same at every indent.
 _PERM_TEXT = {s: _layout([str(v) for v in s], 0) for s in _PERMS4}
+# A pairing row's text around its labels t and t2: ", f, " between them and,
+# keyed by (f2, s), ", f2, [s]]" after t2.
+_FACE_TEXT = tuple(f", {f}, " for f in range(4))
+_ROW_TAIL = {f2: {s: f", {f2}, {text}]" for s, text in _PERM_TEXT.items()}
+             for f2 in range(4)}
 
 
 def edge_index(a: int, b: int) -> int:
@@ -148,13 +153,16 @@ class GluingSpec:
         return {"tet_count": self.tet_count, "pairings": out}
 
     def json_text(self, indent: int) -> str:
-        """The text serialize.dumps gives to_json_obj() at this indent,
-        composed from the pairing table; every gluing file is written by it."""
-        rows = []
-        for i, (t2, f2, s) in enumerate(self.pairings):
-            t, f = divmod(i, 4)
-            rows.append(_layout([str(t), str(f), str(t2), str(f2),
-                                 _PERM_TEXT[tuple(s)]], indent + 2))
+        """The text serialize.dumps gives to_json_obj() at this indent; every
+        gluing file is written by it.  Each row is composed on one line from
+        a table; `serialize._layout`, the one width rule, checks the widest
+        row and lays the rows out item by item only if that one wraps."""
+        rows = [f"[{i >> 2}{_FACE_TEXT[i & 3]}{t2}{_ROW_TAIL[f2][tuple(s)]}"
+                for i, (t2, f2, s) in enumerate(self.pairings)]
+        widest = max(rows, key=len, default="[]")
+        if _layout(widest[1:-1].split(", ", 4), indent + 2) != widest:
+            rows = [_layout(row[1:-1].split(", ", 4), indent + 2)
+                    for row in rows]
         pad = "  " * (indent + 1)
         return ("{\n" + pad + '"tet_count": ' + str(self.tet_count) + ",\n"
                 + pad + '"pairings": ' + _layout(rows, indent + 1) + "\n"
@@ -216,7 +224,8 @@ class BoundaryLink:
     corners: int
 
 
-_DERIVED = ("edge_classes", "vertex_classes", "boundary_links", "edge_class_of")
+_EDGE_FIELDS = ("edge_classes", "edge_class_of")
+_VERTEX_FIELDS = ("vertex_classes", "boundary_links")
 
 
 @dataclass(frozen=True)
@@ -228,9 +237,11 @@ class Triangulation:
     scattered through.
 
     `build` and `search_gluings` hand out a triangulation that holds its spec
-    and a snapshot of the union-find parent lists of its gluing; the first
-    read of any of the four class fields derives all four from it, so a
-    search predicate that reads only `n_edges` derives nothing.
+    and the edge parent list of the `_Quotients` that glued it.  Each group
+    of class fields derives on the first read of one of its fields:
+    `edge_classes` and `edge_class_of` from that list, `vertex_classes` and
+    `boundary_links` by one union pass over the pairing table.  A predicate
+    reading only `n_edges` (a count of roots) derives nothing.
     """
 
     spec: GluingSpec
@@ -241,10 +252,14 @@ class Triangulation:
 
     def __getattr__(self, name):
         # Reached only for an attribute not yet set on the instance.
-        if name not in _DERIVED:
+        if name in _EDGE_FIELDS:
+            fields = zip(_EDGE_FIELDS, _edge_fields(self.spec, self._edge))
+        elif name in _VERTEX_FIELDS:
+            fields = zip(_VERTEX_FIELDS, _vertex_fields(self.spec))
+        else:
             raise AttributeError(
                 f"'Triangulation' object has no attribute {name!r}")
-        self.__dict__.update(zip(_DERIVED, _assemble(self.spec, *self._parents)))
+        self.__dict__.update(fields)
         return self.__dict__[name]
 
     @property
@@ -255,7 +270,7 @@ class Triangulation:
     def n_edges(self) -> int:
         if "edge_classes" in self.__dict__:
             return len(self.edge_classes)
-        edge = self._parents[0]
+        edge = self._edge
         return sum(edge[x] == x for x in range(len(edge)))
 
     @cached_property
@@ -267,9 +282,9 @@ class Triangulation:
 
 
 class _Quotients:
-    """Union-find over the tetrahedra t, local edges 6t+e, vertices 4t+v and
-    corner points 16t+4v+w of n tetrahedra (slots with v == w stay unused
-    singletons), with an undo log.
+    """Union-find over the tetrahedra t and the local edges 6t+e of n
+    tetrahedra, with an undo log; vertices and corner points are left to
+    `_vertex_fields`, which derives them from the pairing table on read.
 
     A union links the larger root under the smaller, so every link points to
     a smaller item and each root is the least member of its orbit.  Paths
@@ -285,15 +300,14 @@ class _Quotients:
     """
 
     def __init__(self, n: int):
-        self.tet, self.edge, self.vert, self.point = (
-            list(range(k * n)) for k in (1, 6, 4, 16))
+        self.tet, self.edge = list(range(n)), list(range(6 * n))
         self.parity = [0] * n
         self.log = []
 
     def glue(self, t: int, f: int, t2: int, s: tuple) -> bool:
-        """Identify what the pairing of face (t, f) into tetrahedron t2
-        through s identifies; False, gluing nothing, if that pairing makes
-        the gluing non-orientable."""
+        """Join the tetrahedra and identify the local edges that the pairing
+        of face (t, f) into tetrahedron t2 through s identifies; False,
+        gluing nothing, if that pairing makes the gluing non-orientable."""
         log = self.log
         tet, parity = self.tet, self.parity
         # Whether the orientations of a and b differ, as each walks to its
@@ -315,21 +329,7 @@ class _Quotients:
             log.append(b)
         elif flip:
             return False
-        for parent, k, pairs in zip((self.edge, self.vert, self.point),
-                                    (6, 4, 16), _FACE_MAPS[(f, s)]):
-            for a, b in pairs:
-                a += k * t
-                b += k * t2
-                while parent[a] != a:
-                    a = parent[a]
-                while parent[b] != b:
-                    b = parent[b]
-                if b < a:
-                    a, b = b, a
-                if a < b:
-                    parent[b] = a
-                    log.append(parent)
-                    log.append(b)
+        _unite(self.edge, _FACE_MAPS[(f, s)][0], 6 * t, 6 * t2, log)
         return True
 
     def undo(self, mark: int) -> None:
@@ -338,6 +338,25 @@ class _Quotients:
         while len(log) > mark:
             x = log.pop()
             log.pop()[x] = x
+
+
+def _unite(parent, pairs, at, at2, log=None):
+    # Unite at+a with at2+b for each (a, b) in pairs, as _Quotients links
+    # roots; each change goes to log, if given, as its list and index.
+    for a, b in pairs:
+        a += at
+        b += at2
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if b < a:
+            a, b = b, a
+        if a < b:
+            parent[b] = a
+            if log is not None:
+                log.append(parent)
+                log.append(b)
 
 
 def _orbits(parent):
@@ -358,7 +377,7 @@ def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangul
 
     Checks the pairing table and glues each face pairing once into a
     `_Quotients` union-find, which refuses a non-orientable gluing; the
-    classes and links are read off its orbits when first asked for (see
+    classes and links are derived when first asked for (see
     `Triangulation`).  With enforce_link_hypothesis (the default), reads
     the links at once and raises BoundaryHypothesisError unless every
     boundary link has Euler characteristic < 0, the standing hypothesis of
@@ -373,7 +392,7 @@ def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangul
             raise GluingError(
                 "gluing is non-orientable (inconsistent orientation across "
                 f"face ({t},{f}))")
-    tri = _leaf(spec, quotients)
+    tri = _leaf(spec, quotients.edge)
     if enforce_link_hypothesis:
         links = tri.boundary_links
         bad = [l for l in links if l.chi >= 0]
@@ -386,23 +405,35 @@ def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangul
     return tri
 
 
-def _leaf(spec: GluingSpec, quotients: _Quotients) -> Triangulation:
-    # The underived triangulation of spec, whose every face pairing quotients
-    # holds.  It copies the parent lists, which a search goes on to undo.
+def _leaf(spec: GluingSpec, edge: list) -> Triangulation:
+    # The underived triangulation of spec, whose edge classes are the orbits
+    # of the parent list edge.
     tri = object.__new__(Triangulation)
-    tri.__dict__.update(spec=spec, _parents=(
-        quotients.edge[:], quotients.vert[:], quotients.point[:]))
+    tri.__dict__.update(spec=spec, _edge=edge)
     return tri
 
 
-def _assemble(spec: GluingSpec, edge: list, vert: list, point: list) -> tuple:
-    # edge_classes, vertex_classes, boundary_links and edge_class_of of spec,
-    # from the parent lists of a _Quotients that holds its every pairing.
+def _edge_fields(spec: GluingSpec, edge: list) -> tuple:
+    # edge_classes and edge_class_of of spec, from the edge parent list of a
+    # _Quotients that holds its every pairing.
+    orbits, of = _orbits(edge)
+    return (tuple(EdgeClass(index=i, corners=tuple(divmod(x, 6) for x in g))
+                  for i, g in enumerate(orbits)),
+            tuple(tuple(of[6 * t:6 * t + 6]) for t in range(spec.tet_count)))
+
+
+def _vertex_fields(spec: GluingSpec) -> tuple:
+    # vertex_classes and boundary_links of spec, from one union pass of its
+    # pairings over the vertices 4t+v and the corner points 16t+4v+w (slots
+    # with v == w stay unused singletons).
     n = spec.tet_count
-    edge_orbits, edge_of = _orbits(edge)
-    edge_classes = tuple(
-        EdgeClass(index=i, corners=tuple(divmod(x, 6) for x in g))
-        for i, g in enumerate(edge_orbits))
+    vert, point = list(range(4 * n)), list(range(16 * n))
+    for i, (t2, f2, s) in enumerate(spec.pairings):
+        if 4 * t2 + f2 > i:
+            t = i >> 2
+            _, vert_pairs, point_pairs = _FACE_MAPS[(i & 3, tuple(s))]
+            _unite(vert, vert_pairs, 4 * t, 4 * t2)
+            _unite(point, point_pairs, 16 * t, 16 * t2)
     vert_orbits, vert_of = _orbits(vert)
     vertex_classes = tuple(tuple(divmod(x, 4) for x in g) for g in vert_orbits)
 
@@ -420,8 +451,7 @@ def _assemble(spec: GluingSpec, edge: list, vert: list, point: list) -> tuple:
         sides = 3 * faces // 2
         links.append(BoundaryLink(vertex_class=j, chi=points[j] - sides + faces,
                                   triangles=faces, sides=sides, corners=points[j]))
-    return (edge_classes, vertex_classes, tuple(links),
-            tuple(tuple(edge_of[6 * t:6 * t + 6]) for t in range(n)))
+    return vertex_classes, tuple(links)
 
 
 def single_hyperbolic_class(tri: Triangulation) -> bool:
@@ -445,17 +475,17 @@ def search_gluings(tet_count: int, predicate) -> list:
     matched against every strictly later face under the six compatible
     permutations in a fixed order, each with its inverse written at the
     partner), so the result list is deterministic and order-stable.  A
-    `_Quotients` union-find glues each pairing as it is placed and undoes
-    it on backtrack; a permutation it refuses as non-orientable is skipped,
-    so only orientable gluings are completed.  Gluings whose tetrahedra
-    split into more than one component describe disjoint unions rather than
-    a single manifold and are skipped.  Every complete gluing hands
-    predicate a `Triangulation` holding a copy of the union-find's parent
-    lists, which derives its classes from that copy only when first read:
-    it equals what `build(spec, enforce_link_hypothesis=False)` returns,
-    without re-checking what the enumeration guarantees, and stays valid
-    after the search has undone its unions.  A gluing is kept iff
-    predicate(tri) holds.
+    `_Quotients` union-find glues the tetrahedra and local edges of each
+    pairing as it is placed and undoes them on backtrack; a permutation it
+    refuses as non-orientable is skipped, so only orientable gluings are
+    completed.  Gluings whose tetrahedra split into more than one component
+    describe disjoint unions rather than a single manifold and are skipped.
+    Every complete gluing hands predicate a `Triangulation` carrying its
+    spec and a copy of the edge parent list, which outlives the search's
+    undo and derives its fields on first read (see `Triangulation`): it
+    equals what `build(spec, enforce_link_hypothesis=False)` returns,
+    without re-checking what the enumeration guarantees.  A gluing is kept
+    iff predicate(tri) holds.
     """
     if tet_count not in (1, 2):
         raise ValueError("search supports 1 or 2 tetrahedra")
@@ -471,7 +501,7 @@ def search_gluings(tet_count: int, predicate) -> list:
             if sum(quotients.tet[x] == x for x in range(tet_count)) > 1:
                 return
             spec = GluingSpec(tet_count=tet_count, pairings=tuple(table))
-            if predicate(_leaf(spec, quotients)):
+            if predicate(_leaf(spec, quotients.edge[:])):
                 found.append(spec)
             return
         t, f = divmod(i, 4)

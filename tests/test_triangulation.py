@@ -198,6 +198,19 @@ def _ref_search(tet_count, predicate):
     return found
 
 
+@pytest.fixture(scope="module")
+def sampled_specs(sampler):
+    """Benchmark-sampler gluings of 3 to 128 tetrahedra, each followed by an
+    orientation variant made with `_switched`, which may be non-orientable."""
+    rng = random.Random(20)
+    specs = []
+    for n in (3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128):
+        for _ in range(3):
+            spec = sampler.draw_spec(n, rng)
+            specs += [spec, _switched(spec, rng)]
+    return specs
+
+
 def _outcome(build, spec, enforce):
     try:
         return build(spec, enforce_link_hypothesis=enforce)
@@ -413,15 +426,25 @@ def test_search_matches_reference_two_tet(two_tet_reference, predicate):
 
 
 @pytest.mark.parametrize("indent", [0, 2])
-def test_json_text_is_the_generic_rendering(two_tet_reference, indent):
+def test_json_text_is_the_generic_rendering(two_tet_reference, sampled_specs,
+                                            indent):
     # A spec's text, composed from its pairing table, is what the generic
     # renderer makes of its JSON object.
     specs = T.search_gluings(1, T.any_gluing)
     assert len(specs) == 27
     specs += [tri.spec for tri in two_tet_reference]
-    # a row too wide for one line, which no valid gluing has
+    # two- and three-digit tetrahedron labels
+    specs += sampled_specs
+    # a row too wide for one line, which no valid gluing has: in every row,
+    # and in one row of four
     specs.append(T.GluingSpec(tet_count=1, pairings=(
         (int("9" * 90), 1, (1, 0, 2, 3)),) * 4))
+    specs.append(T.GluingSpec(tet_count=1, pairings=(
+        (int("9" * 90), 1, (1, 0, 2, 3)),) + ((3, 1, (1, 0, 2, 3)),) * 3))
+    # rows whose target face is not where the permutation sends the face,
+    # which validate refuses; the text shows the table as it is
+    specs.append(T.GluingSpec(tet_count=1, pairings=(
+        (5, 1, (1, 0, 2, 3)),) * 4))
     for spec in specs:
         assert spec.json_text(indent) == serialize._render(spec.to_json_obj(),
                                                            indent)
@@ -445,51 +468,58 @@ def test_search_leaves_match_build(two_tet_reference):
 
 @pytest.fixture
 def derivations(monkeypatch):
-    """The spec of every triangulation whose classes get derived, in order."""
-    calls = []
-    assemble = T._assemble
+    """Per group of class fields, the spec of every triangulation whose
+    fields of that group get derived, in order: "edge" for `edge_classes`
+    and `edge_class_of`, "vertex" for `vertex_classes` and
+    `boundary_links`."""
+    calls = {"edge": [], "vertex": []}
+    for group, name in (("edge", "_edge_fields"), ("vertex", "_vertex_fields")):
+        def counted(spec, *args, derive=getattr(T, name), specs=calls[group]):
+            specs.append(spec)
+            return derive(spec, *args)
 
-    def counted(spec, *parents):
-        calls.append(spec)
-        return assemble(spec, *parents)
-
-    monkeypatch.setattr(T, "_assemble", counted)
+        monkeypatch.setattr(T, name, counted)
     return calls
 
 
 def test_search_any_derives_no_leaf(derivations):
     assert len(T.search_gluings(2, T.any_gluing)) == 15552
-    assert derivations == []
+    assert derivations == {"edge": [], "vertex": []}
 
 
 def test_census_search_derives_only_one_edge_leaves(derivations):
-    # Every one-edge 2-tet leaf is a census match, so each derived leaf is.
+    # Every one-edge 2-tet leaf is a census match, so each derived leaf is;
+    # the filter reads the edge count and the links, never an edge class.
     census = T.search_gluings(2, T.single_hyperbolic_class)
     assert len(census) == 4416
-    assert derivations == census
+    assert derivations["vertex"] == census
+    assert derivations["edge"] == []
 
 
 def test_build_derives_once(derivations, census_spec):
     tri = T.build(census_spec)  # reads the links to check the hypothesis
-    assert derivations == [census_spec]
+    assert derivations == {"edge": [], "vertex": [census_spec]}
     assert (tri.n_edges, tri.edge_class_of) == (1, ((0,) * 6, (0,) * 6))
-    assert derivations == [census_spec]
+    assert derivations == {"edge": [census_spec], "vertex": [census_spec]}
+    assert tri.edge_classes and tri.vertex_classes  # each group derived once
+    assert derivations == {"edge": [census_spec], "vertex": [census_spec]}
     lax = T.build(census_spec, enforce_link_hypothesis=False)
-    assert derivations == [census_spec]
+    assert derivations == {"edge": [census_spec], "vertex": [census_spec]}
     assert lax == tri
-    assert derivations == [census_spec] * 2
+    assert derivations == {"edge": [census_spec] * 2,
+                           "vertex": [census_spec] * 2}
 
 
 def test_leaf_n_edges_derives_nothing(two_tet_reference, derivations):
     counts = []
     T.search_gluings(2, lambda tri: counts.append(tri.n_edges) or True)
-    assert derivations == []
+    assert derivations == {"edge": [], "vertex": []}
     assert counts == [len(ref.edge_classes) for ref in two_tet_reference]
 
 
 def test_leaf_derived_after_the_search(derivations):
-    # A leaf keeps its own copy of the union-find, which the search undoes
-    # after the predicate returns.
+    # A leaf keeps its own copy of the edge parent list, which the search
+    # undoes after the predicate returns.
     early = []
 
     def derive_now(tri):
@@ -498,11 +528,12 @@ def test_leaf_derived_after_the_search(derivations):
         return True
 
     T.search_gluings(2, derive_now)
-    assert len(derivations) == 15552
+    assert [len(derivations[g]) for g in ("edge", "vertex")] == [15552, 0]
     late = _search_leaves(2)
-    assert len(derivations) == 15552
+    assert [len(derivations[g]) for g in ("edge", "vertex")] == [15552, 0]
     assert late == early
-    assert len(derivations) == 2 * 15552
+    assert [len(derivations[g]) for g in ("edge", "vertex")] == \
+           [2 * 15552, 2 * 15552]
 
 
 def test_underived_leaf_hash_and_repr(two_tet_reference):
@@ -543,6 +574,25 @@ def test_build_matches_reference_two_tet(two_tet_reference):
 def test_build_matches_reference_frozen(obj, enforce):
     spec = T.GluingSpec.from_json_obj(obj)
     assert _outcome(T.build, spec, enforce) == _outcome(_ref_build, spec, enforce)
+
+
+@pytest.mark.parametrize("enforce", (True, False))
+def test_build_matches_reference_sampled(sampled_specs, enforce):
+    # Edge classes come from the union-find that glued the tetrahedra,
+    # vertex classes and links from a second pass over the pairing table:
+    # both agree with the reference far beyond two tetrahedra.
+    refused = kept = 0
+    for spec in sampled_specs:
+        if not _orientable(_ref_check_orientable, spec):
+            with pytest.raises(GluingError, match="non-orientable"):
+                T.build(spec, enforce_link_hypothesis=enforce)
+            continue
+        want = _outcome(_ref_build, spec, enforce)
+        assert _outcome(T.build, spec, enforce) == want, spec
+        refused += isinstance(want, tuple)
+        kept += not isinstance(want, tuple)
+    assert kept > 0
+    assert (refused > 0) == enforce
 
 
 def _glue(tet_count, pairs):
@@ -639,7 +689,10 @@ def test_three_tets_orientation_set_late(sign):
                      ((1, 1), (2, 3), _map(1, 3, sign)),
                      ((1, 2), (1, 3), _map(2, 3, -1))])
     _ref_check_orientable(spec)
-    T.build(spec, enforce_link_hypothesis=False)
+    tri = T.build(spec, enforce_link_hypothesis=False)
+    ref = _ref_build(spec, enforce_link_hypothesis=False)
+    assert (tri.vertex_classes, tri.boundary_links) == \
+           (ref.vertex_classes, ref.boundary_links)
     quotients = T._Quotients(3)
     for i, (t2, f2, s) in enumerate(spec.pairings):
         if 4 * t2 + f2 > i:
@@ -648,9 +701,9 @@ def test_three_tets_orientation_set_late(sign):
     # Across any face, the map of the other sign would close an odd cycle:
     # it is refused and glues nothing.
     state = [quotients.tet[:], quotients.parity[:], quotients.edge[:],
-             quotients.vert[:], quotients.point[:], quotients.log[:]]
+             quotients.log[:]]
     for i, (t2, f2, s) in enumerate(spec.pairings):
         t, f = divmod(i, 4)
         assert not quotients.glue(t, f, t2, _map(f, f2, -_ref_perm_sign(s)))
     assert state == [quotients.tet, quotients.parity, quotients.edge,
-                     quotients.vert, quotients.point, quotients.log]
+                     quotients.log]
