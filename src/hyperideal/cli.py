@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -272,7 +273,10 @@ def cmd_propsuite(args) -> int:
     return EXIT_OK if report.violations == 0 else EXIT_VIOLATIONS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so every `main` call can share it."""
     p = argparse.ArgumentParser(
         prog="hyperideal",
         description="Curvature flow and angle structures on ideally "

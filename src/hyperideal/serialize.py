@@ -24,14 +24,21 @@ def fmt(v: float) -> str:
 def _layout(items: list, indent: int) -> str:
     # One line when no item wraps and the items' own widths sum under 100;
     # no items make "[]".
-    line = ", ".join(items)
-    if "\n" not in line and len(line) - 2 * (len(items) - 1) < 100:
-        return "[" + line + "]"
-    inner = ",\n".join("  " * (indent + 1) + s for s in items)
-    return "[\n" + inner + "\n" + "  " * indent + "]"
+    if sum(map(len, items)) < 100:
+        line = ", ".join(items)
+        if "\n" not in line:
+            return f"[{line}]"
+    pad = "  " * (indent + 1)
+    sep = ",\n" + pad
+    return f"[\n{pad}{sep.join(items)}\n{'  ' * indent}]"
 
 
 def _render(obj, indent: int) -> str:
+    # An object with a json_text(indent) method, a GluingSpec, renders
+    # itself; it is looked for first, since a search report holds thousands.
+    json_text = getattr(obj, "json_text", None)
+    if json_text is not None:
+        return json_text(indent)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -56,9 +63,6 @@ def _render(obj, indent: int) -> str:
             parts.append("  " * (indent + 1) + json.dumps(k) + ": "
                          + _render(v, indent + 1))
         return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
-    json_text = getattr(obj, "json_text", None)
-    if json_text is not None:
-        return json_text(indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import permutations
 
 from .errors import BoundaryHypothesisError, GluingError
-from .serialize import _layout
+from .serialize import _layout, _render
 
 EDGE_VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 OPPOSITE_EDGE = (5, 4, 3, 2, 1, 0)
@@ -44,14 +44,19 @@ _PERMS4 = tuple(permutations(range(4)))
 _SIGN = {s: (-1) ** sum(s[i] > s[j] for i in range(4) for j in range(i + 1, 4))
          for s in _PERMS4}
 _INVERSE = {s: tuple(s.index(i) for i in range(4)) for s in _PERMS4}
-# Four one-digit items always fit on one line, so a permutation's JSON text
-# is the same at every indent.
-_PERM_TEXT = {s: _layout([str(v) for v in s], 0) for s in _PERMS4}
-# A pairing row's text around its labels t and t2: ", f, " between them and,
-# keyed by (f2, s), ", f2, [s]]" after t2.
-_FACE_TEXT = tuple(f", {f}, " for f in range(4))
-_ROW_TAIL = {f2: {s: f", {f2}, {text}]" for s, text in _PERM_TEXT.items()}
-             for f2 in range(4)}
+# The maps of face f onto face f2, keyed by (f, f2): the six (s, inverse)
+# with s[f] == f2 in _PERMS4 order, then the odd three and the even three,
+# each in that order.
+_FACE_PERMS = {}
+for _f in range(4):
+    for _f2 in range(4):
+        _maps = tuple((s, _INVERSE[s]) for s in _PERMS4 if s[_f] == _f2)
+        _FACE_PERMS[_f, _f2] = (_maps, tuple(
+            tuple(m for m in _maps if _SIGN[m[0]] == sign) for sign in (-1, 1)))
+# Finished pairing-row texts, by indent and then by face index 4t + f, each
+# keyed by the pairing (t2, f2, s) and filled on first use: one entry per
+# distinct row written.
+_ROWS = {}
 
 
 def edge_index(a: int, b: int) -> int:
@@ -84,6 +89,20 @@ def _face_map(f, s):
 
 _FACE_MAPS = {(f, s): _face_map(f, s) for f in range(4) for s in _PERMS4}
 _POINT_SLOTS = tuple(4 * v + w for v in range(4) for w in range(4) if v != w)
+
+
+def _row_text(table, i, pairing, indent):
+    # The text of row i, for pairing, of a gluing's pairings at this indent:
+    # the rendering of [t, f, t2, f2, list(s)], kept in table if all its
+    # labels are ints (so that no 1.0 or True fills a row for 1).
+    t2, f2, s = pairing
+    key = (t2, f2, tuple(s))
+    text = table.get(key)
+    if text is None:
+        text = _render([i >> 2, i & 3, t2, f2, list(s)], indent + 2)
+        if all(type(v) is int for v in (t2, f2, *s)):
+            table[key] = text
+    return text
 
 
 @dataclass(frozen=True)
@@ -154,19 +173,22 @@ class GluingSpec:
 
     def json_text(self, indent: int) -> str:
         """The text serialize.dumps gives to_json_obj() at this indent; every
-        gluing file is written by it.  Each row is composed on one line from
-        a table; `serialize._layout`, the one width rule, checks the widest
-        row and lays the rows out item by item only if that one wraps."""
-        rows = [f"[{i >> 2}{_FACE_TEXT[i & 3]}{t2}{_ROW_TAIL[f2][tuple(s)]}"
-                for i, (t2, f2, s) in enumerate(self.pairings)]
-        widest = max(rows, key=len, default="[]")
-        if _layout(widest[1:-1].split(", ", 4), indent + 2) != widest:
-            rows = [_layout(row[1:-1].split(", ", 4), indent + 2)
-                    for row in rows]
+        gluing file is written by it.  Each row is read from a table of
+        finished rows, which `_row_text` fills on first use with the
+        generic rendering, under `serialize._layout`, the one width rule."""
+        pairings = self.pairings
+        tables = _ROWS.setdefault(indent, [])
+        while len(tables) < len(pairings):
+            tables.append({})
+        try:
+            rows = [table[p] for table, p in zip(tables, pairings)]
+        except (KeyError, TypeError):
+            rows = [_row_text(table, i, p, indent)
+                    for i, (table, p) in enumerate(zip(tables, pairings))]
         pad = "  " * (indent + 1)
-        return ("{\n" + pad + '"tet_count": ' + str(self.tet_count) + ",\n"
-                + pad + '"pairings": ' + _layout(rows, indent + 1) + "\n"
-                + "  " * indent + "}")
+        return (f'{{\n{pad}"tet_count": {self.tet_count},\n'
+                f'{pad}"pairings": {_layout(rows, indent + 1)}\n'
+                f'{"  " * indent}}}')
 
     @classmethod
     def from_json_obj(cls, obj) -> "GluingSpec":
@@ -237,11 +259,11 @@ class Triangulation:
     scattered through.
 
     `build` and `search_gluings` hand out a triangulation that holds its spec
-    and the edge parent list of the `_Quotients` that glued it.  Each group
-    of class fields derives on the first read of one of its fields:
-    `edge_classes` and `edge_class_of` from that list, `vertex_classes` and
-    `boundary_links` by one union pass over the pairing table.  A predicate
-    reading only `n_edges` (a count of roots) derives nothing.
+    and the edge parent list and edge root count of the `_Quotients` that
+    glued it.  Each group of class fields derives on the first read of one
+    of its fields: `edge_classes` and `edge_class_of` from that list,
+    `vertex_classes` and `boundary_links` by one union pass over the pairing
+    table.  A predicate reading only `n_edges` (that count) derives nothing.
     """
 
     spec: GluingSpec
@@ -268,10 +290,8 @@ class Triangulation:
 
     @property
     def n_edges(self) -> int:
-        if "edge_classes" in self.__dict__:
-            return len(self.edge_classes)
-        edge = self._edge
-        return sum(edge[x] == x for x in range(len(edge)))
+        n = self.__dict__.get("_n_edges")
+        return len(self.edge_classes) if n is None else n
 
     @cached_property
     def quotient(self):
@@ -289,9 +309,12 @@ class _Quotients:
     A union links the larger root under the smaller, so every link points to
     a smaller item and each root is the least member of its orbit.  Paths
     are never compressed: a union changes exactly one entry, which `undo`
-    resets.  The log lists each change as two items, the parent list and
-    the index: a tuple per change would be one more object for the garbage
-    collector to track, which slows large builds.
+    resets.  The log lists each change as one int, the index it changed:
+    ~t (negative) for tetrahedron t, x for local edge x.  A tuple per change
+    would be one more object for the garbage collector to track, which slows
+    large builds.  `tet_roots` and
+    `edge_roots` count the roots of each list, and every union and undo
+    keeps them up to date.
 
     The orbits of the tetrahedra are the components of the gluing.  A
     tetrahedron's parity bit is set where its orientation opposes its
@@ -302,47 +325,69 @@ class _Quotients:
     def __init__(self, n: int):
         self.tet, self.edge = list(range(n)), list(range(6 * n))
         self.parity = [0] * n
+        self.tet_roots, self.edge_roots = n, 6 * n
         self.log = []
 
-    def glue(self, t: int, f: int, t2: int, s: tuple) -> bool:
+    def root(self, t: int):
+        """The root of tetrahedron t, and whether their orientations
+        differ."""
+        tet, parity = self.tet, self.parity
+        odd = 0
+        while tet[t] != t:
+            odd ^= parity[t]
+            t = tet[t]
+        return t, odd
+
+    def glue(self, t: int, f: int, t2: int, s: tuple, roots=None) -> bool:
         """Join the tetrahedra and identify the local edges that the pairing
         of face (t, f) into tetrahedron t2 through s identifies; False,
-        gluing nothing, if that pairing makes the gluing non-orientable."""
-        log = self.log
-        tet, parity = self.tet, self.parity
-        # Whether the orientations of a and b differ, as each walks to its
-        # root: an even map reverses the orientation across the face.
-        flip = _SIGN[s] > 0
-        a, b = t, t2
-        while tet[a] != a:
-            flip ^= parity[a]
-            a = tet[a]
-        while tet[b] != b:
-            flip ^= parity[b]
-            b = tet[b]
+        gluing nothing, if that pairing makes the gluing non-orientable.
+        A caller that has walked t and t2 to their roots a and b may pass
+        roots = (a, b, odd), odd being whether their orientations differ
+        as `root` reads them, and glue walks nothing."""
+        if roots is None:
+            a, odd = self.root(t)
+            b, odd2 = self.root(t2)
+            odd ^= odd2
+        else:
+            a, b, odd = roots
+        # Whether b's orientation opposes a's once glued: an even map
+        # reverses the orientation across the face.
+        flip = (_SIGN[s] > 0) ^ odd
         if b < a:
             a, b = b, a
         if a < b:
-            tet[b] = a
-            parity[b] = flip
-            log.append(tet)
-            log.append(b)
+            self.tet[b] = a
+            self.parity[b] = flip
+            self.tet_roots -= 1
+            self.log.append(~b)
         elif flip:
             return False
-        _unite(self.edge, _FACE_MAPS[(f, s)][0], 6 * t, 6 * t2, log)
+        self.edge_roots -= _unite(self.edge, _FACE_MAPS[(f, s)][0],
+                                  6 * t, 6 * t2, self.log)
         return True
 
     def undo(self, mark: int) -> None:
         """Roll back every union made since len(self.log) was mark."""
-        log = self.log
+        log, tet, edge = self.log, self.tet, self.edge
+        tets = edges = 0
         while len(log) > mark:
             x = log.pop()
-            log.pop()[x] = x
+            if x < 0:
+                tet[~x] = ~x
+                tets += 1
+            else:
+                edge[x] = x
+                edges += 1
+        self.tet_roots += tets
+        self.edge_roots += edges
 
 
 def _unite(parent, pairs, at, at2, log=None):
     # Unite at+a with at2+b for each (a, b) in pairs, as _Quotients links
-    # roots; each change goes to log, if given, as its list and index.
+    # roots; each change goes to log, if given, as the index it changed.
+    # Returns the number of unions made.
+    unions = 0
     for a, b in pairs:
         a += at
         b += at2
@@ -354,9 +399,10 @@ def _unite(parent, pairs, at, at2, log=None):
             a, b = b, a
         if a < b:
             parent[b] = a
+            unions += 1
             if log is not None:
-                log.append(parent)
                 log.append(b)
+    return unions
 
 
 def _orbits(parent):
@@ -392,7 +438,7 @@ def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangul
             raise GluingError(
                 "gluing is non-orientable (inconsistent orientation across "
                 f"face ({t},{f}))")
-    tri = _leaf(spec, quotients.edge)
+    tri = _leaf(spec, quotients.edge, quotients.edge_roots)
     if enforce_link_hypothesis:
         links = tri.boundary_links
         bad = [l for l in links if l.chi >= 0]
@@ -405,11 +451,11 @@ def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangul
     return tri
 
 
-def _leaf(spec: GluingSpec, edge: list) -> Triangulation:
-    # The underived triangulation of spec, whose edge classes are the orbits
-    # of the parent list edge.
+def _leaf(spec: GluingSpec, edge: list, n_edges: int) -> Triangulation:
+    # The underived triangulation of spec, whose n_edges edge classes are
+    # the orbits of the parent list edge.
     tri = object.__new__(Triangulation)
-    tri.__dict__.update(spec=spec, _edge=edge)
+    tri.__dict__.update(spec=spec, _edge=edge, _n_edges=n_edges)
     return tri
 
 
@@ -476,47 +522,59 @@ def search_gluings(tet_count: int, predicate) -> list:
     permutations in a fixed order, each with its inverse written at the
     partner), so the result list is deterministic and order-stable.  A
     `_Quotients` union-find glues the tetrahedra and local edges of each
-    pairing as it is placed and undoes them on backtrack; a permutation it
-    refuses as non-orientable is skipped, so only orientable gluings are
-    completed.  Gluings whose tetrahedra split into more than one component
-    describe disjoint unions rather than a single manifold and are skipped.
-    Every complete gluing hands predicate a `Triangulation` carrying its
-    spec and a copy of the edge parent list, which outlives the search's
-    undo and derives its fields on first read (see `Triangulation`): it
-    equals what `build(spec, enforce_link_hypothesis=False)` returns,
-    without re-checking what the enumeration guarantees.  A gluing is kept
-    iff predicate(tri) holds.
+    pairing as it is placed and undoes them on backtrack.  Where the two
+    tetrahedra already share a root, only the three permutations of the
+    sign that keeps an orientation are tried, in the same order, so every
+    glue succeeds and only orientable gluings are completed.  Gluings whose
+    tetrahedra split into more than one component (more than one
+    tetrahedron root) describe disjoint unions rather than a single manifold
+    and are skipped.  Every complete gluing hands predicate a
+    `Triangulation` carrying its spec, its edge root count and a copy of
+    the edge parent list, which outlives the search's undo and derives its
+    fields on first read (see `Triangulation`): it equals what
+    `build(spec, enforce_link_hypothesis=False)` returns, without
+    re-checking what the enumeration guarantees.  A gluing is kept iff
+    predicate(tri) holds.
     """
     if tet_count not in (1, 2):
         raise ValueError("search supports 1 or 2 tetrahedra")
     n_faces = 4 * tet_count
     table = [None] * n_faces  # entry 4*t + f, as in GluingSpec.pairings
     quotients = _Quotients(tet_count)
+    root, glue, undo, log = (quotients.root, quotients.glue, quotients.undo,
+                             quotients.log)
     found = []
 
     def place(i):
         while i < n_faces and table[i] is not None:
             i += 1
         if i == n_faces:
-            if sum(quotients.tet[x] == x for x in range(tet_count)) > 1:
-                return
-            spec = GluingSpec(tet_count=tet_count, pairings=tuple(table))
-            if predicate(_leaf(spec, quotients.edge[:])):
-                found.append(spec)
+            if quotients.tet_roots == 1:
+                spec = GluingSpec(tet_count=tet_count, pairings=tuple(table))
+                if predicate(_leaf(spec, quotients.edge[:],
+                                   quotients.edge_roots)):
+                    found.append(spec)
             return
-        t, f = divmod(i, 4)
-        mark = len(quotients.log)
+        t, f = i >> 2, i & 3
+        a, odd = root(t)
+        mark = len(log)
         for j in range(i + 1, n_faces):
             if table[j] is not None:
                 continue
-            t2, f2 = divmod(j, 4)
-            for s in _PERMS4:
-                if s[f] != f2 or not quotients.glue(t, f, t2, s):
-                    continue
+            t2, f2 = j >> 2, j & 3
+            b, odd2 = root(t2)
+            roots = (a, b, odd ^ odd2)
+            maps, by_parity = _FACE_PERMS[f, f2]
+            if a == b:
+                # Only the maps of one sign keep an orientation: the even
+                # ones if the two orientations differ, else the odd ones.
+                maps = by_parity[odd ^ odd2]
+            for s, inverse in maps:
+                glue(t, f, t2, s, roots)
                 table[i] = (t2, f2, s)
-                table[j] = (t, f, _INVERSE[s])
+                table[j] = (t, f, inverse)
                 place(i + 1)
-                quotients.undo(mark)
+                undo(mark)
             table[i] = table[j] = None
 
     place(0)

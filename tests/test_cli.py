@@ -1,11 +1,17 @@
 """Command-line surface: exit codes, file outputs, manifests, determinism."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperideal
 from hyperideal import __version__, cli, dynamics
 
 from conftest import CENSUS_JSON, SAMPLED6_JSON, TORUS_JSON, XSTAR
@@ -82,6 +88,72 @@ def test_search_list_with_limit(tmp_path):
                "--limit", "5", "--out", out) == 0
     rep = json.loads(open(out).read())
     assert rep["count"] == 27 and len(rep["gluings"]) == 5
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["--tets", "2", "--filter", "any"],
+     "eaefdcef9aad79277850fc57e636d56f0e88f41327e6448a33cf847a8e8e7c0f"),
+    (["--tets", "2", "--filter", "census"],
+     "f6d697fdcc42d090390535cec60ca6a4abe5e634f465d853689ed1e000bdac1b"),
+    (["--tets", "2", "--filter", "torus"],
+     "f9b04a9d8e92f54c503da8f3c2d7cae6f01a08983fda6da14a75e8427c008458"),
+    (["--tets", "2", "--filter", "census", "--first"],
+     "e707f0f5ef51bcdbc5d41244825d06ce1094b346aa60e33e474c0a2cb4c9872e"),
+    (["--tets", "2", "--filter", "any", "--limit", "3"],
+     "9308a4d7e236ab6bd3beaa1957b3e765399c14df7b5a379d6cf4c927842c6148"),
+    (["--tets", "1", "--filter", "any"],
+     "f5af56fd75e0989c4b76f88d424b09f6ba9f53392abb62867b515dfaba6c284a"),
+    (["--tets", "1", "--filter", "census"],
+     "63c63aa2a1b6298b12d6fdc84ec289b46b6094a22adc5929bbcb2673d1cf7cdc"),
+], ids=("any", "census", "torus", "first", "limit", "one_tet_any",
+        "one_tet_census"))
+def test_search_outputs_pinned(tmp_path, argv, sha256):
+    # Every byte of each search output, as the search wrote it before it
+    # tried only the maps of one sign where a pairing closes a cycle.
+    out = tmp_path / "out.json"
+    assert run("search", *argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def _outputs(directory):
+    # Every file in directory, manifests without their wall-clock times.
+    files = {}
+    for path in sorted(Path(directory).iterdir()):
+        text = path.read_text()
+        if path.name.endswith(".manifest.json"):
+            man = json.loads(text)
+            del man["started"], man["finished"]
+            text = json.dumps(man)
+        files[path.name] = text
+    return files
+
+
+def test_commands_in_one_process_match_separate_runs(census_file, tmp_path,
+                                                     monkeypatch):
+    # The parser is built once per process; a call that fails at parsing
+    # (exit 2) leaves it fit for the next call, and each command writes what
+    # it writes in a process of its own.
+    commands = [["search", "--tets", "1", "--filter", "any", "--out", "s.json"],
+                ["validate", "--tri", census_file, "--out", "v.json"]]
+    alone, together = tmp_path / "alone", tmp_path / "together"
+    alone.mkdir()
+    together.mkdir()
+    path = [str(Path(hyperideal.__file__).parents[1])]
+    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for argv in commands:
+        subprocess.run([sys.executable, "-m", "hyperideal.cli", *argv],
+                       cwd=alone, env=env, check=True, capture_output=True)
+    monkeypatch.chdir(together)
+    assert cli.build_parser() is cli.build_parser()
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "--tets", "3", "--out", "bad.json"])
+        assert exc.value.code == 2
+        assert cli.main(argv) == 0
+    assert _outputs(together) == _outputs(alone)
+    assert sorted(_outputs(alone)) == ["s.json", "s.json.manifest.json",
+                                       "v.json", "v.json.manifest.json"]
 
 
 def test_search_negative_limit_exit_2(tmp_path):

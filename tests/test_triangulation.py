@@ -425,11 +425,14 @@ def test_search_matches_reference_two_tet(two_tet_reference, predicate):
     assert T.search_gluings(2, predicate) == want
 
 
-@pytest.mark.parametrize("indent", [0, 2])
+@pytest.mark.parametrize("indent", [0, 1, 2, 3])
 def test_json_text_is_the_generic_rendering(two_tet_reference, sampled_specs,
-                                            indent):
-    # A spec's text, composed from its pairing table, is what the generic
-    # renderer makes of its JSON object.
+                                            indent, monkeypatch):
+    # A spec's text, read from the table of finished rows, is what the
+    # generic renderer makes of its JSON object, when the table is filled
+    # by the first rendering and when it is read by the second; and so at a
+    # neighbouring indent, whose rows wrap with other margins.
+    monkeypatch.setattr(T, "_ROWS", {})
     specs = T.search_gluings(1, T.any_gluing)
     assert len(specs) == 27
     specs += [tri.spec for tri in two_tet_reference]
@@ -446,8 +449,29 @@ def test_json_text_is_the_generic_rendering(two_tet_reference, sampled_specs,
     specs.append(T.GluingSpec(tet_count=1, pairings=(
         (5, 1, (1, 0, 2, 3)),) * 4))
     for spec in specs:
-        assert spec.json_text(indent) == serialize._render(spec.to_json_obj(),
-                                                           indent)
+        for at in (indent, indent ^ 1):
+            want = serialize._render(spec.to_json_obj(), at)
+            assert spec.json_text(at) == want
+            assert spec.json_text(at) == want
+
+
+def test_json_text_rows_are_kept_only_for_int_labels(monkeypatch):
+    # A pairing row written with a float or a bool for a label, which
+    # validate refuses, never enters the table, so it cannot change how a
+    # later spec with int labels is written; a list map is read as a tuple.
+    monkeypatch.setattr(T, "_ROWS", {})
+    odd = T.GluingSpec(tet_count=1, pairings=(
+        [0, 1.0, [1, 0, 2, 3]], (0, 0, (1, 0, 2, 3)),
+        (True, 3, (0, 1, 3, 2)), (0, 2, [0, 1, 3, 2])))
+    text = odd.json_text(7)
+    assert text == serialize._render(odd.to_json_obj(), 7)
+    assert odd.json_text(7) == text
+    assert [list(table) for table in T._ROWS[7]] == \
+           [[], [(0, 0, (1, 0, 2, 3))], [], [(0, 2, (0, 1, 3, 2))]]
+    spec = T.GluingSpec(tet_count=1, pairings=(
+        (0, 1, (1, 0, 2, 3)), (0, 0, (1, 0, 2, 3)),
+        (1, 3, (0, 1, 3, 2)), (0, 2, (0, 1, 3, 2))))
+    assert spec.json_text(7) == serialize._render(spec.to_json_obj(), 7)
 
 
 def _search_leaves(tet_count):
@@ -455,6 +479,60 @@ def _search_leaves(tet_count):
     leaves = []
     T.search_gluings(tet_count, lambda tri: leaves.append(tri) or True)
     return leaves
+
+
+@pytest.mark.parametrize("tet_count, calls", [(1, 36), (2, 22344)])
+def test_search_glue_is_never_refused(monkeypatch, tet_count, calls):
+    # Where t and t2 share a root, the search tries only the three maps of
+    # the sign that keeps an orientation, so no glue is refused.
+    verdicts = []
+    glue = T._Quotients.glue
+
+    def counted(self, *args):
+        verdicts.append(glue(self, *args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(T._Quotients, "glue", counted)
+    T.search_gluings(tet_count, T.any_gluing)
+    assert (len(verdicts), all(verdicts)) == (calls, True)
+
+
+def _recount(quotients):
+    return (sum(quotients.tet[x] == x for x in range(len(quotients.tet))),
+            sum(quotients.edge[x] == x for x in range(len(quotients.edge))))
+
+
+def test_root_counters_match_a_recount(sampler):
+    # Seeded runs of glue and undo at n = 3..12, some pairings refused as
+    # non-orientable: after each step the counters equal a walk of the
+    # parent lists.
+    rng = random.Random(21)
+    refused = undone = 0
+    for n in range(3, 13):
+        for _ in range(4):
+            spec = _switched(sampler.draw_spec(n, rng), rng)
+            pairs = [(i >> 2, i & 3, t2, s)
+                     for i, (t2, _f2, s) in enumerate(spec.pairings)
+                     if 4 * t2 + _f2 > i]
+            rng.shuffle(pairs)
+            quotients = T._Quotients(n)
+            assert (quotients.tet_roots, quotients.edge_roots) == (n, 6 * n)
+            marks = []
+            for pair in pairs:
+                marks.append(len(quotients.log))
+                refused += not quotients.glue(*pair)
+                assert (quotients.tet_roots, quotients.edge_roots) == \
+                       _recount(quotients)
+                if rng.random() < 0.2:
+                    mark = rng.choice(marks)
+                    del marks[marks.index(mark) + 1:]
+                    quotients.undo(mark)
+                    undone += 1
+                    assert (quotients.tet_roots, quotients.edge_roots) == \
+                           _recount(quotients)
+            quotients.undo(0)
+            assert (quotients.tet_roots, quotients.edge_roots) == (n, 6 * n)
+    assert refused > 0 and undone > 0
 
 
 def test_search_leaves_match_build(two_tet_reference):
@@ -704,6 +782,10 @@ def test_three_tets_orientation_set_late(sign):
              quotients.log[:]]
     for i, (t2, f2, s) in enumerate(spec.pairings):
         t, f = divmod(i, 4)
-        assert not quotients.glue(t, f, t2, _map(f, f2, -_ref_perm_sign(s)))
+        other = _map(f, f2, -_ref_perm_sign(s))
+        assert not quotients.glue(t, f, t2, other)
+        # and so with the roots walked by the caller, as the search does
+        (a, odd), (b, odd2) = quotients.root(t), quotients.root(t2)
+        assert not quotients.glue(t, f, t2, other, (a, b, odd ^ odd2))
     assert state == [quotients.tet, quotients.parity, quotients.edge,
                      quotients.log]
