@@ -156,11 +156,11 @@ def cmd_shapes(args) -> int:
     tri = _load_tri(args.tri)
     m = _load_metric(args.metric, tri)
     ev = metric_mod.evaluate(tri, m.x).raise_if_inadmissible()
-    pl = ev.pipeline
-    arcs = tetgeom.arcs_from_lengths(ev.X)
+    pl, X = ev.pipeline, ev.X
+    arcs = tetgeom.arcs_from_lengths(X)
     tets = [{
         "index": t,
-        "lengths": list(ev.X[t]),
+        "lengths": list(X[t]),
         "arcs": list(arcs[t]),
         "angles": list(pl.angles[t]),
         "vertex_sums": list(pl.vsums[t]),

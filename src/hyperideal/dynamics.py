@@ -72,6 +72,9 @@ class FlowTrace:
 
 
 _PHI_SERIES = 16  # Taylor terms of phi_4 below |z| = 0.5; the 16th is < 1e-19
+# 1 / (j + 4)! for j = _PHI_SERIES - 1 down to 0, in the order Horner reads them
+_PHI_COEF = tuple(1.0 / math.factorial(j + 4)
+                  for j in range(_PHI_SERIES - 1, -1, -1))
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
@@ -80,24 +83,30 @@ def _phi(z: np.ndarray) -> np.ndarray:
     phi_0(z) = e^z and phi_(k+1)(z) = (phi_k(z) - 1/k!) / z.  Above |z| = 0.5
     the recurrence runs upward from expm1; below it, where its subtractions
     cancel, phi_4 is summed as its series sum_j z^j / (j + 4)! and the lower
-    ones follow downward, phi_k = 1/k! + z phi_(k+1).  Overflow for large
-    positive z gives inf, never NaN.
+    ones follow downward, phi_k = 1/k! + z phi_(k+1).  Each entry takes one
+    of the two, so the series is summed only when some |z| < 0.5 and the
+    recurrence run only when some |z| is not; a branch that no entry takes
+    is skipped.  Overflow for large positive z gives inf, never NaN.
     """
     small = np.abs(z) < 0.5
-    zs = np.where(small, z, 0.0)
-    p4 = np.zeros_like(zs)
-    for j in range(_PHI_SERIES - 1, -1, -1):
-        p4 = p4 * zs + 1.0 / math.factorial(j + 4)
-    p3 = 1.0 / 6.0 + zs * p4
-    p2 = 0.5 + zs * p3
-    series = (1.0 + zs * p2, p2, p3, p4)
-    zl = np.where(small, 1.0, z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r1 = np.expm1(zl) / zl
-        r2 = (r1 - 1.0) / zl
-        r3 = (r2 - 0.5) / zl
-        r4 = (r3 - 1.0 / 6.0) / zl
-    return np.where(small, series, (r1, r2, r3, r4))
+    some_small = np.logical_or.reduce(small, axis=None)
+    out = np.empty((4, *z.shape))
+    if some_small:
+        zs = np.where(small, z, 0.0)
+        p = _PHI_COEF[0]
+        for c in _PHI_COEF[1:]:
+            p = p * zs + c
+        out[3] = p
+        for k, c in ((2, 1.0 / 6.0), (1, 0.5), (0, 1.0)):
+            p = out[k] = c + zs * p
+    if not (some_small and np.logical_and.reduce(small, axis=None)):
+        zl = np.where(small, 1.0, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = [np.expm1(zl) / zl]
+            for c in (1.0, 0.5, 1.0 / 6.0):
+                r.append((r[-1] - c) / zl)
+        np.copyto(out, r, where=~small)
+    return out
 
 
 def _exprb43_step(tri, ev, J, lam, Q, h, cfg):
@@ -142,7 +151,7 @@ def _exprb43_step(tri, ev, J, lam, Q, h, cfg):
                           + (-2.0 * p3 + 12.0 * p4) * d3))
     err = h * (Q @ (p4 * (-48.0 * d2 + 12.0 * d3)))
     scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
-    err_ratio = float(np.abs(err / scale).max())
+    err_ratio = float(np.maximum.reduce(np.abs(err / scale)))
     if err_ratio > 1.0:
         return None, err_ratio, "error_ratio"
     ev_new = metric_mod.evaluate(tri, x_new)
@@ -167,22 +176,24 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
     tri = m0.tri
     ev = metric_mod.evaluate(tri, m0.x).raise_if_inadmissible()
     t, h = 0.0, cfg.initial_step
-    accepted = 0
+    accepted = rejected = 0
     rejections = dict.fromkeys(REJECT_REASONS, 0)
     ts, xs, ks, angs = [], [], [], []
     while True:
         # ev is the state at t, the start or an accepted step: record it
-        # and stop if it degenerated, converged or used up the time.
+        # and stop if it degenerated, converged or used up the time.  Every
+        # state here is admissible, so the smallest per-tetrahedron margin
+        # is the one ev.margin() names a witness for.  No array recorded
+        # is ever written to.
         x, K = ev.x, ev.K
         ts.append(t)
-        xs.append(x.copy())
-        ks.append(K.copy())
+        xs.append(x)
+        ks.append(K)
         angs.append(ev.angles)
-        margin, witness = ev.margin()
-        if margin < cfg.degeneration_margin:
+        if np.minimum.reduce(ev.pipeline.margin) < cfg.degeneration_margin:
             status = "degenerated"
             break
-        if float(np.abs(K).max()) < cfg.curvature_tol:
+        if np.maximum.reduce(np.abs(K)) < cfg.curvature_tol:
             status = "converged"
             break
         if t >= cfg.t_max * (1.0 - 1e-14):
@@ -191,7 +202,7 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
         J = ev.jacobian()
         lam, Q = np.linalg.eigh(J)
         while True:
-            if accepted + sum(rejections.values()) >= MAX_STEPS:
+            if accepted + rejected >= MAX_STEPS:
                 raise ConvergenceError(
                     f"flow exceeded {MAX_STEPS} steps (t = {t!r})", last=x)
             h = min(h, cfg.t_max - t)
@@ -203,6 +214,7 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
             if ev_new is not None:
                 break
             rejections[reason] += 1
+            rejected += 1
             h *= max(0.2, 0.9 * err_ratio ** -0.25) if err_ratio > 1.0 else 0.5
         t += h
         ev = ev_new
@@ -216,9 +228,8 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
     return FlowTrace(t=np.array(ts), x=Xmat, K=Kmat,
                      total_curv=(Kmat ** 2).sum(axis=1), H=H,
                      status=status,
-                     witness=witness if status == "degenerated" else None,
-                     steps_accepted=accepted,
-                     steps_rejected=sum(rejections.values()),
+                     witness=ev.margin()[1] if status == "degenerated" else None,
+                     steps_accepted=accepted, steps_rejected=rejected,
                      rejections=rejections, config=cfg)
 
 
@@ -264,8 +275,10 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12) -> tuple:
             "energy line search failed: the Newton direction leaves the "
             "admissible set", last=x)
         steps.append(alpha)
-        margin, witness = ev.margin()
-        if margin < FlowConfig.degeneration_margin:
+        # line_search hands back admissible candidates only, so as in flow
+        # the smallest per-tetrahedron margin is the one ev.margin() reports
+        if np.minimum.reduce(ev.pipeline.margin) < FlowConfig.degeneration_margin:
+            margin, witness = ev.margin()
             raise ConvergenceError(
                 f"energy minimization degenerated: admissibility margin "
                 f"{margin:.3e} at {witness}", last=ev.x)

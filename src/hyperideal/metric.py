@@ -74,8 +74,13 @@ class Quotient:
     def __init__(self, tri: Triangulation):
         self.cm = class_matrix(tri)
         self.n = tri.n_edges
-        self.counts = np.bincount(self.cm.ravel(), minlength=self.n)  # valences
-        self.cm.flags.writeable = self.counts.flags.writeable = False
+        self.flat = self.cm.ravel()  # the classes in (t, e) order
+        self.cm_t = np.ascontiguousarray(self.cm.T)  # edge-major, (6, tet_count)
+        self.counts = np.bincount(self.flat, minlength=self.n)  # valences
+        # entry (t, e, g) of a block's place in the flattened (n, n) matrix
+        self.block_flat = (self.cm[:, :, None] * self.n + self.cm[:, None, :]).ravel()
+        for a in (self.cm, self.cm_t, self.counts, self.block_flat):
+            a.flags.writeable = False
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """Per-corner copies of per-class values, shape (tet_count, 6)."""
@@ -83,27 +88,25 @@ class Quotient:
 
     def scatter(self, A: np.ndarray) -> np.ndarray:
         """Per-class sums of per-corner values."""
-        return np.bincount(self.cm.ravel(), weights=np.ravel(A),
-                           minlength=self.n)
+        return np.bincount(self.flat, weights=np.ravel(A), minlength=self.n)
 
     def spread(self, X: np.ndarray) -> np.ndarray:
         """Per-class max minus min of per-corner values."""
         lo = np.full(self.n, np.inf)
         hi = np.full(self.n, -np.inf)
-        np.minimum.at(lo, self.cm.ravel(), np.ravel(X))
-        np.maximum.at(hi, self.cm.ravel(), np.ravel(X))
+        np.minimum.at(lo, self.flat, np.ravel(X))
+        np.maximum.at(hi, self.flat, np.ravel(X))
         return hi - lo
 
     def assemble(self, B: np.ndarray) -> np.ndarray:
         """Sum of the per-tetrahedron 6x6 blocks B[t] into an (n, n) matrix."""
-        flat = self.cm[:, :, None] * self.n + self.cm[:, None, :]
-        return np.bincount(flat.ravel(), weights=B.ravel(),
+        return np.bincount(self.block_flat, weights=B.ravel(),
                            minlength=self.n * self.n).reshape(self.n, self.n)
 
     def matrix(self) -> np.ndarray:
         """The map as a 0/1 matrix of shape (n_edges, 6 * tet_count)."""
         Q = np.zeros((self.n, self.cm.size))
-        Q[self.cm.ravel(), np.arange(self.cm.size)] = 1.0
+        Q[self.flat, np.arange(self.flat.size)] = 1.0
         return Q
 
 
@@ -119,7 +122,6 @@ class Evaluation:
 
     quotient: Quotient
     x: np.ndarray         # lengths per edge class
-    X: np.ndarray         # lengths per corner, (tet_count, 6)
     pipeline: tetgeom._Pipeline
     ok: np.ndarray        # (tet_count,) admissibility mask
     angles: np.ndarray    # (tet_count, 6) dihedral angles
@@ -127,8 +129,13 @@ class Evaluation:
     K: np.ndarray         # curvatures 2*pi - S
 
     @property
+    def X(self) -> np.ndarray:
+        """Lengths per corner, (tet_count, 6)."""
+        return self.quotient.gather(self.x)
+
+    @property
     def admissible(self) -> bool:
-        return bool(self.ok.all())
+        return bool(np.logical_and.reduce(self.ok, axis=None))
 
     def raise_if_inadmissible(self) -> "Evaluation":
         """Raise for the first bad tetrahedron, as tetgeom names it.
@@ -187,10 +194,11 @@ def evaluate(tri: Triangulation, x) -> Evaluation:
     x = np.asarray(x, dtype=float)
     if x.shape != (q.n,):
         raise ValueError(f"metric needs {q.n} lengths, got shape {x.shape}")
-    X = q.gather(x)
-    pl = tetgeom._pipeline(X)
+    # Gathered edge-major, handed over as a shape-major view, which the
+    # pipeline reads in place.
+    pl = tetgeom._pipeline(x[q.cm_t].T)
     S = q.scatter(pl.angles)
-    return Evaluation(quotient=q, x=x, X=X, pipeline=pl, ok=pl.ok,
+    return Evaluation(quotient=q, x=x, pipeline=pl, ok=pl.ok,
                       angles=pl.angles, S=S, K=2.0 * math.pi - S)
 
 

@@ -15,9 +15,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 
+NON_FINITE = "refusing to serialize a non-finite float"
+
+
 def fmt(v: float) -> str:
     if math.isnan(v) or math.isinf(v):
-        raise ValueError("refusing to serialize a non-finite float")
+        raise ValueError(NON_FINITE)
     return format(v, ".17g")
 
 
@@ -85,12 +88,12 @@ def trace_csv(trace) -> str:
     n = trace.x.shape[1]
     cols = (["t"] + [f"x_{i}" for i in range(n)]
             + [f"K_{i}" for i in range(n)] + ["total_curv", "H"])
-    lines = [",".join(cols)]
-    for k in range(trace.t.size):
-        row = ([trace.t[k]] + list(trace.x[k]) + list(trace.K[k])
-               + [trace.total_curv[k], trace.H[k]])
-        lines.append(",".join(fmt(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack((trace.t, trace.x, trace.K, trace.total_curv,
+                             trace.H))
+    if not np.isfinite(table).all():
+        raise ValueError(NON_FINITE)
+    rows = [",".join([format(v, ".17g") for v in row]) for row in table.tolist()]
+    return "\n".join([",".join(cols), *rows]) + "\n"
 
 
 def now_iso() -> str:

@@ -91,8 +91,8 @@ _FACE_E = np.array([[e for e, vw in enumerate(EDGE_VERTEX_PAIRS) if v not in vw]
                     for v in range(4)]).T
 _VERT_E = np.array(VERTEX_EDGES)
 _EDGE_VW = np.array(EDGE_VERTEX_PAIRS)
-# The two vertices off each edge.
-_OPP_I, _OPP_J = _EDGE_VW[::-1].T
+# The two vertices off each edge, as two rows.
+_OPP = _EDGE_VW[::-1].T
 
 
 def _refuse(bad, values, message: str, reason=None, at: str = "edge") -> None:
@@ -164,34 +164,40 @@ class _Pipeline(NamedTuple):
 
 
 def _pipeline(x: np.ndarray) -> _Pipeline:
-    # Work edge-major, (6, ...), so that each edge's values are contiguous.
+    # Work edge-major, (6, ...), so that each edge's values are contiguous;
+    # an edge-major array passed as a shape-major view is read in place.
     shape_major = (*range(1, x.ndim), 0)
     with np.errstate(all="ignore"):
-        xe = x.transpose((x.ndim - 1, *range(x.ndim - 1))).copy()
+        xe = np.ascontiguousarray(x.transpose((x.ndim - 1, *range(x.ndim - 1))))
         ch, sh = np.cosh(xe), np.sinh(xe)
         s2 = sh * sh
         cf, ce, ca, cb, cc, cd = ch[_COF_E]
         # h = -cosh x, and h^2 - 1 = sinh^2 x keeps the digits of short edges
         cof = ca * cb + cc * cd + ce * (ca * cd + cc * cb) - cf * s2[::-1]
         # -c_vv = 2 + 2 prod cosh + sum sinh^2 over the face opposite v
-        face = 2.0 + 2.0 * ch[_FACE_E].prod(axis=0) + s2[_FACE_E].sum(axis=0)
+        face = (2.0 + 2.0 * np.multiply.reduce(ch[_FACE_E], axis=0)
+                + np.add.reduce(s2[_FACE_E], axis=0))
         # -det H, expanded along row 0
-        root = np.sqrt(np.maximum(face[0] + (ch[:3] * cof[:3]).sum(axis=0), 0.0))
-        r = np.sqrt(face[_OPP_I] * face[_OPP_J])
+        root = np.sqrt(np.maximum(face[0] + np.add.reduce(ch[:3] * cof[:3], axis=0),
+                                  0.0))
+        fi, fj = face[_OPP]
+        r = np.sqrt(fi * fj)
         # An overflowed r or root would pass for a zero cosine or a right
         # angle; such corners get NaN cosines, so the shape is never ok.
         cosines = np.where(np.isfinite(r + root), cof[::-1] / r, np.nan)
         sines = root * sh / r
         angles = np.arctan2(sines, cosines)
-        vsums = angles[_VERT_E.T].sum(axis=0)
+        vsums = np.add.reduce(angles[_VERT_E.T], axis=0)
         in_range = (xe > 0.0) & (xe <= MAX_LENGTH)
         slack = np.concatenate([1.0 - np.abs(cosines), math.pi - vsums])
-        slack = np.where(in_range.all(axis=0), np.fmax(slack, -np.inf), -np.inf)
+        slack = np.where(np.logical_and.reduce(in_range, axis=0),
+                         np.fmax(slack, -np.inf), -np.inf)
     slack = slack.transpose(shape_major)
     return _Pipeline(ch, sh, cof, r, root, cosines.transpose(shape_major),
                      sines.transpose(shape_major), angles.transpose(shape_major),
                      vsums.transpose(shape_major), in_range.transpose(shape_major),
-                     slack, (slack > _SLACK_FLOOR).all(axis=-1), slack.min(axis=-1))
+                     slack, np.logical_and.reduce(slack > _SLACK_FLOOR, axis=-1),
+                     np.minimum.reduce(slack, axis=-1))
 
 
 def _raise_inadmissible(pl: _Pipeline) -> None:
@@ -278,13 +284,20 @@ def _jacobian(pl: _Pipeline) -> np.ndarray:
     cf, ce, ca, cb, cc, cd = pl.ch[_COF_E]
     sg = pl.sh[_COF_E]
     # dc_ij/dx = sinh x * dc_ij/d(cosh x), rows in the order of _COF_E
-    dcof = sg * np.stack([-sg[1] * sg[1], ca * cd + cc * cb - 2.0 * cf * ce,
-                          cb + ce * cd, ca + ce * cc, cd + ce * cb, cc + ce * ca])
+    dcof = np.empty(sg.shape)
+    dcof[0] = -sg[1] * sg[1]
+    dcof[1] = ca * cd + cc * cb - 2.0 * cf * ce
+    dcof[2] = cb + ce * cd
+    dcof[3] = ca + ce * cc
+    dcof[4] = cd + ce * cb
+    dcof[5] = cc + ce * ca
+    np.multiply(sg, dcof, out=dcof)
     sh, root = pl.sh, pl.root
     dsigma = sh[:, None] * (pl.cof * sh / root)
     dsigma[_DIAG, _DIAG] += root * pl.ch
     J = pl.cof[::-1, None] * dsigma - (root * sh)[:, None] * dcof[_JAC_ROW, _JAC_COL]
-    return np.moveaxis(J / (pl.r * pl.r)[:, None], (0, 1), (-2, -1))
+    J /= (pl.r * pl.r)[:, None]
+    return J.transpose((*range(2, J.ndim), 0, 1))
 
 
 def jacobian_angles_lengths(x) -> np.ndarray:

@@ -131,14 +131,28 @@ def test_minimize_without_equilibrium_fails_in_the_minimizer(tri_fixture, reques
     assert "length solve" not in str(info.value)
 
 
-def test_minimize_stops_at_degeneration_with_witness(multi_tri):
+def test_minimize_stops_at_degeneration_with_witness(multi_tri, monkeypatch):
     # from x = 1 the descent walks towards the boundary of the admissible
-    # set; it must stop at the flow's degeneration floor and name the corner
+    # set; it must stop at the first iterate below the flow's degeneration
+    # floor and name the corner
+    iterates = []
+    search = M.line_search
+
+    def recording(*args, **kwargs):
+        out = search(*args, **kwargs)
+        iterates.append(out[2].x)
+        return out
+
+    monkeypatch.setattr(M, "line_search", recording)
     m = M.ConeMetric(tri=multi_tri, x=np.ones(multi_tri.n_edges))
     with pytest.raises(ConvergenceError) as info:
         D.minimize_energy(m)
+    floor = D.FlowConfig().degeneration_margin
+    assert all(M.evaluate(multi_tri, x).margin()[0] >= floor
+               for x in iterates[:-1])
+    assert info.value.last is iterates[-1]
     margin, witness = M.evaluate(multi_tri, info.value.last).margin()
-    assert 0 < margin < D.FlowConfig().degeneration_margin
+    assert 0 < margin < floor
     assert str(witness) in str(info.value)
 
 

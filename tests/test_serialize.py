@@ -1,5 +1,6 @@
 """Number formatting, JSON rendering, trace CSV, and manifests."""
 
+import dataclasses
 import json
 import math
 
@@ -85,6 +86,36 @@ def test_trace_csv_layout(census_tri):
     assert float(row[0]) == trace.t[-1]
     assert float(row[1]) == trace.x[-1, 0]
     assert float(row[4]) == trace.H[-1]
+
+
+def _trace_csv_by_rows(trace):
+    # the row-by-row rendering trace_csv must reproduce byte for byte
+    n = trace.x.shape[1]
+    lines = [",".join(["t"] + [f"x_{i}" for i in range(n)]
+                      + [f"K_{i}" for i in range(n)] + ["total_curv", "H"])]
+    for k in range(trace.t.size):
+        row = ([trace.t[k]] + list(trace.x[k]) + list(trace.K[k])
+               + [trace.total_curv[k], trace.H[k]])
+        lines.append(",".join(serialize.fmt(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("tri_fixture, x0", [("census_tri", 0.3),
+                                             ("torus_tri", 1.0)])
+def test_trace_csv_matches_row_by_row_rendering(tri_fixture, x0, request):
+    trace = D.flow(census_metric(request.getfixturevalue(tri_fixture), x0))
+    assert serialize.trace_csv(trace) == _trace_csv_by_rows(trace)
+
+
+@pytest.mark.parametrize("column, bad", [("H", math.nan), ("x", math.inf),
+                                         ("t", -math.inf)])
+def test_trace_csv_refuses_non_finite(census_tri, column, bad):
+    trace = D.flow(census_metric(census_tri), D.FlowConfig(t_max=0.2))
+    values = getattr(trace, column).copy()
+    values.flat[-1] = bad
+    trace = dataclasses.replace(trace, **{column: values})
+    with pytest.raises(ValueError, match="refusing to serialize a non-finite"):
+        serialize.trace_csv(trace)
 
 
 def test_manifest_written(tmp_path):
