@@ -100,30 +100,33 @@ def validate_assignment(assign: AngleAssignment) -> None:
 def lp_feasibility(tri: Triangulation) -> LPResult:
     """Maximize the feasibility margin of the angle polytope.
 
-    Variables: one angle per corner plus the split margin eps = ep - em.
-    Constraints: edge-class sums equal 2*pi; each vertex triple at most
-    pi - eps; each angle at least eps.  Feasible (an open interior point
-    exists) iff the optimal margin is strictly positive; the optimizer's
-    angles are returned as the witness.
+    The margin eps bounds every angle from below and every vertex triple
+    from above by pi - eps; edge classes sum to 2*pi.  Feasible (an open
+    interior point exists) iff the optimal eps is strictly positive; the
+    optimizer's angles are the witness.  Over b, ep, em >= 0 with
+    a = b + ep and eps = ep - em, a >= ep >= max(0, eps) needs no row per
+    angle, and ep = max(eps, 0) reaches every (a, eps) of the rows
+    a >= eps, a >= 0: same polytope, same optimum, same verdict.  Where
+    the optimal face is not a point, Bland's rule picks the witness.
     """
     N = tri.tet_count
     nA = 6 * N
     ncols = nA + 2
     iep, iem = nA, nA + 1
+    q = tri.quotient
 
     A_eq = np.zeros((tri.n_edges, ncols))
-    A_eq[:, :nA] = tri.quotient.matrix()
+    A_eq[:, :nA] = q.matrix()
+    A_eq[:, iep] = q.counts
     b_eq = np.full(tri.n_edges, TWO_PI)
 
-    # Rows: the vertex triple of every (tet, vertex), then -angle per corner;
-    # each also carries +eps.
+    # One row per (tet, vertex): its three corners, then 4 ep - em.
     nV = 4 * N
     t, v = np.divmod(np.arange(nV), 4)
-    A_ub = np.zeros((nV + nA, ncols))
+    A_ub = np.zeros((nV, ncols))
     A_ub[np.arange(nV)[:, None], 6 * t[:, None] + tetgeom._VERT_E[v]] = 1.0
-    A_ub[nV + np.arange(nA), np.arange(nA)] = -1.0
-    A_ub[:, iep], A_ub[:, iem] = 1.0, -1.0
-    b_ub = np.concatenate([np.full(nV, math.pi), np.zeros(nA)])
+    A_ub[:, iep], A_ub[:, iem] = 4.0, -1.0
+    b_ub = np.full(nV, math.pi)
 
     c = np.zeros(ncols)
     c[iep], c[iem] = -1.0, 1.0  # maximize eps
@@ -135,7 +138,8 @@ def lp_feasibility(tri: Triangulation) -> LPResult:
     if eps <= EPSILON_FEASIBLE:
         return LPResult(feasible=False, epsilon=eps, witness=None,
                         phase_pivots=res.phase_pivots)
-    witness = AngleAssignment(tri=tri, angles=res.x[:nA].reshape(N, 6))
+    a = (res.x[:nA] + res.x[iep]).reshape(N, 6)
+    witness = AngleAssignment(tri=tri, angles=a)
     return LPResult(feasible=True, epsilon=eps, witness=witness,
                     phase_pivots=res.phase_pivots)
 

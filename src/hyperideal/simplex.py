@@ -5,7 +5,7 @@ eligible column index; ties in the ratio test broken by smallest basic
 variable index) terminates without degeneracy tricks.  Minimizes c.x subject
 to A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
 
-The tableau is stored column-major (642 x 1028 for the angle LP of a
+The tableau is stored column-major (258 x 644 for the angle LP of a
 64-tetrahedron gluing), so the entering column, the rhs and every column a
 pivot updates are contiguous.  A pivot updates only the columns where the
 normalised pivot row is nonzero (a handful of them on the angle LPs), read

@@ -6,6 +6,7 @@ test_triangulation.py asserts the search still reproduces them.
 """
 
 import importlib.util
+import math
 import random
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from hyperideal import metric as metric_mod
+from hyperideal import tetgeom
 from hyperideal import triangulation as tri_mod
 from hyperideal.propsuite import sample_admissible, schlafli_leg  # noqa: F401
 
@@ -100,9 +102,10 @@ SAMPLED6_JSON = {
 # First 12-tet draw of the benchmark's ntet workload with seed 10
 # (perfbench/sampler.py: sample(8, rng) then sample(12, rng), rng =
 # random.Random(10)): five edge classes of valences 17, 25, 23, 4 and 3.
-# Gradient ascent from its LP witness reaches the float resolution of the
-# volume while the gradient is still above 1e-8 (254 iterations); Newton
-# ascent needs 6.
+# Gradient ascent from the witness of its 10n-row angle LP
+# (ten_n_row_angle_lp) reaches the float resolution of the volume while the
+# gradient is still above 1e-8 (254 iterations); Newton ascent needs 6,
+# from that witness and from lp_feasibility's.
 NTET12_JSON = {
     "tet_count": 12,
     "pairings": [
@@ -228,3 +231,24 @@ def census_metric(tri, value=1.0):
 def state(m):
     """The metric's Evaluation; raises if some tetrahedron is inadmissible."""
     return metric_mod.evaluate(m.tri, m.x).raise_if_inadmissible()
+
+
+def ten_n_row_angle_lp(tri):
+    """The angle LP with one row per angle: (c, solve_lp keywords) over the
+    6n angles, ep and em.  Edge classes sum to 2*pi, each vertex triple
+    plus ep - em is at most pi, and each angle is at least ep - em: 4n + 6n
+    inequality rows, without lp_feasibility's substitution a = b + ep.  Its
+    optimum in eps is the package LP's."""
+    N = tri.tet_count
+    nA, nV = 6 * N, 4 * N
+    A_eq = np.zeros((tri.n_edges, nA + 2))
+    A_eq[:, :nA] = tri.quotient.matrix()
+    t, v = np.divmod(np.arange(nV), 4)
+    A_ub = np.zeros((nV + nA, nA + 2))
+    A_ub[np.arange(nV)[:, None], 6 * t[:, None] + tetgeom._VERT_E[v]] = 1.0
+    A_ub[nV + np.arange(nA), np.arange(nA)] = -1.0
+    A_ub[:, nA], A_ub[:, nA + 1] = 1.0, -1.0
+    c = np.zeros(nA + 2)
+    c[nA], c[nA + 1] = -1.0, 1.0
+    return c, dict(A_eq=A_eq, b_eq=np.full(tri.n_edges, 2 * math.pi), A_ub=A_ub,
+                   b_ub=np.concatenate([np.full(nV, math.pi), np.zeros(nA)]))

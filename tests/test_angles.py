@@ -2,7 +2,9 @@
 
 The LP is cross-checked by an exact rational re-solve: with angles measured
 in units of pi the constraint data are all small rationals, so a Fraction
-simplex computes the true optimal slack with no rounding at all.
+simplex computes the true optimal slack with no rounding at all.  It solves
+the 10n-row form, with a row per angle, that lp_feasibility substitutes
+away, so the two meet only in the optimum they share.
 """
 
 import math
@@ -14,13 +16,14 @@ import pytest
 
 from hyperideal import angles as A
 from hyperideal import dynamics as D
+from hyperideal import metric as M
 from hyperideal import simplex
 from hyperideal import triangulation as T
 from hyperideal.metric import Quotient
 from hyperideal.errors import ConvergenceError
 from hyperideal.tetgeom import VERTEX_EDGES
 
-from conftest import XSTAR, census_metric
+from conftest import XSTAR, census_metric, ten_n_row_angle_lp
 
 
 def rational_simplex(c, A_eq, b_eq, A_ub, b_ub):
@@ -47,14 +50,21 @@ def rational_simplex(c, A_eq, b_eq, A_ub, b_ub):
     basis = art[:]
     width = total + len(rows) + 1
 
+    def eliminate(r, pc, prow, nz):
+        # exact arithmetic: a column where the pivot row is 0 keeps its value
+        f = r[pc]
+        for j in nz:
+            r[j] -= f * prow[j]
+
     def pivot(rows, basis, pr, pc):
         pv = rows[pr][pc]
-        rows[pr] = [v / pv for v in rows[pr]]
+        prow = rows[pr] = [v / pv for v in rows[pr]]
+        nz = [j for j, v in enumerate(prow) if v]
         for i, r in enumerate(rows):
             if i != pr and r[pc] != 0:
-                f = r[pc]
-                rows[i] = [a - f * b for a, b in zip(r, rows[pr])]
+                eliminate(r, pc, prow, nz)
         basis[pr] = pc
+        return nz
 
     def solve(obj, allowed):
         while True:
@@ -71,9 +81,8 @@ def rational_simplex(c, A_eq, b_eq, A_ub, b_ub):
                             (ratio == best and basis[i] < basis[pr]):
                         best, pr = ratio, i
             assert pr is not None, "unbounded"
-            pivot(rows, basis, pr, enter)
-            f = obj[enter]
-            obj[:] = [a - f * b for a, b in zip(obj, rows[pr])]
+            nz = pivot(rows, basis, pr, enter)
+            eliminate(obj, enter, rows[pr], nz)
 
     # phase 1: drive out artificials
     obj = [Fraction(0)] * width
@@ -153,8 +162,9 @@ def test_lp_torus_exact_oracle(torus_tri):
 
 
 def test_lp_one_tet_instances_match_oracle():
-    # first few 1-tet gluings: verdicts must match the exact re-solve
-    specs = T.search_gluings(1, T.any_gluing)[:6]
+    # all 27 1-tet gluings: verdicts must match the exact re-solve
+    specs = T.search_gluings(1, T.any_gluing)
+    assert len(specs) == 27
     seen = set()
     for spec in specs:
         tri = T.build(spec, enforce_link_hypothesis=False)
@@ -164,6 +174,26 @@ def test_lp_one_tet_instances_match_oracle():
         if exact is not None:
             assert abs(lp.epsilon - math.pi * float(exact)) < 1e-9
         seen.add(lp.feasible)
+
+
+# Sampled draws for the exact oracle: random.Random(1), 22 draws of
+# n = 3..12.  Three have eps* = -pi, three eps* = 0, sixteen are feasible.
+ORACLE_SIZES = tuple(n for n in range(3, 9) for _ in range(3)) + (9, 10, 11, 12)
+
+
+def test_lp_sampled_draws_match_oracle(sampler):
+    # lp_feasibility has no row per angle; the oracle is the 10n-row LP.
+    # Both must reach the same optimum and so the same verdict.
+    rng = random.Random(1)
+    optima = []
+    for n in ORACLE_SIZES:
+        tri = sampler.sample(n, rng)[0]
+        lp = A.lp_feasibility(tri)
+        exact = exact_lp_epsilon(tri)
+        assert lp.feasible == (exact > 0)
+        assert abs(lp.epsilon - math.pi * float(exact)) <= 1e-9 * math.pi
+        optima.append(exact)
+    assert optima.count(Fraction(-1)) == optima.count(Fraction(0)) == 3
 
 
 def test_lp_witness_substitution(census_tri):
@@ -180,27 +210,32 @@ def test_lp_witness_substitution(census_tri):
         assert w.angles[t].min() >= eps - 1e-12
 
 
-def _loop_inequalities(N):
-    """The vertex and positivity rows of the LP, one Python row at a time."""
-    nA = 6 * N
+def _loop_rows(tri):
+    """The LP's rows over (b, ep, em), a = b + ep, one Python row at a time:
+    each edge class's corners plus valence * ep, then each vertex's three
+    corners plus 4 ep - em."""
+    nA = 6 * tri.tet_count
     ncols = nA + 2
     iep, iem = nA, nA + 1
+    eq_rows, eq_rhs = [], []
+    for ec in tri.edge_classes:
+        row = np.zeros(ncols)
+        for (t, e) in ec.corners:
+            row[6 * t + e] = 1.0
+        row[iep] = len(ec.corners)
+        eq_rows.append(row)
+        eq_rhs.append(2 * math.pi)
     ub_rows, ub_rhs = [], []
-    for t in range(N):
+    for t in range(tri.tet_count):
         for v in range(4):
             row = np.zeros(ncols)
             for e in VERTEX_EDGES[v]:
                 row[6 * t + e] = 1.0
-            row[iep], row[iem] = 1.0, -1.0
+            row[iep], row[iem] = 4.0, -1.0
             ub_rows.append(row)
             ub_rhs.append(math.pi)
-    for j in range(nA):
-        row = np.zeros(ncols)
-        row[j] = -1.0
-        row[iep], row[iem] = 1.0, -1.0
-        ub_rows.append(row)
-        ub_rhs.append(0.0)
-    return np.array(ub_rows), np.array(ub_rhs)
+    return (np.array(eq_rows), np.array(eq_rhs),
+            np.array(ub_rows), np.array(ub_rhs))
 
 
 @pytest.mark.parametrize("tri_fixture", ["census_tri", "multi_tri", "ntet12_tri"])
@@ -210,26 +245,66 @@ def test_lp_inequalities_match_row_loop(tri_fixture, request, monkeypatch):
     solve = simplex.solve_lp
 
     def spy(c, **kw):
-        seen.update(kw)
+        seen.update(kw, c=c)
         return solve(c, **kw)
 
     monkeypatch.setattr(simplex, "solve_lp", spy)
     A.lp_feasibility(tri)
-    ref_A, ref_b = _loop_inequalities(tri.tet_count)
-    assert np.array_equal(seen["A_ub"], ref_A)
-    assert np.array_equal(seen["b_ub"], ref_b)
+    ref = dict(zip(("A_eq", "b_eq", "A_ub", "b_ub"), _loop_rows(tri)))
+    for key, want in ref.items():
+        assert np.array_equal(seen[key], want), key
+    c = np.zeros(6 * tri.tet_count + 2)
+    c[-2:] = -1.0, 1.0
+    assert np.array_equal(seen["c"], c)
 
 
 def test_lp_one_edge_128_regular_witness(one_edge128_tri):
     # The 6n angles of a one-edge gluing sum to 2*pi, so no margin exceeds
     # their mean pi/(3n), and the regular structure attains it.  At n = 128
-    # the tableau is 1282 x 2052 and the LP takes 775 pivots.
+    # the tableau is 514 x 1284 and the LP takes 12 pivots (7, 0, 5).
     tri = one_edge128_tri
     assert (tri.tet_count, tri.n_edges) == (128, 1)
     lp = A.lp_feasibility(tri)
     assert lp.feasible
     assert abs(lp.epsilon - math.pi / 384) < 1e-9
+    assert lp.phase_pivots == (7, 0, 5)
+    assert np.abs(lp.witness.angles - math.pi / 384).max() <= 1e-12
     A.validate_assignment(lp.witness)
+
+
+def test_lp_witness_meets_its_definition(sampler):
+    # The feasible multi-edge draws among 60 of n = 3..16.  On 6 of the 20
+    # the optimal face is not a point, and Bland's rule ends at another
+    # vertex of it than on the 10n-row LP (up to 2.7 rad away); any point
+    # of the face is a witness, and leads volmax to the energy minimum.
+    rng = random.Random(3)
+    checked = moved = 0
+    for _ in range(60):
+        tri = sampler.sample(rng.randrange(3, 17), rng)[0]
+        lp = A.lp_feasibility(tri)
+        if not lp.feasible or tri.n_edges == 1:
+            continue
+        w, eps = lp.witness.angles, lp.epsilon
+        A.validate_assignment(lp.witness)
+        assert w.min() >= eps - 1e-12
+        assert w[:, np.array(VERTEX_EDGES)].sum(axis=2).max() <= math.pi - eps + 1e-12
+        c, kw = ten_n_row_angle_lp(tri)
+        old = simplex.solve_lp(c, **kw).x[:w.size].reshape(w.shape)
+        moved += np.abs(old - w).max() > 1e-6
+        m, _ = D.minimize_energy(M.ConeMetric(tri=tri, x=np.ones(tri.n_edges)))
+        _, rep = A.maximize_volume(tri, lp.witness)
+        assert np.abs(m.x[M.class_matrix(tri)] - rep.lengths).max() <= 1e-6
+        checked += 1
+    assert (checked, moved) == (20, 6)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_lp_one_edge_witness_is_regular(n, sampler):
+    # One edge class: the optimal face is the single point pi/(3n).
+    tri = sampler.sample(n, random.Random(1), one_edge=True)[0]
+    lp = A.lp_feasibility(tri)
+    assert abs(lp.epsilon - math.pi / (3 * n)) < 1e-9
+    assert np.abs(lp.witness.angles - math.pi / (3 * n)).max() <= 1e-12
 
 
 def test_lp_determinism(census_tri):
@@ -301,14 +376,20 @@ def test_maximize_volume_from_perturbed_start(census_tri, rng):
 def test_maximize_volume_past_the_volume_resolution(ntet12_tri, sampler):
     # the gradient is still above tol when the predicted gain of a step
     # falls below the float resolution of the volume; the ascent must not
-    # stall there comparing rounding noise.  On the 8-tet draw the ninth
-    # Newton step predicts a gain of -7e-16 at gradient norm 5.5e-8: taken
-    # on feasibility alone it converges, while the sufficient-increase test
-    # alone crawls on for 9 more iterations.
+    # stall there comparing rounding noise.  On the 8-tet draw, from the
+    # 10n-row LP's witness, the ninth Newton step predicts a gain of -7e-16
+    # at gradient norm 5.5e-8: taken on feasibility alone it converges,
+    # while the sufficient-increase test alone crawls on for 9 more
+    # iterations.  From lp_feasibility's witness the same draw takes six
+    # damped steps, then six full ones.
     for tri in (ntet12_tri, sampler.sample(8, random.Random(5026))[0]):
-        lp = A.lp_feasibility(tri)
-        opt, rep = A.maximize_volume(tri, lp.witness)
+        c, kw = ten_n_row_angle_lp(tri)
+        x = simplex.solve_lp(c, **kw).x
+        opt, rep = A.maximize_volume(tri, x[:6 * tri.tet_count].reshape(-1, 6))
         assert rep.iterations <= 10
+        assert rep.grad_norm < 1e-8
+        assert rep.max_spread <= 1e-6
+        opt, rep = A.maximize_volume(tri, A.lp_feasibility(tri).witness)
         assert rep.grad_norm < 1e-8
         assert rep.max_spread <= 1e-6
 

@@ -288,7 +288,7 @@ def test_lp_census(census_file, tmp_path):
     assert abs(rep["epsilon"] - math.pi / 6) < 1e-9
     w = np.array(rep["witness"]["angles"])
     assert w.shape == (2, 6)
-    assert rep["pivots"] == {"phase1": 7, "drive_out": 0, "phase2": 12}
+    assert rep["pivots"] == {"phase1": 7, "drive_out": 0, "phase2": 5}
 
 
 def test_minimize_lost_definiteness_exit_7(census_file, metric_file, tmp_path,

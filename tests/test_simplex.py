@@ -7,6 +7,8 @@ import pytest
 
 from hyperideal import angles, simplex, triangulation
 
+from conftest import ten_n_row_angle_lp
+
 
 def lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
     z = np.zeros((0, len(c)))
@@ -239,12 +241,25 @@ def test_one_tet_angle_lps_match_dense_update(monkeypatch):
 
 @pytest.mark.parametrize("n, pivots", [(32, 199), (64, 391)])
 def test_scale_angle_lps_match_dense_update(n, pivots, sampler, monkeypatch):
-    # The LPs of the benchmark's scale workload: first one-edge draws.
+    # The 10n-row angle LP, a row per angle, on the scale workload's first
+    # one-edge draws: every angle enters the basis once, a long run of
+    # pivots to hold against the dense reference.
+    tri = sampler.sample(n, random.Random(1), one_edge=True)[0]
+    c, kw = ten_n_row_angle_lp(tri)
+    res = assert_matches_dense(monkeypatch, c, **kw)
+    assert res.status == "optimal"
+    assert res.iterations == pivots
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_scale_package_angle_lps_match_dense_update(n, sampler, monkeypatch):
+    # The same draws through lp_feasibility's own LP, which has no row per
+    # angle: phase 2 takes 5 pivots at both sizes.
     tri = sampler.sample(n, random.Random(1), one_edge=True)[0]
     c, kw = _angle_lp(tri, monkeypatch)
     res = assert_matches_dense(monkeypatch, c, **kw)
     assert res.status == "optimal"
-    assert res.iterations == pivots
+    assert res.phase_pivots == (7, 0, 5)
 
 
 # -- the ratio test against the dense reference, one pivot at a time -------
