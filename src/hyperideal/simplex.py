@@ -16,18 +16,12 @@ in the pivot rules can tell -0.0 from 0.0, and the solution is returned with
 every zero positive, so the results are bit-identical to a full-width
 update.
 
-Most ratio tests are settled without Bland's loop.  Let v be the smallest
-ratio and k the first row that has it.  The loop's best before row k is one
-of the earlier ratios, so if v < (their minimum) - _TOL the loop takes row k
-outright and best becomes v.  If every later ratio is then v or at least
-v + _TOL, only an exact tie can displace row k: the loop ends at the
-smallest basic index among the rows at v if v + _TOL > v, and at row k
-otherwise.  Both conditions are the loop's own float comparisons, so the
-shortcut is exact.  Every other case runs the loop, over the rows that
-survive a prefilter: best never exceeds the minimum of the earlier ratios
-plus _TOL, so a row 2 * _TOL or more above that prefix minimum never wins,
-and a row that never wins changes nothing.  The filter drops rows 4 * _TOL
-above it, which leaves room for the rounding of best +- _TOL.
+The ratio test is Bland's loop over the rows whose entering-column entry
+exceeds _TOL: a ratio _TOL or more below the best so far replaces it, one
+within _TOL of it replaces it only with a smaller basic index, and a NaN
+ratio never wins.  The loop is the rule as stated, and it is enough: the
+angle LPs take at most a few dozen pivots over a few hundred rows, so one
+Python step per row costs little beside the pivots.
 """
 
 from __future__ import annotations
@@ -74,31 +68,16 @@ def _iterate(T: np.ndarray, basis, allowed, max_iter: int) -> tuple:
         # Rows with colv <= _TOL have an infinite ratio and are never chosen.
         colv = T[:m, entering]
         rows = (colv > _TOL).nonzero()[0]
-        if not rows.size:
-            return "unbounded", it
         ratios = T[rows, -1] / colv[rows]
-        k = int(ratios.argmin())
-        v = ratios[k]
-        tied = ratios == v
-        # Row k wins outright and only exact ties can follow it (see above).
-        if v < ratios[:k].min(initial=math.inf) - _TOL and \
-                ((ratios[k + 1:] < v + _TOL) <= tied[k + 1:]).all():
-            tied = rows[tied]
-            row = int(tied[basis[tied].argmin()] if v + _TOL > v else rows[k])
-        else:
-            # fmin: a NaN ratio never wins and must not hide the rows after it.
-            keep = np.empty(rows.size, dtype=bool)
-            keep[0] = True
-            keep[1:] = ratios[1:] < np.fmin.accumulate(ratios[:-1]) + 4 * _TOL
-            best = math.inf
-            row = -1
-            for i, r in zip(rows[keep].tolist(), ratios[keep].tolist()):
-                if r < best - _TOL or (r < best + _TOL and row >= 0
-                                       and basis[i] < basis[row]):
-                    best = min(best, r)
-                    row = i
-            if row < 0:
-                return "unbounded", it
+        best = math.inf
+        row = -1
+        for i, r in zip(rows.tolist(), ratios.tolist()):
+            if r < best - _TOL or (r < best + _TOL and row >= 0
+                                   and basis[i] < basis[row]):
+                best = min(best, r)
+                row = i
+        if row < 0:
+            return "unbounded", it
         _pivot(T, basis, row, entering)
     raise RuntimeError(f"simplex exceeded {max_iter} pivots")
 

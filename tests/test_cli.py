@@ -67,6 +67,10 @@ def test_validate_structural_error_exit_2(tmp_path):
     bad.write_text(json.dumps(obj))
     assert run("validate", "--tri", str(bad),
                "--out", str(tmp_path / "r.json")) == 2
+    obj["pairings"][1] = [0, 1, 0, 0, 5]  # a map that is no list
+    bad.write_text(json.dumps(obj))
+    assert run("validate", "--tri", str(bad),
+               "--out", str(tmp_path / "r.json")) == 2
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     assert run("validate", "--tri", str(notjson),
@@ -128,6 +132,14 @@ def _outputs(directory):
     return files
 
 
+def _package_env():
+    """os.environ with this package first on PYTHONPATH, for a fresh
+    interpreter."""
+    path = [str(Path(hyperideal.__file__).parents[1])]
+    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def test_commands_in_one_process_match_separate_runs(census_file, tmp_path,
                                                      monkeypatch):
     # The parser is built once per process; a call that fails at parsing
@@ -138,12 +150,10 @@ def test_commands_in_one_process_match_separate_runs(census_file, tmp_path,
     alone, together = tmp_path / "alone", tmp_path / "together"
     alone.mkdir()
     together.mkdir()
-    path = [str(Path(hyperideal.__file__).parents[1])]
-    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for argv in commands:
         subprocess.run([sys.executable, "-m", "hyperideal.cli", *argv],
-                       cwd=alone, env=env, check=True, capture_output=True)
+                       cwd=alone, env=_package_env(), check=True,
+                       capture_output=True)
     monkeypatch.chdir(together)
     assert cli.build_parser() is cli.build_parser()
     for argv in commands:
@@ -464,3 +474,15 @@ def test_help_lists_exit_codes(capsys):
     text = capsys.readouterr().out
     for code in ("0 ", "2 ", "3 ", "4 ", "5 ", "6 ", "7 ", "8 "):
         assert code in text
+
+
+def test_cli_imports_nothing_but_numpy_outside_stdlib():
+    # pyproject declares numpy as the only runtime dependency.  Modules the
+    # interpreter loads at startup (site hooks) are not counted; anything
+    # the import itself pulls in is, so a stray scipy import would show.
+    code = ("import sys; before = set(sys.modules); import hyperideal.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))")
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert set(out.split()) <= {"numpy", "hyperideal"}, out

@@ -223,10 +223,23 @@ def _angle_lp(tri, monkeypatch):
     return seen.pop("c"), seen
 
 
-@pytest.mark.parametrize("tri_fixture", ["census_tri", "torus_tri",
-                                         "multi_tri", "ntet12_tri"])
-def test_angle_lps_match_dense_update(tri_fixture, request, monkeypatch):
-    c, kw = _angle_lp(request.getfixturevalue(tri_fixture), monkeypatch)
+def _fixture_tri(name):
+    return pytest.param(lambda request: request.getfixturevalue(name), id=name)
+
+
+def _sampled_tri(n, seed):
+    # The ntet workload's multi-edge draws: phase 1 takes up to 58 pivots,
+    # and ratios within _TOL of each other decide which row leaves.
+    return pytest.param(
+        lambda request: request.getfixturevalue("sampler").sample(
+            n, random.Random(seed))[0], id=f"sampled{n}_seed{seed}")
+
+
+@pytest.mark.parametrize("tri_of", [
+    *map(_fixture_tri, ["census_tri", "torus_tri", "multi_tri", "ntet12_tri"]),
+    *(_sampled_tri(n, seed) for n in (8, 12) for seed in range(10))])
+def test_angle_lps_match_dense_update(tri_of, request, monkeypatch):
+    c, kw = _angle_lp(tri_of(request), monkeypatch)
     assert assert_matches_dense(monkeypatch, c, **kw).status == "optimal"
 
 

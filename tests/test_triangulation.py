@@ -299,12 +299,34 @@ def test_json_roundtrip(census_spec):
     (lambda o: o.update(pairings=o["pairings"][:-1]), "pairings"),
     (lambda o: o["pairings"][0].__setitem__(4, [0, 0, 1, 2]), "permutation"),
     (lambda o: o["pairings"][0].__setitem__(2, 5), "range"),
+    # Partner labels and maps reach validate, which names the face.
+    (lambda o: o["pairings"][0].__setitem__(2, True),
+     r"^face \(0,0\) glued to face \(True,1\), which is not labelled"),
+    (lambda o: o["pairings"][5].__setitem__(3, 1.0),
+     r"^face \(1,1\) glued to face \(0,1\.0\), which is not labelled"),
+    (lambda o: o["pairings"][5].__setitem__(2, 7),
+     r"^face \(1,1\) glued to out-of-range face \(7,3\)"),
+    (lambda o: o["pairings"][0].__setitem__(4, 5),
+     r"^face \(0,0\) carries an invalid permutation 5$"),
+    (lambda o: o["pairings"][2].__setitem__(4, [1, 2, 0, True]),
+     r"^face \(0,2\) carries an invalid permutation \(1, 2, 0, True\)$"),
+    (lambda o: o["pairings"][3].__setitem__(4, [0, 2, 3]),
+     r"^face \(0,3\) carries an invalid permutation \(0, 2, 3\)$"),
+    (lambda o: o["pairings"][3].__setitem__(4, "0231"),
+     r"^face \(0,3\) carries an invalid permutation '0231'$"),
+    # What placing a row needs is checked before validate runs.
+    (lambda o: o["pairings"][0].__setitem__(0, False), "malformed pairing row"),
+    (lambda o: o["pairings"][0].pop(), "malformed pairing row"),
+    (lambda o: o["pairings"][7].__setitem__(0, 2),
+     r"pairing row for out-of-range face \(2,3\)"),
+    (lambda o: o["pairings"].__setitem__(1, list(o["pairings"][0])),
+     r"duplicate pairing row for face \(0,0\)"),
 ])
 def test_malformed_json_rejected(mutate, message):
     import copy
     obj = copy.deepcopy(CENSUS_JSON)
     mutate(obj)
-    with pytest.raises(GluingError):
+    with pytest.raises(GluingError, match=message):
         T.GluingSpec.from_json_obj(obj)
 
 
