@@ -17,6 +17,11 @@ quotient yields a compact 3-manifold whose boundary is triangulated by the
 corner triangles of the tetrahedra, one boundary component per vertex class.
 The geometric modules require every boundary component to have negative
 Euler characteristic; `build` enforces that hypothesis unless asked not to.
+
+Only orientable gluings are accepted, and none of them glues an edge class to
+itself reversed: the edge's midpoint would have an RP^2 link, putting a Moebius
+band x interval inside the oriented union of open cells.  So a link's corners
+are the ends of edge classes in its vertex class, two per edge class.
 """
 
 from __future__ import annotations
@@ -32,10 +37,8 @@ EDGE_VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 OPPOSITE_EDGE = (5, 4, 3, 2, 1, 0)
 VERTEX_EDGES = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
 
-_EDGE_INDEX = {}
-for _e, (_a, _b) in enumerate(EDGE_VERTEX_PAIRS):
-    _EDGE_INDEX[(_a, _b)] = _e
-    _EDGE_INDEX[(_b, _a)] = _e
+_EDGE_INDEX = {p: e for e, (a, b) in enumerate(EDGE_VERTEX_PAIRS)
+               for p in ((a, b), (b, a))}
 
 _PERMS4 = tuple(permutations(range(4)))
 
@@ -75,20 +78,14 @@ def perm_sign(s) -> int:
 
 
 def _face_map(f, s):
-    # What the pairing of face f through s identifies: local edge pairs,
-    # vertex pairs and corner-point pairs (4v + w is the point of the corner
-    # triangle at vertex v that lies on edge {v, w}).
+    # The local edge pairs and vertex pairs that face f through s identifies.
     others = [v for v in range(4) if v != f]
     edges = tuple((edge_index(a, b), edge_index(s[a], s[b]))
                   for i, a in enumerate(others) for b in others[i + 1:])
-    verts = tuple((a, s[a]) for a in others)
-    points = tuple((4 * a + b, 4 * s[a] + s[b])
-                   for a in others for b in others if b != a)
-    return edges, verts, points
+    return edges, tuple((a, s[a]) for a in others)
 
 
 _FACE_MAPS = {(f, s): _face_map(f, s) for f in range(4) for s in _PERMS4}
-_POINT_SLOTS = tuple(4 * v + w for v in range(4) for w in range(4) if v != w)
 
 
 def _row_text(table, i, pairing, indent):
@@ -164,12 +161,9 @@ class GluingSpec:
                     f"back map from ({t2},{f2}) does not invert it")
 
     def to_json_obj(self) -> dict:
-        out = []
-        for t in range(self.tet_count):
-            for f in range(4):
-                t2, f2, s = self.pairings[4 * t + f]
-                out.append([t, f, t2, f2, list(s)])
-        return {"tet_count": self.tet_count, "pairings": out}
+        return {"tet_count": self.tet_count,
+                "pairings": [[i >> 2, i & 3, t2, f2, list(s)]
+                             for i, (t2, f2, s) in enumerate(self.pairings)]}
 
     def json_text(self, indent: int) -> str:
         """The text serialize.dumps gives to_json_obj() at this indent; every
@@ -242,7 +236,6 @@ class BoundaryLink:
 
 
 _EDGE_FIELDS = ("edge_classes", "edge_class_of")
-_VERTEX_FIELDS = ("vertex_classes", "boundary_links")
 
 
 @dataclass(frozen=True)
@@ -255,10 +248,13 @@ class Triangulation:
 
     `build` and `search_gluings` hand out a triangulation that holds its spec
     and the edge parent list and edge root count of the `_Quotients` that
-    glued it.  Each group of class fields derives on the first read of one
-    of its fields: `edge_classes` and `edge_class_of` from that list,
-    `vertex_classes` and `boundary_links` by one union pass over the pairing
-    table.  A predicate reading only `n_edges` (that count) derives nothing.
+    glued it.  Each class field derives on first read: `edge_classes` and
+    `edge_class_of` together from that list, `vertex_classes` from a vertex
+    parent list (one union pass of the pairing table, made on first read and
+    kept), `boundary_links` from both lists, with a corner at either end of
+    each edge class (an orientable gluing glues none to itself reversed; see
+    the module docstring).  A predicate reading only `n_edges` (that count)
+    derives nothing, and the census filter no class at all.
     """
 
     spec: GluingSpec
@@ -269,15 +265,19 @@ class Triangulation:
 
     def __getattr__(self, name):
         # Reached only for an attribute not yet set on the instance.
+        fields = self.__dict__
         if name in _EDGE_FIELDS:
-            fields = zip(_EDGE_FIELDS, _edge_fields(self.spec, self._edge))
-        elif name in _VERTEX_FIELDS:
-            fields = zip(_VERTEX_FIELDS, _vertex_fields(self.spec))
+            fields.update(zip(_EDGE_FIELDS, _edge_fields(self)))
+        elif name == "boundary_links":
+            fields[name] = _boundary_links(self)
+        elif name == "vertex_classes":
+            fields[name] = _vertex_classes(self)
+        elif name == "_vert":
+            fields[name] = _vertex_parents(self)
         else:
             raise AttributeError(
                 f"'Triangulation' object has no attribute {name!r}")
-        self.__dict__.update(fields)
-        return self.__dict__[name]
+        return fields[name]
 
     @property
     def tet_count(self) -> int:
@@ -298,8 +298,8 @@ class Triangulation:
 
 class _Quotients:
     """Union-find over the tetrahedra t and the local edges 6t+e of n
-    tetrahedra, with an undo log; vertices and corner points are left to
-    `_vertex_fields`, which derives them from the pairing table on read.
+    tetrahedra, with an undo log; vertices are left to `_vertex_parents`,
+    which unites them from the pairing table on read.
 
     A union links the larger root under the smaller, so every link points to
     a smaller item and each root is the least member of its orbit.  Paths
@@ -315,6 +315,7 @@ class _Quotients:
     tetrahedron's parity bit is set where its orientation opposes its
     parent's: an odd pairing keeps a coherent orientation and an even one
     reverses it, so `glue` refuses a pairing closing a cycle of odd parity.
+    No gluing it accepts thus glues an edge class to itself reversed.
     """
 
     def __init__(self, n: int):
@@ -454,45 +455,42 @@ def _leaf(spec: GluingSpec, edge: list, n_edges: int) -> Triangulation:
     return tri
 
 
-def _edge_fields(spec: GluingSpec, edge: list) -> tuple:
-    # edge_classes and edge_class_of of spec, from the edge parent list of a
+def _edge_fields(tri: Triangulation) -> tuple:
+    # edge_classes and edge_class_of of tri, from the edge parent list of a
     # _Quotients that holds its every pairing.
-    orbits, of = _orbits(edge)
+    orbits, of = _orbits(tri._edge)
     return (tuple(EdgeClass(index=i, corners=tuple(divmod(x, 6) for x in g))
                   for i, g in enumerate(orbits)),
-            tuple(tuple(of[6 * t:6 * t + 6]) for t in range(spec.tet_count)))
+            tuple(tuple(of[6 * t:6 * t + 6]) for t in range(tri.tet_count)))
 
 
-def _vertex_fields(spec: GluingSpec) -> tuple:
-    # vertex_classes and boundary_links of spec, from one union pass of its
-    # pairings over the vertices 4t+v and the corner points 16t+4v+w (slots
-    # with v == w stay unused singletons).
-    n = spec.tet_count
-    vert, point = list(range(4 * n)), list(range(16 * n))
-    for i, (t2, f2, s) in enumerate(spec.pairings):
+def _vertex_parents(tri: Triangulation) -> list:
+    # The vertex parent list of tri: one union pass of its pairings over the
+    # vertices 4t+v (4t = i & ~3 at face i = 4t+f), linked as _Quotients links.
+    vert = list(range(4 * tri.tet_count))
+    for i, (t2, f2, s) in enumerate(tri.spec.pairings):
         if 4 * t2 + f2 > i:
-            t = i >> 2
-            _, vert_pairs, point_pairs = _FACE_MAPS[(i & 3, tuple(s))]
-            _unite(vert, vert_pairs, 4 * t, 4 * t2)
-            _unite(point, point_pairs, 16 * t, 16 * t2)
-    vert_orbits, vert_of = _orbits(vert)
-    vertex_classes = tuple(tuple(divmod(x, 4) for x in g) for g in vert_orbits)
+            _unite(vert, _FACE_MAPS[(i & 3, tuple(s))][1], i & ~3, 4 * t2)
+    return vert
 
-    # Each point orbit lies over one vertex class; count the orbits by root.
-    points = [0] * len(vertex_classes)
-    for t in range(n):
-        for p in _POINT_SLOTS:
-            x = 16 * t + p
-            if point[x] == x:
-                points[vert_of[x // 4]] += 1
 
-    links = []
-    for j, vc in enumerate(vertex_classes):
-        faces = len(vc)
-        sides = 3 * faces // 2
-        links.append(BoundaryLink(vertex_class=j, chi=points[j] - sides + faces,
-                                  triangles=faces, sides=sides, corners=points[j]))
-    return vertex_classes, tuple(links)
+def _vertex_classes(tri: Triangulation) -> tuple:
+    return tuple(tuple(divmod(x, 4) for x in g) for g in _orbits(tri._vert)[0])
+
+
+def _boundary_links(tri: Triangulation) -> tuple:
+    # A link's triangles are its vertex class's members, and the edge class
+    # of root 6t+e, e = {a, b}, puts a corner in the class of (t, a) and one
+    # in that of (t, b).
+    orbits, of = _orbits(tri._vert)
+    corners = [0] * len(orbits)
+    for x, p in enumerate(tri._edge):
+        if p == x:
+            for v in EDGE_VERTEX_PAIRS[x % 6]:
+                corners[of[x // 6 * 4 + v]] += 1
+    return tuple(BoundaryLink(vertex_class=j, chi=c - 3 * len(g) // 2 + len(g),
+                              triangles=len(g), sides=3 * len(g) // 2, corners=c)
+                 for j, (g, c) in enumerate(zip(orbits, corners)))
 
 
 def single_hyperbolic_class(tri: Triangulation) -> bool:
@@ -540,7 +538,9 @@ def search_gluings(tet_count: int, predicate) -> list:
                              quotients.log)
     found = []
 
-    def place(i):
+    # place recurses through its argument: a closure naming itself would be
+    # a reference cycle, keeping found alive until the garbage collector runs.
+    def place(i, place):
         while i < n_faces and table[i] is not None:
             i += 1
         if i == n_faces:
@@ -568,9 +568,9 @@ def search_gluings(tet_count: int, predicate) -> list:
                 glue(t, f, t2, s, roots)
                 table[i] = (t2, f2, s)
                 table[j] = (t, f, inverse)
-                place(i + 1)
+                place(i + 1, place)
                 undo(mark)
             table[i] = table[j] = None
 
-    place(0)
+    place(0, place)
     return found

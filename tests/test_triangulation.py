@@ -1,6 +1,8 @@
 """Gluing validation, derived classes, boundary links, and the search."""
 
+import gc
 import random
+import weakref
 from itertools import permutations
 
 import numpy as np
@@ -568,52 +570,64 @@ def test_search_leaves_match_build(two_tet_reference):
 
 @pytest.fixture
 def derivations(monkeypatch):
-    """Per group of class fields, the spec of every triangulation whose
-    fields of that group get derived, in order: "edge" for `edge_classes`
-    and `edge_class_of`, "vertex" for `vertex_classes` and
-    `boundary_links`."""
-    calls = {"edge": [], "vertex": []}
-    for group, name in (("edge", "_edge_fields"), ("vertex", "_vertex_fields")):
-        def counted(spec, *args, derive=getattr(T, name), specs=calls[group]):
-            specs.append(spec)
-            return derive(spec, *args)
+    """Per derivation, the spec of every triangulation it runs for, in
+    order: "edge" for `edge_classes` and `edge_class_of` together, "vert"
+    for the vertex parent list, and "vertex_classes" and "boundary_links"
+    for those fields."""
+    calls = {}
+    for group, name in (("edge", "_edge_fields"), ("vert", "_vertex_parents"),
+                        ("vertex_classes", "_vertex_classes"),
+                        ("boundary_links", "_boundary_links")):
+        def counted(tri, derive=getattr(T, name),
+                    specs=calls.setdefault(group, [])):
+            specs.append(tri.spec)
+            return derive(tri)
 
         monkeypatch.setattr(T, name, counted)
     return calls
 
 
+def _counts(derivations):
+    return tuple(len(derivations[g])
+                 for g in ("edge", "vert", "vertex_classes", "boundary_links"))
+
+
 def test_search_any_derives_no_leaf(derivations):
     assert len(T.search_gluings(2, T.any_gluing)) == 15552
-    assert derivations == {"edge": [], "vertex": []}
+    assert _counts(derivations) == (0, 0, 0, 0)
 
 
 def test_census_search_derives_only_one_edge_leaves(derivations):
     # Every one-edge 2-tet leaf is a census match, so each derived leaf is;
-    # the filter reads the edge count and the links, never an edge class.
+    # the filter reads the edge count and the links, which need the vertex
+    # parent list but never a vertex class or an edge class.
     census = T.search_gluings(2, T.single_hyperbolic_class)
     assert len(census) == 4416
-    assert derivations["vertex"] == census
-    assert derivations["edge"] == []
+    assert derivations == {"edge": [], "vert": census, "vertex_classes": [],
+                           "boundary_links": census}
 
 
 def test_build_derives_once(derivations, census_spec):
     tri = T.build(census_spec)  # reads the links to check the hypothesis
-    assert derivations == {"edge": [], "vertex": [census_spec]}
+    assert _counts(derivations) == (0, 1, 0, 1)
     assert (tri.n_edges, tri.edge_class_of) == (1, ((0,) * 6, (0,) * 6))
-    assert derivations == {"edge": [census_spec], "vertex": [census_spec]}
-    assert tri.edge_classes and tri.vertex_classes  # each group derived once
-    assert derivations == {"edge": [census_spec], "vertex": [census_spec]}
+    assert _counts(derivations) == (1, 1, 0, 1)
+    assert tri.vertex_classes  # from the kept vertex parent list
+    assert _counts(derivations) == (1, 1, 1, 1)
+    assert tri.edge_classes and tri.vertex_classes and tri.boundary_links
+    assert _counts(derivations) == (1, 1, 1, 1)
     lax = T.build(census_spec, enforce_link_hypothesis=False)
-    assert derivations == {"edge": [census_spec], "vertex": [census_spec]}
+    assert _counts(derivations) == (1, 1, 1, 1)
     assert lax == tri
-    assert derivations == {"edge": [census_spec] * 2,
-                           "vertex": [census_spec] * 2}
+    assert _counts(derivations) == (2, 2, 2, 2)
+    assert {spec for specs in derivations.values() for spec in specs} == \
+           {census_spec}
 
 
 def test_leaf_n_edges_derives_nothing(two_tet_reference, derivations):
     counts = []
     T.search_gluings(2, lambda tri: counts.append(tri.n_edges) or True)
-    assert derivations == {"edge": [], "vertex": []}
+    assert _counts(derivations) == (0, 0, 0, 0)
     assert counts == [len(ref.edge_classes) for ref in two_tet_reference]
 
 
@@ -628,12 +642,52 @@ def test_leaf_derived_after_the_search(derivations):
         return True
 
     T.search_gluings(2, derive_now)
-    assert [len(derivations[g]) for g in ("edge", "vertex")] == [15552, 0]
+    assert _counts(derivations) == (15552, 0, 0, 0)
     late = _search_leaves(2)
-    assert [len(derivations[g]) for g in ("edge", "vertex")] == [15552, 0]
+    assert _counts(derivations) == (15552, 0, 0, 0)
     assert late == early
-    assert [len(derivations[g]) for g in ("edge", "vertex")] == \
-           [2 * 15552, 2 * 15552]
+    assert _counts(derivations) == (2 * 15552,) * 4
+
+
+def test_link_identities_hold_on_the_reference(two_tet_reference,
+                                               sampled_specs):
+    # What counting link corners by edge-class ends rests on, checked on the
+    # reference's corner-point union: every edge class has two distinct
+    # ends, so the corners sum to 2 E, and the links' chi to 2 (E - n), as
+    # the links have 6n sides and 4n triangles in all.
+    refs = [_ref_build(spec, enforce_link_hypothesis=False)
+            for spec in _ref_search(1, T.any_gluing)]
+    assert len(refs) == 27
+    refs += two_tet_reference
+    refs += [_ref_build(spec, enforce_link_hypothesis=False)
+             for spec in sampled_specs
+             if _orientable(_ref_check_orientable, spec)]
+    for ref in refs:
+        n_edges, links = len(ref.edge_classes), ref.boundary_links
+        assert sum(l.corners for l in links) == 2 * n_edges, ref.spec
+        assert sum(l.chi for l in links) == 2 * (n_edges - ref.tet_count)
+    # With n = 2 and one edge class the chi sum is -2, so the census filter
+    # holds exactly when there is one vertex class.
+    one_edge = [ref for ref in two_tet_reference if len(ref.edge_classes) == 1]
+    assert len(one_edge) == 4416
+    assert [len(ref.vertex_classes) == 1 for ref in one_edge] == \
+           [T.single_hyperbolic_class(ref) for ref in one_edge]
+
+
+def test_search_result_freed_by_refcount():
+    # The search leaves no reference cycle behind: with the garbage
+    # collector off, a returned spec dies with the last reference to the
+    # result.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = T.search_gluings(2, T.any_gluing)
+        spec = weakref.ref(found[0])
+        del found
+        assert spec() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_underived_leaf_hash_and_repr(two_tet_reference):
