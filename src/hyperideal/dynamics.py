@@ -1,7 +1,8 @@
 """Curvature flow, energy minimization, and stability experiments.
 
 The flow integrates dx/dt = K(x) on the space of admissible cone metrics
-with exponential Rosenbrock steps, which take the stiff linear part dK/dx
+with fifth-order exponential Rosenbrock steps (exprb53s3, with exprb43 as
+the embedded error estimate), which take the stiff linear part dK/dx
 exactly.  Every right-hand-side evaluation revalidates admissibility
 first; a stage or step that leaves the admissible set is rejected and
 retried with half the step, never silently clamped.  A run ends in
@@ -109,29 +110,32 @@ def _phi(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exprb43_step(tri, ev, J, lam, Q, h, cfg):
-    """One exponential Rosenbrock step exprb43 of size h from the state ev.
+def _exprb53_step(tri, ev, J, lam, Q, h, cfg):
+    """One exponential Rosenbrock step exprb53s3 of size h from the state ev.
 
     J = dK/dx at ev and J = Q diag(lam) Q^T; the phi-functions of hJ act
-    exactly through that eigendecomposition (Hochbruck, Ostermann and
-    Schweitzer, SIAM J. Numer. Anal. 47, 2009).  With the nonlinear
-    remainders D_i = K(U_i) - K(x) - J (U_i - x):
+    exactly through that eigendecomposition.  The fifth-order scheme of Luan
+    and Ostermann (J. Comput. Appl. Math. 255, 2014), with the nonlinear
+    remainders D_i = K(U_i) - K(x) - J (U_i - x) and phi_k = phi_k(hJ):
 
         U_2 = x + h/2 phi_1(hJ/2) K
-        U_3 = x + h phi_1(hJ) (K + D_2)
-        x_new = x + h phi_1(hJ) K + h [(16 phi_3 - 48 phi_4) D_2
-                                       + (-2 phi_3 + 12 phi_4) D_3]
+        U_3 = x + 9h/10 phi_1(9hJ/10) K
+                + h (27/25 phi_3(hJ/2) + 729/125 phi_3(9hJ/10)) D_2
+        U_4 = x + h phi_1 (K + D_2)
+        x_new = x + h phi_1 K + h [(18 phi_3 - 60 phi_4) D_2
+                                   + (-250/81 phi_3 + 500/27 phi_4) D_3]
 
-    and the error estimate h phi_4 (-48 D_2 + 12 D_3) is the gap to the
-    embedded third-order solution.  Returns (evaluation, error ratio,
-    reason); the evaluation is None when the step fails, and reason, one of
-    REJECT_REASONS, says why.
+    U_4 is the last stage of exprb43 (Hochbruck, Ostermann and Schweitzer,
+    SIAM J. Numer. Anal. 47, 2009), whose fourth-order solution
+    x + h phi_1 K + h [(16 phi_3 - 48 phi_4) D_2 + (-2 phi_3 + 12 phi_4) D_4]
+    is embedded: the error estimate, O(h^5), is x_new minus it.  Returns
+    (evaluation, error ratio, reason); the evaluation is None when the step
+    fails, and reason, one of REJECT_REASONS, says why.
     """
     x, K = ev.x, ev.K
-    z = h * lam
-    p = _phi(np.concatenate((0.5 * z, z)))
-    half1 = p[0, :lam.size]
-    p1, p3, p4 = p[0, lam.size:], p[2, lam.size:], p[3, lam.size:]
+    n, z = lam.size, h * lam
+    (half1, nine1, p1), _, (half3, nine3, p3), (_, _, p4) = _phi(
+        np.concatenate((0.5 * z, 0.9 * z, z))).reshape(4, 3, n)
     kq = Q.T @ K
 
     def remainder(u):
@@ -144,12 +148,16 @@ def _exprb43_step(tri, ev, J, lam, Q, h, cfg):
     d2 = remainder(x + 0.5 * h * (Q @ (half1 * kq)))
     if d2 is None:
         return None, 0.0, "inadmissible_stage"
-    d3 = remainder(x + h * (Q @ (p1 * (kq + d2))))
+    d3 = remainder(x + h * (Q @ (0.9 * nine1 * kq
+                                 + (1.08 * half3 + 5.832 * nine3) * d2)))
     if d3 is None:
         return None, 0.0, "inadmissible_stage"
-    x_new = x + h * (Q @ (p1 * kq + (16.0 * p3 - 48.0 * p4) * d2
-                          + (-2.0 * p3 + 12.0 * p4) * d3))
-    err = h * (Q @ (p4 * (-48.0 * d2 + 12.0 * d3)))
+    d4 = remainder(x + h * (Q @ (p1 * (kq + d2))))
+    if d4 is None:
+        return None, 0.0, "inadmissible_stage"
+    b3 = -3.0864197530864197 * p3 + 18.51851851851852 * p4
+    x_new = x + h * (Q @ (p1 * kq + (18.0 * p3 - 60.0 * p4) * d2 + b3 * d3))
+    err = h * (Q @ ((2.0 * p3 - 12.0 * p4) * (d2 + d4) + b3 * d3))
     scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
     err_ratio = float(np.maximum.reduce(np.abs(err / scale)))
     if err_ratio > 1.0:
@@ -163,12 +171,13 @@ def _exprb43_step(tri, ev, J, lam, Q, h, cfg):
 def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
     """Integrate dx/dt = K from m0 until convergence, degeneration or t_max.
 
-    Every step is an `_exprb43_step` from the eigendecomposition of dK/dx,
-    taken once per accepted state.  rtol and atol bound each step's local
-    error, so they set the accuracy of the trace; curvature_tol decides
-    where it ends.  A step whose error ratio r exceeds 1 is retried with h
-    scaled by 0.9 r^(-1/4), at least 0.2; one with an inadmissible stage or
-    new state, with h halved.  `FlowTrace.rejections` counts each reason.
+    Every step is an `_exprb53_step`, four evaluations (three stages and
+    the new state) from the eigendecomposition of dK/dx, taken once per
+    accepted state.  rtol and atol bound each step's local error, so they
+    set the accuracy of the trace; curvature_tol decides where it ends.  A
+    step whose error ratio r exceeds 1 is retried with h scaled by
+    0.9 r^(-1/5), at least 0.2; one with an inadmissible stage or new
+    state, with h halved.  `FlowTrace.rejections` counts each reason.
     The energy column H is computed after the loop, from the angles of
     every accepted step in one batched volume evaluation.
     """
@@ -209,17 +218,17 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
             if h < 1e-14 * max(1.0, t):
                 raise ConvergenceError(
                     f"flow step size underflowed at t = {t!r}", last=x)
-            ev_new, err_ratio, reason = _exprb43_step(
+            ev_new, err_ratio, reason = _exprb53_step(
                 tri, ev, J, lam, Q, h, cfg)
             if ev_new is not None:
                 break
             rejections[reason] += 1
             rejected += 1
-            h *= max(0.2, 0.9 * err_ratio ** -0.25) if err_ratio > 1.0 else 0.5
+            h *= max(0.2, 0.9 * err_ratio ** -0.2) if err_ratio > 1.0 else 0.5
         t += h
         ev = ev_new
         accepted += 1
-        growth = 0.9 * err_ratio ** -0.25 if err_ratio > 0.0 else 5.0
+        growth = 0.9 * err_ratio ** -0.2 if err_ratio > 0.0 else 5.0
         h *= min(5.0, max(0.2, growth))
 
     Xmat, Kmat = np.array(xs), np.array(ks)
