@@ -3,11 +3,10 @@ on ideally triangulated compact 3-manifolds with geodesic boundary."""
 
 __version__ = "0.1.0"
 
-from .angles import (AngleAssignment, LPResult, Realization, VolumeMaxReport,
-                     lp_feasibility, maximize_volume, realize_structure)
-from .dynamics import (AttractorReport, FlowConfig, FlowTrace, MinimizeReport,
-                       RigidityReport, attractor_experiment, flow,
-                       minimize_energy, rigidity_probe)
+from .angles import (AngleAssignment, LPResult, VolumeMaxReport,
+                     lp_feasibility, maximize_volume)
+from .dynamics import (FlowConfig, FlowTrace, MinimizeReport, flow,
+                       minimize_energy)
 from .errors import (BoundaryHypothesisError, ConvergenceError,
                      DefinitenessError, GluingError, HyperidealError,
                      InadmissibleShapeError)

@@ -62,15 +62,6 @@ class LPResult:
 
 
 @dataclass(frozen=True)
-class Realization:
-    """Per-tetrahedron lengths realizing an assignment, with class spreads."""
-
-    lengths: np.ndarray
-    spreads: np.ndarray
-    max_spread: float
-
-
-@dataclass(frozen=True)
 class VolumeMaxReport:
     iterations: int
     objective: float
@@ -142,21 +133,6 @@ def lp_feasibility(tri: Triangulation) -> LPResult:
     witness = AngleAssignment(tri=tri, angles=a)
     return LPResult(feasible=True, epsilon=eps, witness=witness,
                     phase_pivots=res.phase_pivots)
-
-
-def realize_structure(assign: AngleAssignment) -> Realization:
-    """Invert the angle map of every tetrahedron separately.
-
-    The vertex-sum condition makes each corner angle vector realizable in
-    isolation; the realized lengths need not agree across an edge class,
-    and the per-class spread (max minus min) measures the failure.  Spread
-    zero is exactly the hyperbolic cone metric condition.
-    """
-    validate_assignment(assign)
-    X = tetgeom._newton_lengths(assign.angles)
-    spreads = assign.tri.quotient.spread(X)
-    return Realization(lengths=X, spreads=spreads,
-                       max_spread=float(spreads.max()))
 
 
 def _volume(A: np.ndarray) -> float:

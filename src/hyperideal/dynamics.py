@@ -1,4 +1,4 @@
-"""Curvature flow, energy minimization, and stability experiments.
+"""Curvature flow and energy minimization.
 
 The flow integrates dx/dt = K(x) on the space of admissible cone metrics
 with fifth-order exponential Rosenbrock steps (exprb53s3, with exprb43 as
@@ -23,8 +23,6 @@ from . import metric as metric_mod
 from . import tetgeom
 from .errors import ConvergenceError
 from .metric import ConeMetric
-
-RECOVERY_TOL = 1e-6  # distance to the equilibrium that counts as recovered
 
 MAX_STEPS = 200000  # accepted plus rejected steps before flow gives up
 # why a step was rejected: its error ratio exceeded 1, or a stage or the
@@ -293,66 +291,3 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12) -> tuple:
                 f"{margin:.3e} at {witness}", last=ev.x)
     raise ConvergenceError(f"energy minimization did not reach {tol} in "
                            f"{metric_mod.NEWTON_MAX_ITER} iterations", last=ev.x)
-
-
-@dataclass(frozen=True)
-class AttractorReport:
-    radius: float
-    trials: int
-    seed: int
-    recovered: int
-    fraction: float
-    max_distance: float
-    distances: tuple
-    statuses: tuple
-
-
-def attractor_experiment(m_eq: ConeMetric, radius: float, trials: int,
-                         seed: int, cfg: FlowConfig = FlowConfig()) -> AttractorReport:
-    """Flow from random perturbations of an equilibrium and report recovery.
-
-    m_eq must satisfy |K| < 1e-10; perturbations are uniform in the infinity
-    ball of the given radius, which must keep all lengths positive.
-    """
-    K = metric_mod.evaluate(m_eq.tri, m_eq.x).raise_if_inadmissible().K
-    if float(np.abs(K).max()) >= 1e-10:
-        raise ValueError("attractor experiment needs an equilibrium metric")
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
-    if not (0 <= radius < float(m_eq.x.min())):
-        raise ValueError("radius must be non-negative and below the smallest length")
-    rng = np.random.default_rng(seed)
-    deltas = rng.uniform(-radius, radius, size=(trials, m_eq.x.size))
-    distances, statuses = [], []
-    recovered = 0
-    for i in range(trials):
-        trace = flow(m_eq.with_lengths(m_eq.x + deltas[i]), cfg)
-        dist = float(np.abs(trace.x[-1] - m_eq.x).max())
-        distances.append(dist)
-        statuses.append(trace.status)
-        if trace.status == "converged" and dist <= RECOVERY_TOL:
-            recovered += 1
-    return AttractorReport(
-        radius=radius, trials=trials, seed=seed, recovered=recovered,
-        fraction=(recovered / trials) if trials else 1.0,
-        max_distance=max(distances) if distances else 0.0,
-        distances=tuple(distances), statuses=tuple(statuses))
-
-
-@dataclass(frozen=True)
-class RigidityReport:
-    singular_values: tuple
-    sigma_min: float
-    sigma_max: float
-    nonsingular: bool
-
-
-def rigidity_probe(m: ConeMetric) -> RigidityReport:
-    """Singular values of dK/dx; a nonsingular Jacobian means the curvature
-    map is a local diffeomorphism, i.e. the metric is locally rigid."""
-    J = metric_mod.evaluate(m.tri, m.x).raise_if_inadmissible().jacobian()
-    sv = np.linalg.svd(J, compute_uv=False)
-    smin, smax = float(sv[-1]), float(sv[0])
-    return RigidityReport(singular_values=tuple(float(s) for s in sv),
-                          sigma_min=smin, sigma_max=smax,
-                          nonsingular=smin > 1e-12 * max(1.0, smax))

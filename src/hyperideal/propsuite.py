@@ -1,13 +1,15 @@
 """Cross-module invariant battery.
 
-Runs every structural identity the modules promise (quotient-map
-accounting, Jacobian definiteness both ways, exactness of the volume
-differential, oracle agreement, Lyapunov monotonicity, LP witness
-substitution, concavity, KKT spreads, determinism) on seeded random
-samples plus the canonical census instance, and reports one named check
-per property.  The CLI exposes it as `propsuite`; a non-empty violation
-list is an error exit there.  The Minkowski-model oracle and the
-length-space convexity probe live here, since only the battery uses them.
+Each structural identity the modules promise (quotient-map accounting,
+Jacobian definiteness both ways, exactness of the volume differential,
+oracle agreement, Lyapunov monotonicity, the heat equation, local
+attraction, LP witness substitution, concavity, KKT spreads, determinism)
+is one check function, which takes what it samples and returns a named
+`Check`.  `run` calls them all on seeded samples plus the census; the CLI
+exposes it as `propsuite`, where a violation is an error exit, and the
+acceptance criteria call the same functions at their own seeds and sample
+sizes.  The Minkowski-model oracle and the length-space convexity probe,
+which the checks and the criteria share, live here too.
 """
 
 from __future__ import annotations
@@ -121,6 +123,10 @@ class Check:
     detail: str
 
 
+def _check(name: str, ok, detail: str = "") -> Check:
+    return Check(name=name, ok=bool(ok), detail=detail)
+
+
 @dataclass(frozen=True)
 class PropsuiteReport:
     seed: int
@@ -140,27 +146,17 @@ class PropsuiteReport:
 
 def sample_admissible(rng, count: int, low: float = 0.2, high: float = 3.0) -> np.ndarray:
     """Admissible length vectors drawn log-uniformly, in draw order."""
-    out = []
+    out = np.empty((0, 6))
     while len(out) < count:
         draws = np.exp(rng.uniform(math.log(low), math.log(high),
                                    size=(4 * count, 6)))
-        ok = np.atleast_1d(tetgeom.is_admissible(draws))
-        for row in draws[ok]:
-            out.append(row)
-            if len(out) == count:
-                break
-    return np.array(out)
+        out = np.concatenate([out, draws[np.atleast_1d(tetgeom.is_admissible(draws))]])
+    return out[:count]
 
 
 def _fd_jacobian(func, x, h=1e-6):
-    base = func(x)
-    J = np.zeros((base.size, x.size))
-    for j in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        J[:, j] = (func(xp) - func(xm)) / (2 * h)
-    return J
+    return np.column_stack([(func(x + e) - func(x - e)) / (2 * h)
+                            for e in h * np.eye(x.size)])
 
 
 def schlafli_leg(p, q, order: int = 24) -> float:
@@ -207,104 +203,94 @@ def _search_instances():
     return census, count, multi
 
 
-def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
-        oracle_samples: int = 250) -> PropsuiteReport:
-    rng = np.random.default_rng(seed)
-    checks = []
+def rebuild_idempotent(tri) -> Check:
+    rebuilt = tri_mod.build(tri.spec)
+    return _check("triangulation.rebuild_idempotent",
+                  rebuilt.edge_classes == tri.edge_classes
+                  and rebuilt.vertex_classes == tri.vertex_classes
+                  and rebuilt.boundary_links == tri.boundary_links)
 
-    def record(name, ok, detail=""):
-        checks.append(Check(name=name, ok=bool(ok), detail=detail))
 
-    census_count = None
-    if census is None or multi is None:
-        found, count, found_multi = _search_instances()
-        if census is None:
-            census, census_count = found, count
-        if multi is None:
-            multi = found_multi
-
-    # --- triangulation ---
-    rebuilt = tri_mod.build(census.spec)
-    record("triangulation.rebuild_idempotent",
-           rebuilt.edge_classes == census.edge_classes
-           and rebuilt.vertex_classes == census.vertex_classes
-           and rebuilt.boundary_links == census.boundary_links)
-
+def census_accounting(tris, census_count=None) -> Check:
     ok = True
-    for tri in (census, multi):
-        total = sum(ec.valence for ec in tri.edge_classes)
-        ok &= total == 6 * tri.tet_count
+    for tri in tris:
+        ok &= sum(ec.valence for ec in tri.edge_classes) == 6 * tri.tet_count
         ok &= all(l.sides * 2 == 3 * l.triangles for l in tri.boundary_links)
-        chi_sum = sum(l.chi for l in tri.boundary_links)
-        corners = sum(l.corners for l in tri.boundary_links)
-        ok &= chi_sum == corners - 6 * tri.tet_count + 4 * tri.tet_count
-    record("triangulation.census_accounting", ok,
-           f"census search matches: {census_count}" if census_count else "")
+        ok &= (sum(l.chi for l in tri.boundary_links)
+               == sum(l.corners for l in tri.boundary_links) - 2 * tri.tet_count)
+    return _check("triangulation.census_accounting", ok,
+                  f"census search matches: {census_count}" if census_count else "")
 
+
+def pairing_involution(tris) -> Check:
     ok = True
-    for tri in (census, multi):
-        spec = tri.spec
+    for spec in (tri.spec for tri in tris):
         for t in range(spec.tet_count):
             for f in range(4):
                 t2, f2, s = spec.pairing(t, f)
                 bt, bf, bs = spec.pairing(t2, f2)
-                ok &= (bt, bf) == (t, f)
-                ok &= all(bs[s[v]] == v for v in range(4))
-    record("triangulation.pairing_involution", ok)
+                ok &= (bt, bf) == (t, f) and all(bs[s[v]] == v for v in range(4))
+    return _check("triangulation.pairing_involution", ok)
 
-    record("triangulation.census_classes",
-           len(census.edge_classes) == 1
-           and census.edge_classes[0].valence == 12
-           and len(census.boundary_links) == 1
-           and census.boundary_links[0].chi < 0,
-           f"chi = {census.boundary_links[0].chi}")
 
-    # --- tetgeom ---
-    X = sample_admissible(rng, oracle_samples, low=0.1, high=4.0)
-    pl = tetgeom._pipeline(X)
+def census_classes(tri) -> Check:
+    return _check("triangulation.census_classes",
+                  len(tri.edge_classes) == 1 and tri.edge_classes[0].valence == 12
+                  and len(tri.boundary_links) == 1 and tri.boundary_links[0].chi < 0,
+                  f"chi = {tri.boundary_links[0].chi}")
+
+
+def sine_cosine_identity(shapes) -> Check:
+    pl = tetgeom._pipeline(shapes)
     gap = np.abs(pl.sines ** 2 + pl.cosines ** 2 - 1.0).max()
-    record("tetgeom.sine_cosine_identity", gap <= 1e-12, f"max |sin^2 + cos^2 - 1| {gap:.3e}")
+    return _check("tetgeom.sine_cosine_identity", gap <= 1e-12,
+                  f"max |sin^2 + cos^2 - 1| {gap:.3e}")
 
-    worst_fd = worst_sym = 0.0
-    min_eig = np.inf
-    min_inv_eig = np.inf
-    for x in X[:20]:
+
+def jacobian_spd(shapes) -> Check:
+    """da/dx matches central differences; it and its inverse are SPD."""
+    fd = sym = inv_sym = 0.0
+    eig = inv_eig = np.inf
+    for x in shapes:
         J = tetgeom.jacobian_angles_lengths(x)
-        F = _fd_jacobian(tetgeom.angles_from_lengths, x)
-        worst_fd = max(worst_fd, float(np.abs(J - F).max()))
-        worst_sym = max(worst_sym, float(np.abs(J - J.T).max()))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(J).min()))
-        min_inv_eig = min(min_inv_eig,
-                          float(np.linalg.eigvalsh(np.linalg.inv(J)).min()))
-    record("tetgeom.jacobian_spd",
-           worst_fd < 1e-6 and worst_sym < 1e-8 and min_eig > 0 and min_inv_eig > 0,
-           f"fd {worst_fd:.3e} sym {worst_sym:.3e} eig {min_eig:.3e}")
+        Jinv = np.linalg.inv(J)
+        fd = max(fd, float(np.abs(J - _fd_jacobian(tetgeom.angles_from_lengths, x)).max()))
+        sym = max(sym, float(np.abs(J - J.T).max()))
+        inv_sym = max(inv_sym, float(np.abs(Jinv - Jinv.T).max()))
+        eig = min(eig, float(np.linalg.eigvalsh(0.5 * (J + J.T)).min()))
+        inv_eig = min(inv_eig, float(np.linalg.eigvalsh(0.5 * (Jinv + Jinv.T)).min()))
+    return _check("tetgeom.jacobian_spd",
+                  fd < 1e-6 and sym < 1e-8 and eig > 0 and inv_sym < 1e-8 and inv_eig > 0,
+                  f"{len(shapes)} shapes: fd {fd:.3e} sym {sym:.3e} eig {eig:.3e}; "
+                  f"inverse sym {inv_sym:.3e} eig {inv_eig:.3e}")
 
-    worst = 0.0
-    for x in X[:40]:
-        back = tetgeom.lengths_from_angles(tetgeom.angles_from_lengths(x))
-        worst = max(worst, float(np.abs(back - x).max()))
-    record("tetgeom.inversion_roundtrip", worst < 1e-9, f"max {worst:.3e}")
 
-    ok = True
-    worst = 0.0
-    for x in X[:6]:
+def inversion_roundtrip(shapes) -> Check:
+    back = tetgeom.lengths_from_angles(tetgeom.angles_from_lengths(shapes))
+    worst = float(np.abs(back - shapes).max())
+    return _check("tetgeom.inversion_roundtrip", worst < 1e-9, f"max {worst:.3e}")
+
+
+def schlafli_exact(shapes, paths) -> Check:
+    """The volume's angle gradient is -x/2 at each shape, and on each angle
+    path (p, m, q) the quadrature p -> m -> q is volume(q) - volume(p)."""
+    grad = path = 0.0
+    for x in shapes:
         g = _fd_jacobian(lambda a: np.array([tetgeom.schlafli_potential_of_angles(a)]),
                          tetgeom.angles_from_lengths(x))[0]
-        worst = max(worst, float(np.abs(g + 0.5 * x).max()))
-    ok &= worst < 1e-6
-    a1 = tetgeom.angles_from_lengths(X[0])
-    a2 = tetgeom.angles_from_lengths(X[1])
-    mid = 0.5 * (a1 + a2)
-    two_leg = schlafli_leg(a1, mid) + schlafli_leg(mid, a2)
-    path_gap = abs(two_leg - float(tetgeom.volume(a2) - tetgeom.volume(a1)))
-    ok &= path_gap < 2e-9
-    record("tetgeom.schlafli_exact", ok,
-           f"grad {worst:.3e} path {path_gap:.3e}")
+        grad = max(grad, float(np.abs(g + 0.5 * x).max()))
+    for p, m, q in paths:
+        two_leg = schlafli_leg(p, m) + schlafli_leg(m, q)
+        path = max(path, abs(two_leg - float(tetgeom.volume(q) - tetgeom.volume(p))))
+    return _check("tetgeom.schlafli_exact", grad < 1e-6 and path < 2e-9,
+                  f"{len(shapes)} shapes, grad {grad:.3e}; {len(paths)} path(s), "
+                  f"path {path:.3e}")
 
-    draws = np.exp(rng.uniform(math.log(0.02), math.log(8.0),
-                               size=(oracle_samples, 6)))
-    mism = 0
+
+def oracle_agreement(rng, count: int) -> Check:
+    """Pipeline and Minkowski oracle agree on `count` log-uniform draws."""
+    draws = np.exp(rng.uniform(math.log(0.02), math.log(8.0), size=(count, 6)))
+    mism = admissible = 0
     worst = 0.0
     for x in draws:
         trig_ok = bool(tetgeom.is_admissible(x))
@@ -312,57 +298,71 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
         if trig_ok != (oracle is not None):
             mism += 1
         elif trig_ok:
+            admissible += 1
             worst = max(worst, float(np.abs(tetgeom.angles_from_lengths(x)
                                             - oracle).max()))
-    record("tetgeom.oracle_agreement",
-           mism == 0 and worst < ORACLE_TOL,
-           f"mismatches {mism}, max angle gap {worst:.3e}")
+    return _check("tetgeom.oracle_agreement", mism == 0 and worst < ORACLE_TOL,
+                  f"{count} tuples, {admissible} admissible, mismatches {mism}, "
+                  f"max angle gap {worst:.3e}")
 
-    # Regular tetrahedra: cos a = cosh x / (2 cosh x - 1), so a increases
-    # from 0 toward pi/3.  The top of the grid stays at 8: beyond that the
-    # cosine quotient is a ratio of nearly cancelling terms and the pipeline
-    # rightly refuses shapes it cannot resolve.
+
+def regular_family_monotone() -> Check:
+    # Regular tetrahedra: cos a = cosh x / (2 cosh x - 1) rises from 0 toward
+    # pi/3.  Past x = 8 the quotient cancels; the pipeline refuses the shape.
     grid = np.linspace(0.05, 8.0, 40)
     common = np.array([tetgeom.angles_from_lengths(np.full(6, g))[0] for g in grid])
     formula = np.arccos(np.cosh(grid) / (2 * np.cosh(grid) - 1))
-    ok = (np.abs(common - formula).max() < 1e-9
-          and np.all(np.diff(common) > 0)
-          and tetgeom.angles_from_lengths(np.full(6, 1e-3))[0] < 0.05
-          and math.pi / 3 - common[-1] < 1e-3
-          and common[-1] < math.pi / 3)
-    record("tetgeom.regular_family_monotone", ok)
+    return _check("tetgeom.regular_family_monotone",
+                  np.abs(common - formula).max() < 1e-9
+                  and np.all(np.diff(common) > 0)
+                  and tetgeom.angles_from_lengths(np.full(6, 1e-3))[0] < 0.05
+                  and math.pi / 3 - common[-1] < 1e-3
+                  and common[-1] < math.pi / 3)
 
-    probe = probe_length_space_convexity(probe_trials, seed)
-    probe2 = probe_length_space_convexity(probe_trials, seed)
-    record("tetgeom.convexity_probe",
-           len(probe.witnesses) > 0 and probe == probe2,
-           f"{len(probe.witnesses)} witnesses from {probe.pairs_admissible} pairs")
 
-    # --- metric ---
-    ok = True
-    detail = []
-    for tri in (census, multi):
-        base = np.full(tri.n_edges, 1.0)
-        base += 0.05 * rng.standard_normal(tri.n_edges)
-        ev = _state(tri, base)
+def convexity_probe(probe: ConvexityProbe, stored: dict) -> Check:
+    """The probe reruns identically and found witnesses; each witness of
+    `stored`, its JSON object as written or read back, is re-verified."""
+    count = stored["witness_count"]
+    verified = 0
+    for pair in stored["witnesses"]:
+        x0, x1 = (np.array(w, dtype=float) for w in pair)
+        verified += bool(tetgeom.is_admissible(x0) and tetgeom.is_admissible(x1)
+                         and not tetgeom.is_admissible(0.5 * (x0 + x1)))
+    return _check("tetgeom.convexity_probe",
+                  1 <= count == verified == len(stored["witnesses"])
+                  and probe == probe_length_space_convexity(probe.trials, probe.seed),
+                  f"{count} witnesses from {probe.pairs_admissible} pairs, "
+                  f"{verified} re-verified")
+
+
+def gradient_and_jacobian(metrics) -> Check:
+    """dK/dx and the gradient -K of H match central differences at each
+    metric; dK/dx is symmetric and negative definite."""
+    gap_j = gap_g = sym = 0.0
+    max_eig = -np.inf
+    for m in metrics:
+        ev = _state(m.tri, m.x)
         J = ev.jacobian()
-        fd_k = _fd_jacobian(lambda xv, tri=tri: _state(tri, xv).K, base)
-        gap_j = float(np.abs(fd_k - J).max())
-        fd_g = _fd_jacobian(lambda xv, tri=tri: np.array([_state(tri, xv).H]),
-                            base)[0]
-        gap_g = float(np.abs(fd_g + ev.K).max())
-        sym = float(np.abs(J - J.T).max())
-        max_eig = float(np.linalg.eigvalsh(J).max())
-        ok &= gap_j < 1e-5 and gap_g < 1e-6 and sym < 1e-8 and max_eig < 0
-        detail.append(f"fdJ {gap_j:.2e} fdG {gap_g:.2e} sym {sym:.2e}")
-    record("metric.gradient_and_jacobian", ok, "; ".join(detail))
+        fd_k = _fd_jacobian(lambda xv: _state(m.tri, xv).K, m.x)
+        fd_g = _fd_jacobian(lambda xv: np.array([_state(m.tri, xv).H]), m.x)[0]
+        gap_j = max(gap_j, float(np.abs(fd_k - J).max()))
+        gap_g = max(gap_g, float(np.abs(fd_g + ev.K).max()))
+        sym = max(sym, float(np.abs(J - J.T).max()))
+        max_eig = max(max_eig, float(np.linalg.eigvalsh(0.5 * (J + J.T)).max()))
+    return _check("metric.gradient_and_jacobian",
+                  gap_j < 1e-5 and gap_g < 1e-6 and sym < 1e-12 and max_eig < 0,
+                  f"{len(metrics)} metric(s): fdJ {gap_j:.2e} fdG {gap_g:.2e} "
+                  f"sym {sym:.2e} max eig {max_eig:.2e}")
 
-    m1 = metric_mod.ConeMetric(tri=census, x=np.ones(1))
-    k_a = _state(census, m1.x).K
-    k_b = _state(census, 1.37 * m1.x).K
-    record("metric.scale_dependence", float(np.abs(k_a - k_b).max()) > 1e-3,
-           f"|K(x) - K(cx)| = {float(np.abs(k_a - k_b).max()):.3e}")
 
+def scale_dependence(tri) -> Check:
+    gap = float(np.abs(_state(tri, np.ones(tri.n_edges)).K
+                       - _state(tri, np.full(tri.n_edges, 1.37)).K).max())
+    return _check("metric.scale_dependence", gap > 1e-3, f"|K(x) - K(cx)| = {gap:.3e}")
+
+
+def assembly_ordering(census, multi) -> Check:
     ok = True
     for tri in (census, multi):
         ev = _state(tri, np.full(tri.n_edges, 1.1))
@@ -378,100 +378,181 @@ def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
                 ok &= lam_drop > lam_full
             else:
                 ok &= lam_drop >= lam_full - 1e-12
-    record("metric.assembly_ordering", ok)
+    return _check("metric.assembly_ordering", ok)
 
-    # --- dynamics ---
-    cfg = dynamics.FlowConfig()
-    trace = dynamics.flow(m1.with_lengths(np.full(1, 2.0)), cfg)
-    lyap_ok = trace.status == "converged"
-    for series in (trace.total_curv, trace.H):
-        # a fixed bound, not one read from cfg: a looser rtol must not
-        # loosen the check
-        bound = 10.0 * (1e-14 + 1e-12 * np.maximum(1.0, np.abs(series[:-1])))
-        lyap_ok &= bool(np.all(np.diff(series) <= bound))
-    record("dynamics.lyapunov", lyap_ok,
-           f"{trace.steps_accepted} steps, status {trace.status}")
 
-    def k_census(xv):
-        return _state(census, xv).K
+# the largest rise per accepted step allowed in sum K^2 and in H; fixed, not
+# read from FlowConfig: a looser rtol must not loosen the check
+LYAPUNOV_RISE = 10.0 * (1e-12 + 1e-14)
+RECOVERY_TOL = 1e-6  # distance to the equilibrium that counts as recovered
 
-    ok = True
-    worst = 0.0
-    idx = np.linspace(0, trace.t.size - 1, 6).astype(int)
-    for k in idx:
-        x = trace.x[k]
-        K = k_census(x)
-        if float(np.abs(K).max()) < 1e-9:
-            continue
-        J = _state(census, x).jacobian()
-        d = 1e-5
-        fd = (k_census(x + d * K) - k_census(x - d * K)) / (2 * d)
-        gap = float(np.abs(fd - J @ K).max() / (np.abs(J @ K).max() + 1e-8))
-        worst = max(worst, gap)
-        ok &= gap < 1e-5
-    record("dynamics.heat_equation", ok, f"worst relative gap {worst:.3e}")
 
-    m_min, rep = dynamics.minimize_energy(m1, tol=1e-12)
+def lyapunov(traces) -> Check:
+    curv = energy = -np.inf
+    for trace in traces:
+        curv = max(curv, float(np.diff(trace.total_curv).max(initial=-np.inf)))
+        energy = max(energy, float(np.diff(trace.H).max(initial=-np.inf)))
+    statuses = sorted({trace.status for trace in traces})
+    return _check("dynamics.lyapunov",
+                  statuses == ["converged"] and max(curv, energy) < LYAPUNOV_RISE,
+                  f"{len(traces)} trajectory(ies), "
+                  f"{sum(trace.steps_accepted for trace in traces)} steps, status "
+                  f"{'/'.join(statuses)}; worst rises sum K^2 {curv:.1e}, H {energy:.1e}")
+
+
+def heat_equation(tri, traces) -> Check:
+    """dK/dt = J K by central differences along K, at six evenly spaced
+    states, the second and the middle one of each trajectory."""
+    rel = scaled = 0.0
+    for trace in traces:
+        n = trace.t.size
+        idx = np.unique(np.minimum(
+            np.r_[np.linspace(0, n - 1, 6).astype(int), 1, n // 2], n - 1))
+        for x, K in zip(trace.x[idx], trace.K[idx]):
+            JK = _state(tri, x).jacobian() @ K
+            fd = (_state(tri, x + 1e-5 * K).K - _state(tri, x - 1e-5 * K).K) / 2e-5
+            gap = float(np.abs(fd - JK).max())
+            k_max = float(np.abs(K).max())
+            scaled = max(scaled, gap / max(1.0, k_max))
+            if k_max >= 1e-9:
+                rel = max(rel, gap / (float(np.abs(JK).max()) + 1e-8))
+    return _check("dynamics.heat_equation", rel < 1e-5 and scaled < 1e-6,
+                  f"worst relative gap {rel:.3e}, gap over max(1, |K|) {scaled:.1e}")
+
+
+def solver_agreement(trace, m_min, rep) -> Check:
+    """The converged flow and Newton's minimum m_min (report rep) agree."""
+    k_end = float(np.abs(trace.K[-1]).max())
     gap = float(np.abs(trace.x[-1] - m_min.x).max())
-    record("dynamics.solver_agreement", gap < 1e-7,
-           f"flow vs Newton gap {gap:.3e} ({rep.iterations} Newton steps)")
+    return _check("dynamics.solver_agreement",
+                  trace.status == "converged" and k_end < 1e-12
+                  and rep.iterations <= 20 and gap < 1e-7,
+                  f"flow |K| {k_end:.1e}, flow vs Newton gap {gap:.3e} "
+                  f"({rep.iterations} Newton steps)")
 
-    t1 = dynamics.flow(m1.with_lengths(np.full(1, 1.3)), cfg)
-    t2 = dynamics.flow(m1.with_lengths(np.full(1, 1.3)), cfg)
-    record("dynamics.determinism",
-           np.array_equal(t1.t, t2.t) and np.array_equal(t1.x, t2.x)
-           and np.array_equal(t1.H, t2.H) and t1.status == t2.status)
 
-    rig = dynamics.rigidity_probe(m_min)
-    record("dynamics.rigidity", rig.nonsingular and rig.sigma_min > 0,
-           f"sigma_min {rig.sigma_min:.3e}")
+def determinism(m0) -> Check:
+    t1, t2 = dynamics.flow(m0), dynamics.flow(m0)
+    return _check("dynamics.determinism",
+                  np.array_equal(t1.t, t2.t) and np.array_equal(t1.x, t2.x)
+                  and np.array_equal(t1.H, t2.H) and t1.status == t2.status)
 
-    # --- angles ---
-    lp = angles_mod.lp_feasibility(census)
-    lp2 = angles_mod.lp_feasibility(census)
+
+def rigidity(metrics) -> Check:
+    """dK/dx is nonsingular (the metric is locally rigid), with its absolute
+    eigenvalues as singular values, since it is symmetric."""
+    ok, smin_all, ratio, sv_gap = True, np.inf, np.inf, 0.0
+    for m in metrics:
+        J = _state(m.tri, m.x).jacobian()
+        sv = np.linalg.svd(J, compute_uv=False)
+        ok &= sv[-1] > 1e-12 * max(1.0, sv[0])
+        smin_all, ratio = min(smin_all, sv[-1]), min(ratio, sv[-1] / sv[0])
+        sv_gap = max(sv_gap, float(np.abs(
+            np.sort(sv) - np.sort(np.abs(np.linalg.eigvalsh(J)))).max()))
+    return _check("dynamics.rigidity", ok and sv_gap < 1e-10,
+                  f"{len(metrics)} metric(s), sigma_min {smin_all:.3e}, worst "
+                  f"sigma_min/sigma_max {ratio:.2e}, |sigma - |eig|| {sv_gap:.1e}")
+
+
+def attractor(m_eq, rng, trials: int, radius: float = 0.01) -> Check:
+    """The flow returns to the equilibrium m_eq (|K| < 1e-10, else
+    ValueError) from `trials` perturbations uniform in the radius ball."""
+    if float(np.abs(_state(m_eq.tri, m_eq.x).K).max()) >= 1e-10:
+        raise ValueError("the attractor check needs an equilibrium metric")
+    recovered, worst = 0, 0.0
+    for delta in rng.uniform(-radius, radius, size=(trials, m_eq.x.size)):
+        trace = dynamics.flow(m_eq.with_lengths(m_eq.x + delta))
+        dist = float(np.abs(trace.x[-1] - m_eq.x).max())
+        worst = max(worst, dist)
+        recovered += trace.status == "converged" and dist <= RECOVERY_TOL
+    return _check("dynamics.attractor", recovered == trials,
+                  f"{recovered}/{trials} recovered from radius {radius:g}, "
+                  f"max distance {worst:.3e}")
+
+
+def lp_witness(tri, lp) -> Check:
+    """lp = lp_feasibility(tri) is feasible and reruns bit for bit; its
+    witness sums to 2*pi per edge class and has margin epsilon."""
+    lp2 = angles_mod.lp_feasibility(tri)
     ok = lp.feasible and lp.epsilon is not None and lp.epsilon > 0 and lp2.feasible
+    detail = f"epsilon {lp.epsilon!r}"
     if ok:
         angles_mod.validate_assignment(lp.witness)
         w = lp.witness.angles
-        vs = tetgeom.vertex_angle_sums(w)
-        sub_margin = min(float(w.min()), float((math.pi - vs).min()))
-        ok &= sub_margin >= lp.epsilon - 1e-9
+        defect = float(np.abs(angles_mod.edge_sums(lp.witness) - 2 * math.pi).max())
+        margin = min(float(w.min()), float((math.pi - tetgeom.vertex_angle_sums(w)).min()))
+        ok &= defect < 1e-9 and margin >= lp.epsilon - 1e-12
         ok &= lp2.epsilon == lp.epsilon and np.array_equal(lp2.witness.angles, w)
-    record("angles.lp_witness", ok, f"epsilon {lp.epsilon!r}")
+        detail += f", edge-sum defect {defect:.1e}, witness margin {margin!r}"
+    return _check("angles.lp_witness", ok, detail)
 
-    best, volrep = angles_mod.maximize_volume(census, lp.witness, tol=1e-8)
-    mean_len = float(volrep.lengths.mean())
-    ok = (volrep.max_spread < 1e-6
-          and abs(mean_len - float(m_min.x[0])) < 1e-6)
-    record("angles.volmax_kkt", ok,
-           f"spread {volrep.max_spread:.3e}, length gap "
-           f"{abs(mean_len - float(m_min.x[0])):.3e}")
 
-    ok = True
-    worst = -np.inf
-    used = 0
-    w0 = lp.witness.angles
-    q = census.quotient
-    for _ in range(12):
-        d1 = angles_mod._project_gradient(q, rng.standard_normal(w0.shape))
-        d2 = angles_mod._project_gradient(q, rng.standard_normal(w0.shape))
-        p1, p2 = w0 + 0.05 * d1, w0 + 0.05 * d2
+def volmax_kkt(tri, start, x_ref) -> Check:
+    """Volume ascent from start reaches the metric x_ref at every corner."""
+    _, rep = angles_mod.maximize_volume(tri, start, tol=1e-8)
+    gap = float(np.abs(rep.lengths - tri.quotient.gather(x_ref)).max())
+    return _check("angles.volmax_kkt", rep.max_spread < 1e-6 and gap < 1e-6,
+                  f"spread {rep.max_spread:.3e}, length gap {gap:.3e}")
+
+
+def concavity(tri, center, rng, count: int) -> Check:
+    """Second differences v1 + v2 - 2 v_mid of the volume at most 1e-8 on
+    `count` chords between random tangent steps from center, at least half
+    of them strictly feasible."""
+    worst, used, q = -np.inf, 0, tri.quotient
+    for _ in range(count):
+        d1 = angles_mod._project_gradient(q, rng.standard_normal(center.shape))
+        d2 = angles_mod._project_gradient(q, rng.standard_normal(center.shape))
+        p1, p2 = center + 0.05 * d1, center + 0.05 * d2
         if not (tetgeom.angles_strictly_feasible(p1).all()
                 and tetgeom.angles_strictly_feasible(p2).all()):
             continue
         used += 1
-        v1 = angles_mod.total_volume(angles_mod.AngleAssignment(tri=census, angles=p1))
-        v2 = angles_mod.total_volume(angles_mod.AngleAssignment(tri=census, angles=p2))
-        vm = angles_mod.total_volume(
-            angles_mod.AngleAssignment(tri=census, angles=0.5 * (p1 + p2)))
-        gap = 0.5 * (v1 + v2) - vm  # <= 0 under concavity, strictly if p1 != p2
-        worst = max(worst, gap)
-        ok &= gap < 1e-8
-    ok &= used >= 3
-    record("angles.concavity", ok,
-           f"{used} segments, worst midpoint defect {worst:.3e}")
+        v1, v2, vm = (angles_mod.total_volume(angles_mod.AngleAssignment(tri=tri, angles=p))
+                      for p in (p1, p2, 0.5 * (p1 + p2)))
+        worst = max(worst, 0.5 * (v1 + v2) - vm)  # <= 0 under concavity
+    return _check("angles.concavity", 2.0 * worst <= 1e-8 and 2 * used >= count,
+                  f"{used} segments, worst midpoint defect {worst:.3e}")
 
-    checks_t = tuple(checks)
-    violations = sum(1 for c in checks_t if not c.ok)
-    return PropsuiteReport(seed=seed, checks=checks_t, violations=violations,
-                           probe=probe)
+
+def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
+        oracle_samples: int = 250) -> PropsuiteReport:
+    """Every check, in a fixed order, on the census, a multi-class instance
+    and samples drawn in that order from one generator seeded by seed."""
+    rng = np.random.default_rng(seed)
+    census_count = None
+    if census is None or multi is None:
+        found, count, found_multi = _search_instances()
+        census_count = count if census is None else None
+        census, multi = census or found, multi or found_multi
+    checks = [rebuild_idempotent(census),
+              census_accounting((census, multi), census_count),
+              pairing_involution((census, multi)),
+              census_classes(census)]
+
+    X = sample_admissible(rng, oracle_samples, low=0.1, high=4.0)
+    a1, a2 = tetgeom.angles_from_lengths(X[:2])
+    probe = probe_length_space_convexity(probe_trials, seed)
+    checks += [sine_cosine_identity(X), jacobian_spd(X[:20]),
+               inversion_roundtrip(X[:40]),
+               schlafli_exact(X[:6], [(a1, 0.5 * (a1 + a2), a2)]),
+               oracle_agreement(rng, oracle_samples), regular_family_monotone(),
+               convexity_probe(probe, probe.to_json_obj())]
+
+    perturbed = [metric_mod.ConeMetric(tri=tri, x=1.0 + 0.05 * rng.standard_normal(tri.n_edges))
+                 for tri in (census, multi)]
+    checks += [gradient_and_jacobian(perturbed), scale_dependence(census),
+               assembly_ordering(census, multi)]
+
+    m1 = metric_mod.ConeMetric(tri=census, x=np.ones(1))
+    trace = dynamics.flow(m1.with_lengths(np.full(1, 2.0)))
+    m_min, rep = dynamics.minimize_energy(m1, tol=1e-12)
+    checks += [lyapunov([trace]), heat_equation(census, [trace]),
+               solver_agreement(trace, m_min, rep),
+               determinism(m1.with_lengths(np.full(1, 1.3))), rigidity([m_min])]
+
+    lp = angles_mod.lp_feasibility(census)
+    checks += [lp_witness(census, lp), volmax_kkt(census, lp.witness, m_min.x),
+               concavity(census, lp.witness.angles, rng, 12), attractor(m_min, rng, 4)]
+    return PropsuiteReport(seed=seed, checks=tuple(checks),
+                           violations=sum(not c.ok for c in checks), probe=probe)

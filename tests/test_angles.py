@@ -17,7 +17,7 @@ import pytest
 from hyperideal import angles as A
 from hyperideal import dynamics as D
 from hyperideal import metric as M
-from hyperideal import simplex
+from hyperideal import simplex, tetgeom
 from hyperideal import triangulation as T
 from hyperideal.metric import Quotient
 from hyperideal.errors import ConvergenceError
@@ -332,9 +332,10 @@ def test_validate_assignment_rejects(census_tri):
 
 def test_realize_symmetric_witness(census_tri):
     sym = A.AngleAssignment(tri=census_tri, angles=np.full((2, 6), math.pi / 6))
-    real = A.realize_structure(sym)
-    assert np.abs(real.lengths - XSTAR).max() < 1e-10
-    assert real.max_spread < 1e-12
+    A.validate_assignment(sym)
+    lengths = tetgeom.lengths_from_angles(sym.angles)
+    assert np.abs(lengths - XSTAR).max() < 1e-10
+    assert census_tri.quotient.spread(lengths).max() < 1e-12
 
 
 def test_realize_asymmetric_spread(census_tri, rng):
@@ -343,9 +344,10 @@ def test_realize_asymmetric_spread(census_tri, rng):
     d = _project_gradient(Quotient(census_tri), rng.normal(size=(2, 6)))
     assign = A.AngleAssignment(tri=census_tri,
                                angles=base + 0.02 * d / np.abs(d).max())
-    real = A.realize_structure(assign)
-    assert np.isfinite(real.lengths).all()
-    assert real.max_spread > 0
+    A.validate_assignment(assign)
+    lengths = tetgeom.lengths_from_angles(assign.angles)
+    assert np.isfinite(lengths).all()
+    assert census_tri.quotient.spread(lengths).max() > 0
 
 
 def test_maximize_volume_from_witness(census_tri):

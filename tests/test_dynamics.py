@@ -1,4 +1,4 @@
-"""Flow integration, energy minimization, attractor and rigidity probes."""
+"""Flow integration and energy minimization."""
 
 import dataclasses
 
@@ -330,41 +330,6 @@ def test_flow_newton_agreement(census_tri):
     m_opt, _ = D.minimize_energy(m)
     assert trace.status == "converged"
     assert abs(trace.x[-1][0] - m_opt.x[0]) < 1e-7
-
-
-def test_attractor_experiment(census_tri):
-    m_eq, _ = D.minimize_energy(census_metric(census_tri))
-    rep = D.attractor_experiment(m_eq, radius=0.01, trials=12, seed=4,
-                                 cfg=D.FlowConfig())
-    assert rep.recovered == 12 and rep.fraction == 1.0
-    assert rep.max_distance < D.RECOVERY_TOL
-    rep2 = D.attractor_experiment(m_eq, radius=0.01, trials=12, seed=4,
-                                  cfg=D.FlowConfig())
-    assert rep.distances == rep2.distances
-
-
-def test_attractor_zero_radius(census_tri):
-    m_eq, _ = D.minimize_energy(census_metric(census_tri))
-    rep = D.attractor_experiment(m_eq, radius=0.0, trials=3, seed=0,
-                                 cfg=D.FlowConfig())
-    assert rep.fraction == 1.0
-
-
-def test_attractor_requires_equilibrium(census_tri):
-    with pytest.raises(ValueError):
-        D.attractor_experiment(census_metric(census_tri), radius=0.01,
-                               trials=2, seed=0, cfg=D.FlowConfig())
-
-
-def test_rigidity_probe(census_tri):
-    for val in (1.0, XSTAR):
-        rep = D.rigidity_probe(census_metric(census_tri, val))
-        assert rep.nonsingular
-        assert rep.sigma_min > 0
-        # J symmetric: singular values are absolute eigenvalues
-        J = state(census_metric(census_tri, val)).jacobian()
-        eigs = np.sort(np.abs(np.linalg.eigvalsh(J)))
-        assert np.abs(np.sort(rep.singular_values) - eigs).max() < 1e-10
 
 
 def test_minimize_one_edge_128_reaches_regular_length(one_edge128_tri):

@@ -7,8 +7,11 @@ set; CLI exit 6).  Inside a batch or a triangulation the error also names
 the tetrahedron.  No message prints a numpy repr.
 """
 
+import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,3 +161,22 @@ def test_package_exports_no_tracer_only_names():
                    "metric_margin", "schlafli_segment", "schlafli_potential",
                    "schlafli_potential_of_angles"}
     assert not tracer_only & set(hyperideal.__all__)
+
+
+def test_every_export_has_a_caller():
+    # Each function or class the package exports is named somewhere other
+    # than __init__.py and the line that defines it, in the package or the
+    # benchmark: no export is reached only by the tests.
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((root / "src" / "hyperideal").glob("*.py"))
+             if p.name != "__init__.py"] + sorted((root / "perfbench").glob("*.py"))
+    lines = [line for p in files for line in p.read_text().splitlines()]
+    uncalled = []
+    for name in hyperideal.__all__:
+        obj = getattr(hyperideal, name)
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        word, defines = re.compile(rf"\b{name}\b"), re.compile(rf"\s*(def|class) {name}\b")
+        if not any(word.search(line) and not defines.match(line) for line in lines):
+            uncalled.append(name)
+    assert uncalled == []
