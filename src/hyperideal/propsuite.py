@@ -276,8 +276,10 @@ def schlafli_exact(shapes, paths) -> Check:
     path (p, m, q) the quadrature p -> m -> q is volume(q) - volume(p)."""
     grad = path = 0.0
     for x in shapes:
-        g = _fd_jacobian(lambda a: np.array([tetgeom.schlafli_potential_of_angles(a)]),
-                         tetgeom.angles_from_lengths(x))[0]
+        g = _fd_jacobian(
+            lambda a: np.array([float(tetgeom.volume(tetgeom.validate_angles(a))
+                                      - tetgeom.V_REF)]),
+            tetgeom.angles_from_lengths(x))[0]
         grad = max(grad, float(np.abs(g + 0.5 * x).max()))
     for p, m, q in paths:
         two_leg = schlafli_leg(p, m) + schlafli_leg(m, q)

@@ -26,7 +26,7 @@ are the ends of edge classes in its vertex class, two per edge class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 
@@ -160,16 +160,13 @@ class GluingSpec:
                     f"pairing is not involutive at face ({t},{f}): the "
                     f"back map from ({t2},{f2}) does not invert it")
 
-    def to_json_obj(self) -> dict:
-        return {"tet_count": self.tet_count,
-                "pairings": [[i >> 2, i & 3, t2, f2, list(s)]
-                             for i, (t2, f2, s) in enumerate(self.pairings)]}
-
     def json_text(self, indent: int) -> str:
-        """The text serialize.dumps gives to_json_obj() at this indent; every
-        gluing file is written by it.  Each row is read from a table of
-        finished rows, which `_row_text` fills on first use with the
-        generic rendering, under `serialize._layout`, the one width rule."""
+        """The text serialize.dumps gives {"tet_count": n, "pairings": rows}
+        at this indent, rows listing [t, f, t2, f2, list(s)] for each face
+        (t, f) in order; every gluing file is written by it.  Each row is
+        read from a table of finished rows, which `_row_text` fills on first
+        use with the generic rendering, under `serialize._layout`, the one
+        width rule."""
         pairings = self.pairings
         tables = _ROWS.setdefault(indent, [])
         while len(tables) < len(pairings):
@@ -235,58 +232,66 @@ class BoundaryLink:
     corners: int
 
 
-_EDGE_FIELDS = ("edge_classes", "edge_class_of")
-
-
 @dataclass(frozen=True)
 class Triangulation:
     """A validated gluing together with its derived combinatorics.
 
+    A triangulation stores its spec, the edge parent list of the
+    `_Quotients` that glued it and that list's root count `n_edges`; `build`
+    and `search_gluings` make it from what they hold.  Every other field
+    derives on first read and is kept: `edge_classes` and `edge_class_of`
+    from the edge parent list, `vertex_classes` from one union pass of the
+    pairing table over the vertices, and `boundary_links` from that pass and
+    the edge parent list, with a corner at either end of each edge class (an
+    orientable gluing glues none to itself reversed; see the module
+    docstring).  A predicate reading only `n_edges` derives nothing, and the
+    census filter only the links.  Every field is a function of the spec, so
+    equality and hashing read the spec alone and repr the spec and
+    `n_edges`: none of them derives a field.
+
     edge_class_of[t][e] is the index of the edge class containing local edge
     e of tetrahedron t; this is the quotient map every metric quantity is
     scattered through.
-
-    `build` and `search_gluings` hand out a triangulation that holds its spec
-    and the edge parent list and edge root count of the `_Quotients` that
-    glued it.  Each class field derives on first read: `edge_classes` and
-    `edge_class_of` together from that list, `vertex_classes` from a vertex
-    parent list (one union pass of the pairing table, made on first read and
-    kept), `boundary_links` from both lists, with a corner at either end of
-    each edge class (an orientable gluing glues none to itself reversed; see
-    the module docstring).  A predicate reading only `n_edges` (that count)
-    derives nothing, and the census filter no class at all.
     """
 
     spec: GluingSpec
-    edge_classes: tuple
-    vertex_classes: tuple
-    boundary_links: tuple
-    edge_class_of: tuple
-
-    def __getattr__(self, name):
-        # Reached only for an attribute not yet set on the instance.
-        fields = self.__dict__
-        if name in _EDGE_FIELDS:
-            fields.update(zip(_EDGE_FIELDS, _edge_fields(self)))
-        elif name == "boundary_links":
-            fields[name] = _boundary_links(self)
-        elif name == "vertex_classes":
-            fields[name] = _vertex_classes(self)
-        elif name == "_vert":
-            fields[name] = _vertex_parents(self)
-        else:
-            raise AttributeError(
-                f"'Triangulation' object has no attribute {name!r}")
-        return fields[name]
+    _edge: list = field(compare=False, repr=False)
+    n_edges: int = field(compare=False)
 
     @property
     def tet_count(self) -> int:
         return self.spec.tet_count
 
-    @property
-    def n_edges(self) -> int:
-        n = self.__dict__.get("_n_edges")
-        return len(self.edge_classes) if n is None else n
+    @cached_property
+    def edge_classes(self) -> tuple:
+        return tuple(EdgeClass(index=i, corners=tuple(divmod(x, 6) for x in g))
+                     for i, g in enumerate(_orbits(self._edge)[0]))
+
+    @cached_property
+    def edge_class_of(self) -> tuple:
+        of = _orbits(self._edge)[1]
+        return tuple(tuple(of[6 * t:6 * t + 6]) for t in range(self.tet_count))
+
+    @cached_property
+    def vertex_classes(self) -> tuple:
+        return tuple(tuple(divmod(x, 4) for x in g)
+                     for g in _orbits(_vertex_parents(self.spec))[0])
+
+    @cached_property
+    def boundary_links(self) -> tuple:
+        # A link's triangles are its vertex class's members, and the edge
+        # class of root 6t+e, e = {a, b}, puts a corner in the class of
+        # (t, a) and one in that of (t, b).
+        orbits, of = _orbits(_vertex_parents(self.spec))
+        corners = [0] * len(orbits)
+        for x, p in enumerate(self._edge):
+            if p == x:
+                for v in EDGE_VERTEX_PAIRS[x % 6]:
+                    corners[of[x // 6 * 4 + v]] += 1
+        return tuple(BoundaryLink(vertex_class=j, chi=c - 3 * len(g) // 2 + len(g),
+                                  triangles=len(g), sides=3 * len(g) // 2,
+                                  corners=c)
+                     for j, (g, c) in enumerate(zip(orbits, corners)))
 
     @cached_property
     def quotient(self):
@@ -298,8 +303,9 @@ class Triangulation:
 
 class _Quotients:
     """Union-find over the tetrahedra t and the local edges 6t+e of n
-    tetrahedra, with an undo log; vertices are left to `_vertex_parents`,
-    which unites them from the pairing table on read.
+    tetrahedra, with an undo log.  Vertices are left to `_vertex_parents`,
+    which a `Triangulation` runs on its pairing table when a vertex field is
+    first read.
 
     A union links the larger root under the smaller, so every link points to
     a smaller item and each root is the least member of its orbit.  Paths
@@ -307,9 +313,8 @@ class _Quotients:
     resets.  The log lists each change as one int, the index it changed:
     ~t (negative) for tetrahedron t, x for local edge x.  A tuple per change
     would be one more object for the garbage collector to track, which slows
-    large builds.  `tet_roots` and
-    `edge_roots` count the roots of each list, and every union and undo
-    keeps them up to date.
+    large builds.  `tet_roots` and `edge_roots` count the roots of each
+    list, and every union and undo keeps them up to date.
 
     The orbits of the tetrahedra are the components of the gluing.  A
     tetrahedron's parity bit is set where its orientation opposes its
@@ -434,7 +439,7 @@ def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangul
             raise GluingError(
                 "gluing is non-orientable (inconsistent orientation across "
                 f"face ({t},{f}))")
-    tri = _leaf(spec, quotients.edge, quotients.edge_roots)
+    tri = Triangulation(spec, quotients.edge, quotients.edge_roots)
     if enforce_link_hypothesis:
         links = tri.boundary_links
         bad = [l for l in links if l.chi >= 0]
@@ -447,50 +452,14 @@ def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangul
     return tri
 
 
-def _leaf(spec: GluingSpec, edge: list, n_edges: int) -> Triangulation:
-    # The underived triangulation of spec, whose n_edges edge classes are
-    # the orbits of the parent list edge.
-    tri = object.__new__(Triangulation)
-    tri.__dict__.update(spec=spec, _edge=edge, _n_edges=n_edges)
-    return tri
-
-
-def _edge_fields(tri: Triangulation) -> tuple:
-    # edge_classes and edge_class_of of tri, from the edge parent list of a
-    # _Quotients that holds its every pairing.
-    orbits, of = _orbits(tri._edge)
-    return (tuple(EdgeClass(index=i, corners=tuple(divmod(x, 6) for x in g))
-                  for i, g in enumerate(orbits)),
-            tuple(tuple(of[6 * t:6 * t + 6]) for t in range(tri.tet_count)))
-
-
-def _vertex_parents(tri: Triangulation) -> list:
-    # The vertex parent list of tri: one union pass of its pairings over the
+def _vertex_parents(spec: GluingSpec) -> list:
+    # The vertex parent list of spec: one union pass of its pairings over the
     # vertices 4t+v (4t = i & ~3 at face i = 4t+f), linked as _Quotients links.
-    vert = list(range(4 * tri.tet_count))
-    for i, (t2, f2, s) in enumerate(tri.spec.pairings):
+    vert = list(range(4 * spec.tet_count))
+    for i, (t2, f2, s) in enumerate(spec.pairings):
         if 4 * t2 + f2 > i:
             _unite(vert, _FACE_MAPS[(i & 3, tuple(s))][1], i & ~3, 4 * t2)
     return vert
-
-
-def _vertex_classes(tri: Triangulation) -> tuple:
-    return tuple(tuple(divmod(x, 4) for x in g) for g in _orbits(tri._vert)[0])
-
-
-def _boundary_links(tri: Triangulation) -> tuple:
-    # A link's triangles are its vertex class's members, and the edge class
-    # of root 6t+e, e = {a, b}, puts a corner in the class of (t, a) and one
-    # in that of (t, b).
-    orbits, of = _orbits(tri._vert)
-    corners = [0] * len(orbits)
-    for x, p in enumerate(tri._edge):
-        if p == x:
-            for v in EDGE_VERTEX_PAIRS[x % 6]:
-                corners[of[x // 6 * 4 + v]] += 1
-    return tuple(BoundaryLink(vertex_class=j, chi=c - 3 * len(g) // 2 + len(g),
-                              triangles=len(g), sides=3 * len(g) // 2, corners=c)
-                 for j, (g, c) in enumerate(zip(orbits, corners)))
 
 
 def single_hyperbolic_class(tri: Triangulation) -> bool:
@@ -521,10 +490,9 @@ def search_gluings(tet_count: int, predicate) -> list:
     glue succeeds and only orientable gluings are completed.  Gluings whose
     tetrahedra split into more than one component (more than one
     tetrahedron root) describe disjoint unions rather than a single manifold
-    and are skipped.  Every complete gluing hands predicate a
-    `Triangulation` carrying its spec, its edge root count and a copy of
-    the edge parent list, which outlives the search's undo and derives its
-    fields on first read (see `Triangulation`): it equals what
+    and are skipped.  Every complete gluing hands predicate the
+    `Triangulation` of its spec, a copy of the edge parent list (which
+    outlives the search's undo) and the edge root count: it equals what
     `build(spec, enforce_link_hypothesis=False)` returns, without
     re-checking what the enumeration guarantees.  A gluing is kept iff
     predicate(tri) holds.
@@ -546,8 +514,8 @@ def search_gluings(tet_count: int, predicate) -> list:
         if i == n_faces:
             if quotients.tet_roots == 1:
                 spec = GluingSpec(tet_count=tet_count, pairings=tuple(table))
-                if predicate(_leaf(spec, quotients.edge[:],
-                                   quotients.edge_roots)):
+                if predicate(Triangulation(spec, quotients.edge[:],
+                                           quotients.edge_roots)):
                     found.append(spec)
             return
         t, f = i >> 2, i & 3

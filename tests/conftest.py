@@ -160,6 +160,13 @@ NTET12_JSON = {
     ],
 }
 
+def spec_json(spec):
+    """The JSON object of a gluing: one row [t, f, t2, f2, s] per face."""
+    return {"tet_count": spec.tet_count,
+            "pairings": [[i >> 2, i & 3, t2, f2, list(s)]
+                         for i, (t2, f2, s) in enumerate(spec.pairings)]}
+
+
 # Regular equilibrium edge length: cosh x* = sqrt(3)/(2 sqrt(3) - 2), the
 # regular shape whose dihedral angles are all pi/6.
 XSTAR = 0.5961338948908375

@@ -24,7 +24,7 @@ from hyperideal import propsuite, serialize
 from hyperideal import tetgeom
 from hyperideal import triangulation as tri_mod
 
-from conftest import CENSUS_JSON, census_metric, sample_admissible
+from conftest import CENSUS_JSON, census_metric, sample_admissible, spec_json
 
 
 def _verdict(capsys, num, ok, detail):
@@ -79,7 +79,7 @@ def test_criterion_03_schlafli_formula(capsys):
 
 def test_criterion_04_assembled_jacobian_and_flow_monotonicity(capsys):
     spec = tri_mod.search_gluings(2, tri_mod.single_hyperbolic_class)[0]
-    assert spec.to_json_obj() == CENSUS_JSON
+    assert spec_json(spec) == CENSUS_JSON
     tri = tri_mod.build(spec)
     rng = np.random.default_rng(104)
     metrics = [census_metric(tri, float(v))

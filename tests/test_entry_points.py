@@ -156,11 +156,22 @@ def test_start_rows_of_six(census_tri, tmp_path, capsys, rows, message):
 
 
 def test_package_exports_no_tracer_only_names():
-    # These exist only because the benchmark traces them by name.
+    # These exist only because the benchmark traces them by name: the
+    # package exports none of them, and no line of the package or the tests
+    # reads one as an attribute or imports it.
     tracer_only = {"curvature", "curvature_jacobian", "tet_potentials",
                    "metric_margin", "schlafli_segment", "schlafli_potential",
                    "schlafli_potential_of_angles"}
     assert not tracer_only & set(hyperideal.__all__)
+    names = "|".join(sorted(tracer_only))
+    named = re.compile(rf"\.({names})\b|\bimport\b.*\b({names})\b")
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "hyperideal").glob("*.py")) \
+        + sorted((root / "tests").glob("*.py"))
+    callers = [f"{p.relative_to(root)}:{i}" for p in files
+               for i, line in enumerate(p.read_text().splitlines(), 1)
+               if named.search(line)]
+    assert callers == []
 
 
 def test_every_export_has_a_caller():

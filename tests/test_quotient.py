@@ -14,7 +14,7 @@ from hyperideal import dynamics as D
 from hyperideal import metric as M
 from hyperideal import propsuite, tetgeom
 
-from conftest import MULTI_JSON
+from conftest import MULTI_JSON, spec_json
 
 
 def ref_sums(tri, V):
@@ -97,5 +97,5 @@ def test_margin_witness_is_flow_degeneration_witness(torus_tri):
 
 def test_frozen_multiclass_gluing_is_propsuite_instance():
     tri = propsuite._search_instances()[2]
-    assert tri.spec.to_json_obj() == MULTI_JSON
+    assert spec_json(tri.spec) == MULTI_JSON
     assert tri.n_edges >= 3

@@ -306,7 +306,8 @@ def test_inversion_rejects_boundary():
 
 
 def test_schlafli_reference_zero():
-    assert tetgeom.schlafli_potential(REG1) == 0.0
+    assert float(tetgeom.volume(tetgeom.angles_from_lengths(REG1))
+                 - tetgeom.V_REF) == 0.0
 
 
 def test_schlafli_gradient(rng):
@@ -317,8 +318,9 @@ def test_schlafli_gradient(rng):
             ap, am = a.copy(), a.copy()
             ap[j] += h
             am[j] -= h
-            fd = (tetgeom.schlafli_potential_of_angles(ap)
-                  - tetgeom.schlafli_potential_of_angles(am)) / (2 * h)
+            fd = (float(tetgeom.volume(tetgeom.validate_angles(ap)) - tetgeom.V_REF)
+                  - float(tetgeom.volume(tetgeom.validate_angles(am))
+                          - tetgeom.V_REF)) / (2 * h)
             assert abs(fd - (-x[j] / 2)) < 1e-6
 
 
@@ -326,7 +328,7 @@ def test_schlafli_path_independence(rng):
     ref = tetgeom.REF_ANGLES
     for x in sample_admissible(rng, 20):
         a = tetgeom.angles_from_lengths(x)
-        direct = tetgeom.schlafli_potential_of_angles(a)
+        direct = float(tetgeom.volume(tetgeom.validate_angles(a)) - tetgeom.V_REF)
         # detour through a random interior waypoint (polytope is convex,
         # so the blend of two admissible angle vectors is admissible)
         lam = 0.3 + 0.4 * rng.random()

@@ -1,8 +1,10 @@
 """Gluing validation, derived classes, boundary links, and the search."""
 
+import dataclasses
 import gc
 import random
 import weakref
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -12,7 +14,8 @@ from hyperideal import serialize
 from hyperideal import triangulation as T
 from hyperideal.errors import BoundaryHypothesisError, GluingError
 
-from conftest import CENSUS_JSON, MULTI_JSON, NTET12_JSON, SAMPLED6_JSON, TORUS_JSON
+from conftest import (CENSUS_JSON, MULTI_JSON, NTET12_JSON, SAMPLED6_JSON, TORUS_JSON,
+                      spec_json)
 
 PREDICATES = (T.any_gluing, T.single_hyperbolic_class, T.all_torus_links)
 
@@ -86,6 +89,33 @@ class _RefDSU:
         return [sorted(g) for g in groups.values()]
 
 
+@dataclasses.dataclass(frozen=True)
+class _Ref:
+    """The five fields of a triangulation, as a plain record."""
+
+    spec: T.GluingSpec
+    edge_classes: tuple
+    vertex_classes: tuple
+    boundary_links: tuple
+    edge_class_of: tuple
+
+    @property
+    def tet_count(self):
+        return self.spec.tet_count
+
+    @property
+    def n_edges(self):
+        return len(self.edge_classes)
+
+
+def _fields(tri):
+    """The five fields of tri, each read (and so derived) in turn; the stored
+    edge count must count the edge classes."""
+    assert tri.n_edges == len(tri.edge_classes)
+    return _Ref(tri.spec, tri.edge_classes, tri.vertex_classes,
+                tri.boundary_links, tri.edge_class_of)
+
+
 def _ref_check_links(links):
     bad = [l for l in links if l.chi >= 0]
     if bad:
@@ -145,9 +175,9 @@ def _ref_build(spec, enforce_link_hypothesis=True):
     links = tuple(links)
     if enforce_link_hypothesis:
         _ref_check_links(links)
-    return T.Triangulation(spec=spec, edge_classes=edge_classes,
-                           vertex_classes=vertex_classes, boundary_links=links,
-                           edge_class_of=tuple(tuple(r) for r in class_of))
+    return _Ref(spec=spec, edge_classes=edge_classes,
+                vertex_classes=vertex_classes, boundary_links=links,
+                edge_class_of=tuple(tuple(r) for r in class_of))
 
 
 def _ref_search(tet_count, predicate):
@@ -214,16 +244,18 @@ def sampled_specs(sampler):
 
 
 def _outcome(build, spec, enforce):
+    # The five fields build gives spec, or the message and chi list it raises.
     try:
-        return build(spec, enforce_link_hypothesis=enforce)
+        return _fields(build(spec, enforce_link_hypothesis=enforce))
     except BoundaryHypothesisError as exc:
         return str(exc), exc.chi_by_class
 
 
 @pytest.fixture(scope="module")
 def two_tet_reference():
-    """Every 2-tet gluing the reference search keeps, with its reference
-    triangulation, in search order (one reference search per session)."""
+    """Every 2-tet gluing the reference search keeps, with the five fields of
+    its reference triangulation, in search order (one reference search per
+    session)."""
     built = []
 
     def record(tri):
@@ -290,7 +322,7 @@ def test_link_hypothesis_enforced(torus_spec):
 
 
 def test_json_roundtrip(census_spec):
-    obj = census_spec.to_json_obj()
+    obj = spec_json(census_spec)
     assert obj == CENSUS_JSON
     assert T.GluingSpec.from_json_obj(obj) == census_spec
 
@@ -358,8 +390,8 @@ def test_validate_rejects_non_sequence_pairings():
 
 
 def test_validate_rejects_bool_tet_count():
-    # True passes isinstance(n, int), and to_json_obj would then write
-    # "tet_count": true, which from_json_obj refuses
+    # True passes isinstance(n, int), but no gluing file can carry it:
+    # from_json_obj refuses a tet_count that is not an int
     pairings = T.search_gluings(1, T.any_gluing)[0].pairings
     T.GluingSpec(tet_count=1, pairings=pairings).validate()
     with pytest.raises(GluingError, match="tet_count must be a positive integer"):
@@ -411,9 +443,9 @@ def test_edge_classes_lex_ordered(census_tri, torus_tri):
 def test_search_reproduces_frozen_instances():
     census = T.search_gluings(2, T.single_hyperbolic_class)
     assert len(census) == 4416
-    assert census[0].to_json_obj() == CENSUS_JSON
+    assert spec_json(census[0]) == CENSUS_JSON
     torus = T.search_gluings(2, T.all_torus_links)
-    assert torus[0].to_json_obj() == TORUS_JSON
+    assert spec_json(torus[0]) == TORUS_JSON
 
 
 def test_search_one_tet():
@@ -474,7 +506,7 @@ def test_json_text_is_the_generic_rendering(two_tet_reference, sampled_specs,
         (5, 1, (1, 0, 2, 3)),) * 4))
     for spec in specs:
         for at in (indent, indent ^ 1):
-            want = serialize._render(spec.to_json_obj(), at)
+            want = serialize._render(spec_json(spec), at)
             assert spec.json_text(at) == want
             assert spec.json_text(at) == want
 
@@ -488,14 +520,14 @@ def test_json_text_rows_are_kept_only_for_int_labels(monkeypatch):
         [0, 1.0, [1, 0, 2, 3]], (0, 0, (1, 0, 2, 3)),
         (True, 3, (0, 1, 3, 2)), (0, 2, [0, 1, 3, 2])))
     text = odd.json_text(7)
-    assert text == serialize._render(odd.to_json_obj(), 7)
+    assert text == serialize._render(spec_json(odd), 7)
     assert odd.json_text(7) == text
     assert [list(table) for table in T._ROWS[7]] == \
            [[], [(0, 0, (1, 0, 2, 3))], [], [(0, 2, (0, 1, 3, 2))]]
     spec = T.GluingSpec(tet_count=1, pairings=(
         (0, 1, (1, 0, 2, 3)), (0, 0, (1, 0, 2, 3)),
         (1, 3, (0, 1, 3, 2)), (0, 2, (0, 1, 3, 2))))
-    assert spec.json_text(7) == serialize._render(spec.to_json_obj(), 7)
+    assert spec.json_text(7) == serialize._render(spec_json(spec), 7)
 
 
 def _search_leaves(tet_count):
@@ -561,65 +593,77 @@ def test_root_counters_match_a_recount(sampler):
 
 def test_search_leaves_match_build(two_tet_reference):
     # Leaves are read off the search's live union-find, not made by build.
-    assert _search_leaves(2) == two_tet_reference
+    assert [_fields(tri) for tri in _search_leaves(2)] == two_tet_reference
     leaves = _search_leaves(1)
     assert len(leaves) == 27
-    assert leaves == [T.build(tri.spec, enforce_link_hypothesis=False)
-                      for tri in leaves]
+    assert [_fields(tri) for tri in leaves] == \
+           [_fields(T.build(tri.spec, enforce_link_hypothesis=False))
+            for tri in leaves]
+
+
+_DERIVED = ("edge_classes", "edge_class_of", "vertex_classes",
+            "boundary_links")
 
 
 @pytest.fixture
 def derivations(monkeypatch):
     """Per derivation, the spec of every triangulation it runs for, in
-    order: "edge" for `edge_classes` and `edge_class_of` together, "vert"
-    for the vertex parent list, and "vertex_classes" and "boundary_links"
-    for those fields."""
+    order: the property body of each derived field, and "vert" for the
+    vertex union pass that `vertex_classes` and `boundary_links` each run."""
     calls = {}
-    for group, name in (("edge", "_edge_fields"), ("vert", "_vertex_parents"),
-                        ("vertex_classes", "_vertex_classes"),
-                        ("boundary_links", "_boundary_links")):
-        def counted(tri, derive=getattr(T, name),
-                    specs=calls.setdefault(group, [])):
+    for name in _DERIVED:
+        def counted(tri, derive=T.Triangulation.__dict__[name].func,
+                    specs=calls.setdefault(name, [])):
             specs.append(tri.spec)
             return derive(tri)
 
-        monkeypatch.setattr(T, name, counted)
+        prop = cached_property(counted)
+        prop.__set_name__(T.Triangulation, name)
+        monkeypatch.setattr(T.Triangulation, name, prop)
+
+    def counted_vert(spec, derive=T._vertex_parents,
+                     specs=calls.setdefault("vert", [])):
+        specs.append(spec)
+        return derive(spec)
+
+    monkeypatch.setattr(T, "_vertex_parents", counted_vert)
     return calls
 
 
 def _counts(derivations):
-    return tuple(len(derivations[g])
-                 for g in ("edge", "vert", "vertex_classes", "boundary_links"))
+    return tuple(len(derivations[g]) for g in (*_DERIVED, "vert"))
 
 
 def test_search_any_derives_no_leaf(derivations):
     assert len(T.search_gluings(2, T.any_gluing)) == 15552
-    assert _counts(derivations) == (0, 0, 0, 0)
+    assert _counts(derivations) == (0, 0, 0, 0, 0)
 
 
 def test_census_search_derives_only_one_edge_leaves(derivations):
     # Every one-edge 2-tet leaf is a census match, so each derived leaf is;
-    # the filter reads the edge count and the links, which need the vertex
-    # parent list but never a vertex class or an edge class.
+    # the filter reads the edge count and the links, which run one vertex
+    # union pass but never make a vertex class or an edge class.
     census = T.search_gluings(2, T.single_hyperbolic_class)
     assert len(census) == 4416
-    assert derivations == {"edge": [], "vert": census, "vertex_classes": [],
-                           "boundary_links": census}
+    assert derivations == {"edge_classes": [], "edge_class_of": [],
+                           "vertex_classes": [], "boundary_links": census,
+                           "vert": census}
 
 
 def test_build_derives_once(derivations, census_spec):
     tri = T.build(census_spec)  # reads the links to check the hypothesis
-    assert _counts(derivations) == (0, 1, 0, 1)
+    assert _counts(derivations) == (0, 0, 0, 1, 1)
     assert (tri.n_edges, tri.edge_class_of) == (1, ((0,) * 6, (0,) * 6))
-    assert _counts(derivations) == (1, 1, 0, 1)
-    assert tri.vertex_classes  # from the kept vertex parent list
-    assert _counts(derivations) == (1, 1, 1, 1)
+    assert _counts(derivations) == (0, 1, 0, 1, 1)
+    assert tri.vertex_classes  # a vertex union pass of its own
+    assert _counts(derivations) == (0, 1, 1, 1, 2)
     assert tri.edge_classes and tri.vertex_classes and tri.boundary_links
-    assert _counts(derivations) == (1, 1, 1, 1)
+    assert _counts(derivations) == (1, 1, 1, 1, 2)
     lax = T.build(census_spec, enforce_link_hypothesis=False)
-    assert _counts(derivations) == (1, 1, 1, 1)
-    assert lax == tri
-    assert _counts(derivations) == (2, 2, 2, 2)
+    assert lax == tri  # reads the specs alone
+    assert _counts(derivations) == (1, 1, 1, 1, 2)
+    assert _fields(lax) == _fields(tri)
+    assert _counts(derivations) == (2, 2, 2, 2, 4)
     assert {spec for specs in derivations.values() for spec in specs} == \
            {census_spec}
 
@@ -627,26 +671,22 @@ def test_build_derives_once(derivations, census_spec):
 def test_leaf_n_edges_derives_nothing(two_tet_reference, derivations):
     counts = []
     T.search_gluings(2, lambda tri: counts.append(tri.n_edges) or True)
-    assert _counts(derivations) == (0, 0, 0, 0)
+    assert _counts(derivations) == (0, 0, 0, 0, 0)
     assert counts == [len(ref.edge_classes) for ref in two_tet_reference]
 
 
 def test_leaf_derived_after_the_search(derivations):
     # A leaf keeps its own copy of the edge parent list, which the search
-    # undoes after the predicate returns.
+    # undoes after the predicate returns: a leaf derived then has the fields
+    # of one derived in the predicate.
     early = []
-
-    def derive_now(tri):
-        assert tri.edge_classes
-        early.append(tri)
-        return True
-
-    T.search_gluings(2, derive_now)
-    assert _counts(derivations) == (15552, 0, 0, 0)
+    T.search_gluings(2, lambda tri: early.append(_fields(tri)) or True)
+    once = (15552, 15552, 15552, 15552, 2 * 15552)
+    assert _counts(derivations) == once
     late = _search_leaves(2)
-    assert _counts(derivations) == (15552, 0, 0, 0)
-    assert late == early
-    assert _counts(derivations) == (2 * 15552,) * 4
+    assert _counts(derivations) == once
+    assert [_fields(tri) for tri in late] == early
+    assert _counts(derivations) == tuple(2 * n for n in once)
 
 
 def test_link_identities_hold_on_the_reference(two_tet_reference,
@@ -690,11 +730,21 @@ def test_search_result_freed_by_refcount():
             gc.enable()
 
 
-def test_underived_leaf_hash_and_repr(two_tet_reference):
-    assert [hash(tri) for tri in _search_leaves(2)] == \
-           [hash(ref) for ref in two_tet_reference]
-    assert [repr(tri) for tri in _search_leaves(2)[::16]] == \
-           [repr(ref) for ref in two_tet_reference[::16]]
+def test_leaf_eq_hash_and_repr_derive_nothing(derivations):
+    # Equality, hash and repr read only the stored fields, and every field
+    # is a function of the spec: a leaf equals the triangulation build
+    # makes of its spec, and no field can be assigned.
+    leaves = _search_leaves(2)
+    built = [T.build(tri.spec, enforce_link_hypothesis=False) for tri in leaves]
+    assert leaves == built
+    assert [hash(tri) for tri in leaves] == [hash(tri) for tri in built]
+    assert len(set(leaves)) == len(leaves)
+    assert [repr(tri) for tri in leaves[::16]] == \
+           [f"Triangulation(spec={tri.spec!r}, n_edges={tri.n_edges})"
+            for tri in built[::16]]
+    assert _counts(derivations) == (0, 0, 0, 0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        leaves[0].n_edges = 2
 
 
 @pytest.mark.parametrize("enforce", (True, False))
@@ -710,7 +760,7 @@ def test_build_matches_reference_two_tet(two_tet_reference):
     assert len(two_tet_reference) == 15552
     raised = 0
     for ref in two_tet_reference:
-        assert T.build(ref.spec, enforce_link_hypothesis=False) == ref
+        assert _fields(T.build(ref.spec, enforce_link_hypothesis=False)) == ref
         try:
             _ref_check_links(ref.boundary_links)
             want = ref
