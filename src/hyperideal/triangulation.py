@@ -47,15 +47,6 @@ _PERMS4 = tuple(permutations(range(4)))
 _SIGN = {s: (-1) ** sum(s[i] > s[j] for i in range(4) for j in range(i + 1, 4))
          for s in _PERMS4}
 _INVERSE = {s: tuple(s.index(i) for i in range(4)) for s in _PERMS4}
-# The maps of face f onto face f2, keyed by (f, f2): the six (s, inverse)
-# with s[f] == f2 in _PERMS4 order, then the odd three and the even three,
-# each in that order.
-_FACE_PERMS = {}
-for _f in range(4):
-    for _f2 in range(4):
-        _maps = tuple((s, _INVERSE[s]) for s in _PERMS4 if s[_f] == _f2)
-        _FACE_PERMS[_f, _f2] = (_maps, tuple(
-            tuple(m for m in _maps if _SIGN[m[0]] == sign) for sign in (-1, 1)))
 # Finished pairing-row texts, by indent and then by face index 4t + f, each
 # keyed by the pairing (t2, f2, s) and filled on first use: one entry per
 # distinct row written.
@@ -236,18 +227,19 @@ class BoundaryLink:
 class Triangulation:
     """A validated gluing together with its derived combinatorics.
 
-    A triangulation stores its spec, the edge parent list of the
-    `_Quotients` that glued it and that list's root count `n_edges`; `build`
-    and `search_gluings` make it from what they hold.  Every other field
-    derives on first read and is kept: `edge_classes` and `edge_class_of`
-    from the edge parent list, `vertex_classes` from one union pass of the
-    pairing table over the vertices, and `boundary_links` from that pass and
-    the edge parent list, with a corner at either end of each edge class (an
-    orientable gluing glues none to itself reversed; see the module
-    docstring).  A predicate reading only `n_edges` derives nothing, and the
-    census filter only the links.  Every field is a function of the spec, so
-    equality and hashing read the spec alone and repr the spec and
-    `n_edges`: none of them derives a field.
+    A triangulation stores its spec, an edge parent list and that list's
+    root count `n_edges`: the list of the `_Quotients` that `build` glued
+    it in, or the copy on which `search_gluings` united a leaf's last
+    pairing.  Every other field derives on first read and is kept:
+    `edge_classes` and `edge_class_of` from the edge parent list,
+    `vertex_classes` from one union pass of the pairing table over the
+    vertices, and `boundary_links` from that pass and the edge parent list,
+    with a corner at either end of each edge class (an orientable gluing
+    glues none to itself reversed; see the module docstring).  A predicate
+    reading only `n_edges` derives nothing, and the census filter only the
+    links.  Every field is a function of the spec, so equality and hashing
+    read the spec alone and repr the spec and `n_edges`: none of them
+    derives a field.
 
     edge_class_of[t][e] is the index of the edge class containing local edge
     e of tetrahedron t; this is the quotient map every metric quantity is
@@ -309,12 +301,14 @@ class _Quotients:
 
     A union links the larger root under the smaller, so every link points to
     a smaller item and each root is the least member of its orbit.  Paths
-    are never compressed: a union changes exactly one entry, which `undo`
-    resets.  The log lists each change as one int, the index it changed:
-    ~t (negative) for tetrahedron t, x for local edge x.  A tuple per change
-    would be one more object for the garbage collector to track, which slows
-    large builds.  `tet_roots` and `edge_roots` count the roots of each
-    list, and every union and undo keeps them up to date.
+    are never compressed: a union changes exactly one entry (and a
+    tetrahedron's parity bit), which `undo` resets.  The log lists each
+    change as one int, the index it changed: ~t (negative) for tetrahedron
+    t, x for local edge x.  A tuple per change would be one more object for
+    the garbage collector to track, which slows large builds.  `tet_roots` and `edge_roots` count the roots of each
+    list, and every union and undo keeps them up to date.  `search_gluings`
+    glues all but a gluing's last pairing here; the last one it unites with
+    `_unite` in a copy of `edge`, with no log, and never writes the lists.
 
     The orbits of the tetrahedra are the components of the gluing.  A
     tetrahedron's parity bit is set where its orientation opposes its
@@ -370,12 +364,13 @@ class _Quotients:
 
     def undo(self, mark: int) -> None:
         """Roll back every union made since len(self.log) was mark."""
-        log, tet, edge = self.log, self.tet, self.edge
+        log, tet, parity, edge = self.log, self.tet, self.parity, self.edge
         tets = edges = 0
         while len(log) > mark:
             x = log.pop()
             if x < 0:
                 tet[~x] = ~x
+                parity[~x] = 0
                 tets += 1
             else:
                 edge[x] = x
@@ -484,20 +479,23 @@ def search_gluings(tet_count: int, predicate) -> list:
     permutations in a fixed order, each with its inverse written at the
     partner), so the result list is deterministic and order-stable.  A
     `_Quotients` union-find glues the tetrahedra and local edges of each
-    pairing as it is placed and undoes them on backtrack.  Where the two
-    tetrahedra already share a root, only the three permutations of the
-    sign that keeps an orientation are tried, in the same order, so every
-    glue succeeds and only orientable gluings are completed.  Gluings whose
-    tetrahedra split into more than one component (more than one
-    tetrahedron root) describe disjoint unions rather than a single manifold
-    and are skipped.  Every complete gluing hands predicate the
-    `Triangulation` of its spec, a copy of the edge parent list (which
-    outlives the search's undo) and the edge root count: it equals what
-    `build(spec, enforce_link_hypothesis=False)` returns, without
-    re-checking what the enumeration guarantees.  A gluing is kept iff
-    predicate(tri) holds.
+    pairing but the last as it is placed and undoes them on backtrack.
+    Where the two tetrahedra already share a root, only the three
+    permutations of the sign that keeps an orientation are tried, in the
+    same order, so every glue succeeds and only orientable gluings are
+    completed.  Gluings whose tetrahedra split into more than one component
+    (more than one tetrahedron root) describe disjoint unions rather than a
+    single manifold and are skipped: the last pairing is tried only where
+    it leaves one root.  Its local edges are united, with no log, in a copy
+    of the edge parent list that the leaf keeps, and no orientation need be
+    checked there: across one root the maps are already of the orientable
+    sign, and across two none can be refused.  Every complete gluing hands
+    predicate the `Triangulation` of its spec, that copy and its edge root
+    count: it equals what `build(spec, enforce_link_hypothesis=False)`
+    returns, without re-checking what the enumeration guarantees.  A gluing
+    is kept iff predicate(tri) holds.
     """
-    if tet_count not in (1, 2):
+    if type(tet_count) is not int or tet_count not in (1, 2):
         raise ValueError("search supports 1 or 2 tetrahedra")
     n_faces = 4 * tet_count
     table = [None] * n_faces  # entry 4*t + f, as in GluingSpec.pairings
@@ -505,40 +503,57 @@ def search_gluings(tet_count: int, predicate) -> list:
     root, glue, undo, log = (quotients.root, quotients.glue, quotients.undo,
                              quotients.log)
     found = []
+    # The maps s of face i onto each later face j (s[f] == f2, in _PERMS4
+    # order), then the odd three and the even three, each in that order.
+    # Each comes with the local edge pairs it identifies and the table
+    # entries (t2, f2, s) and (t, f, s^-1) it writes, made once so that the
+    # specs of the leaves share them.
+    rows = {}
+    for i in range(n_faces):
+        for j in range(i + 1, n_faces):
+            t, f, t2, f2 = i >> 2, i & 3, j >> 2, j & 3
+            maps = tuple((s, (t2, f2, s), (t, f, _INVERSE[s]),
+                          _FACE_MAPS[f, s][0]) for s in _PERMS4 if s[f] == f2)
+            rows[i, j] = maps, tuple(
+                tuple(m for m in maps if _SIGN[m[0]] == sign) for sign in (-1, 1))
 
     # place recurses through its argument: a closure naming itself would be
     # a reference cycle, keeping found alive until the garbage collector runs.
-    def place(i, place):
-        while i < n_faces and table[i] is not None:
+    # left pairings are still to place, the lowest free face at or after i.
+    def place(i, left, place):
+        while table[i] is not None:
             i += 1
-        if i == n_faces:
-            if quotients.tet_roots == 1:
-                spec = GluingSpec(tet_count=tet_count, pairings=tuple(table))
-                if predicate(Triangulation(spec, quotients.edge[:],
-                                           quotients.edge_roots)):
-                    found.append(spec)
-            return
-        t, f = i >> 2, i & 3
+        t = i >> 2
         a, odd = root(t)
         mark = len(log)
         for j in range(i + 1, n_faces):
             if table[j] is not None:
                 continue
-            t2, f2 = j >> 2, j & 3
+            t2 = j >> 2
             b, odd2 = root(t2)
-            roots = (a, b, odd ^ odd2)
-            maps, by_parity = _FACE_PERMS[f, f2]
+            maps, by_parity = rows[i, j]
             if a == b:
                 # Only the maps of one sign keep an orientation: the even
                 # ones if the two orientations differ, else the odd ones.
                 maps = by_parity[odd ^ odd2]
-            for s, inverse in maps:
-                glue(t, f, t2, s, roots)
-                table[i] = (t2, f2, s)
-                table[j] = (t, f, inverse)
-                place(i + 1, place)
-                undo(mark)
+            if left > 1:
+                roots = (a, b, odd ^ odd2)
+                for s, row, back, _ in maps:
+                    glue(t, i & 3, t2, s, roots)
+                    table[i], table[j] = row, back
+                    place(i + 1, left - 1, place)
+                    undo(mark)
+            elif quotients.tet_roots - (a != b) == 1:
+                # The last pairing, which leaves one tetrahedron root.
+                for _, row, back, pairs in maps:
+                    edge = quotients.edge[:]
+                    n_edges = quotients.edge_roots - _unite(edge, pairs,
+                                                            6 * t, 6 * t2)
+                    table[i], table[j] = row, back
+                    spec = GluingSpec(tet_count=tet_count, pairings=tuple(table))
+                    if predicate(Triangulation(spec, edge, n_edges)):
+                        found.append(spec)
             table[i] = table[j] = None
 
-    place(0, place)
+    place(0, 2 * tet_count, place)
     return found

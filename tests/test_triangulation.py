@@ -456,9 +456,12 @@ def test_search_one_tet():
     assert T.search_gluings(1, T.any_gluing) == any1
 
 
-def test_search_rejects_large_counts():
+@pytest.mark.parametrize("tet_count", [3, 0, True, 2.0])
+def test_search_rejects_large_counts(tet_count):
+    # Only the ints 1 and 2: True equals 1 and 2.0 equals 2, but neither
+    # makes a spec that validate accepts or that json_text writes as JSON.
     with pytest.raises(ValueError):
-        T.search_gluings(3, T.any_gluing)
+        T.search_gluings(tet_count, T.any_gluing)
 
 
 def test_search_skips_disconnected():
@@ -537,10 +540,14 @@ def _search_leaves(tet_count):
     return leaves
 
 
-@pytest.mark.parametrize("tet_count, calls", [(1, 36), (2, 22344)])
-def test_search_glue_is_never_refused(monkeypatch, tet_count, calls):
+@pytest.mark.parametrize("tet_count, calls, leaves",
+                         [(1, 9, 27), (2, 6063, 15552)])
+def test_search_glue_is_never_refused(monkeypatch, tet_count, calls, leaves):
     # Where t and t2 share a root, the search tries only the three maps of
-    # the sign that keeps an orientation, so no glue is refused.
+    # the sign that keeps an orientation, so no glue is refused.  The last
+    # pairing is not glued but united on the leaf's copy, and only where it
+    # connects the gluing: the predicate sees every connected leaf and no
+    # disconnected completion is made (729 of them at n = 2).
     verdicts = []
     glue = T._Quotients.glue
 
@@ -549,8 +556,30 @@ def test_search_glue_is_never_refused(monkeypatch, tet_count, calls):
         return verdicts[-1]
 
     monkeypatch.setattr(T._Quotients, "glue", counted)
+    seen = []
+    T.search_gluings(tet_count, lambda tri: seen.append(tri) or True)
+    assert (len(verdicts), all(verdicts), len(seen)) == (calls, True, leaves)
+
+
+@pytest.mark.parametrize("tet_count", [1, 2])
+def test_search_leaves_its_quotients_as_found(monkeypatch, tet_count):
+    # Every union the search makes in its live union-find is undone, and
+    # the last pairing's, made on each leaf's copy, never reaches it.
+    made = []
+
+    class Recorded(T._Quotients):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(self)
+
+    monkeypatch.setattr(T, "_Quotients", Recorded)
     T.search_gluings(tet_count, T.any_gluing)
-    assert (len(verdicts), all(verdicts)) == (calls, True)
+    [quotients] = made
+    n = tet_count
+    assert quotients.log == []
+    assert (quotients.tet, quotients.edge, quotients.parity) == \
+           (list(range(n)), list(range(6 * n)), [0] * n)
+    assert (quotients.tet_roots, quotients.edge_roots) == (n, 6 * n)
 
 
 def _recount(quotients):
