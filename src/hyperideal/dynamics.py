@@ -254,15 +254,20 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12) -> tuple:
     Each step solves (-J) d = K with `metric.solve_definite`, whose Cholesky
     factorization of -J certifies it positive definite (a failure raises
     DefinitenessError); `angles.maximize_volume` solves the same matrix.
-    `metric.line_search` rejects iterates that leave the admissible set,
-    and an accepted iterate whose admissibility margin falls below the
-    flow's degeneration floor ends the descent with a ConvergenceError
-    naming the witness.  At most `metric.NEWTON_MAX_ITER` steps are taken.
+    `metric.line_search` refuses candidates that leave the admissible set
+    or whose admissibility margin falls below the flow's degeneration
+    floor, so every iterate keeps the floor.  Where the floor holds the
+    descent back, the last line search having refused a candidate for it,
+    a failed line search or the end of the `metric.NEWTON_MAX_ITER` steps
+    raises ConvergenceError "degenerated", naming the witness of the last
+    candidate refused for the floor and carrying its lengths as `last`.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
+    floor = FlowConfig.degeneration_margin
     ev = metric_mod.evaluate(m0.tri, m0.x).raise_if_inadmissible()
     steps = []
+    floored = []  # the current line search's candidates refused for the floor
     for it in range(metric_mod.NEWTON_MAX_ITER):
         x, K = ev.x, ev.K
         if float(np.abs(K).max()) < tol:
@@ -271,23 +276,35 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12) -> tuple:
                 H_val=ev.H, step_sizes=tuple(steps))
         d = metric_mod.solve_definite(-ev.jacobian(), K,
                                       "negated curvature Jacobian -dK/dx")
+        floored.clear()
 
         def trial(alpha):
+            # as in flow, the smallest per-tetrahedron margin of an
+            # admissible candidate is the one its margin() reports
             cand = metric_mod.evaluate(m0.tri, x + alpha * d)
-            return (cand.H, cand) if cand.admissible else None
+            if not cand.admissible:
+                return None
+            if np.minimum.reduce(cand.pipeline.margin) < floor:
+                floored.append(cand)
+                return None
+            return cand.H, cand
 
         # the gradient of H is -K
-        alpha, _, ev = metric_mod.line_search(
-            ev.H, -float(K @ d), trial,
-            "energy line search failed: the Newton direction leaves the "
-            "admissible set", last=x)
+        try:
+            alpha, _, ev = metric_mod.line_search(
+                ev.H, -float(K @ d), trial,
+                "energy line search failed: the Newton direction leaves the "
+                "admissible set", last=x)
+        except ConvergenceError:
+            if not floored:
+                raise
+            break
         steps.append(alpha)
-        # line_search hands back admissible candidates only, so as in flow
-        # the smallest per-tetrahedron margin is the one ev.margin() reports
-        if np.minimum.reduce(ev.pipeline.margin) < FlowConfig.degeneration_margin:
-            margin, witness = ev.margin()
-            raise ConvergenceError(
-                f"energy minimization degenerated: admissibility margin "
-                f"{margin:.3e} at {witness}", last=ev.x)
-    raise ConvergenceError(f"energy minimization did not reach {tol} in "
-                           f"{metric_mod.NEWTON_MAX_ITER} iterations", last=ev.x)
+    if not floored:
+        raise ConvergenceError(
+            f"energy minimization did not reach {tol} in "
+            f"{metric_mod.NEWTON_MAX_ITER} iterations", last=ev.x)
+    margin, witness = floored[-1].margin()
+    raise ConvergenceError(f"energy minimization degenerated: admissibility "
+                           f"margin {margin:.3e} at {witness}",
+                           last=floored[-1].x)

@@ -1,9 +1,16 @@
 """Dense two-phase simplex with Bland's rule.
 
-Deterministic and self-contained.  The anti-cycling pivot rule (smallest
-eligible column index; ties in the ratio test broken by smallest basic
-variable index) terminates without degeneracy tricks.  Minimizes c.x subject
-to A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
+Deterministic and self-contained.  Minimizes c.x subject to A_eq x = b_eq,
+A_ub x <= b_ub, x >= 0.  The anti-cycling pivot rule (smallest eligible
+column index; ties in the ratio test broken by smallest basic variable
+index) terminates in exact arithmetic.  In floating point it needs two
+tolerances.  _TOL decides which reduced costs are negative, which ratios
+tie, and which entries may drive an artificial out of the basis.
+_PIVOT_TOL decides which rows take part in the ratio test: dividing by an
+entering-column entry near rounding size amplifies the rounding in every
+column the pivot updates.  On a 24-tetrahedron angle LP a pivot on an
+entry of 1.3e-11 ruined the tableau, and the phase ran out of pivots.  A
+phase that still runs after MAX_PIVOTS pivots raises ConvergenceError.
 
 The tableau is stored column-major (258 x 644 for the angle LP of a
 64-tetrahedron gluing), so the entering column, the rhs and every column a
@@ -17,9 +24,9 @@ every zero positive, so the results are bit-identical to a full-width
 update.
 
 The ratio test is Bland's loop over the rows whose entering-column entry
-exceeds _TOL: a ratio _TOL or more below the best so far replaces it, one
-within _TOL of it replaces it only with a smaller basic index, and a NaN
-ratio never wins.  The loop is the rule as stated, and it is enough: the
+exceeds _PIVOT_TOL: a ratio _TOL or more below the best so far replaces it,
+one within _TOL of it replaces it only with a smaller basic index, and a
+NaN ratio never wins.  The loop is the rule as stated, and it is enough: the
 angle LPs take at most a few dozen pivots over a few hundred rows, so one
 Python step per row costs little beside the pivots.
 """
@@ -32,9 +39,12 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 _TOL = 1e-11
+_PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8
-MAX_PIVOTS = 100000  # per phase; RuntimeError beyond
+MAX_PIVOTS = 100000  # per phase; ConvergenceError beyond
 
 
 @dataclass(frozen=True)
@@ -65,9 +75,10 @@ def _iterate(T: np.ndarray, basis, allowed, max_iter: int) -> tuple:
         if not eligible.size:
             return "optimal", it
         entering = int(eligible[0])
-        # Rows with colv <= _TOL have an infinite ratio and are never chosen.
+        # Rows with colv <= _PIVOT_TOL have an infinite ratio and are never
+        # chosen.
         colv = T[:m, entering]
-        rows = (colv > _TOL).nonzero()[0]
+        rows = (colv > _PIVOT_TOL).nonzero()[0]
         ratios = T[rows, -1] / colv[rows]
         best = math.inf
         row = -1
@@ -79,7 +90,7 @@ def _iterate(T: np.ndarray, basis, allowed, max_iter: int) -> tuple:
         if row < 0:
             return "unbounded", it
         _pivot(T, basis, row, entering)
-    raise RuntimeError(f"simplex exceeded {max_iter} pivots")
+    raise ConvergenceError(f"simplex exceeded {max_iter} pivots")
 
 
 def _block(A, b, kind: str, n: int) -> tuple:

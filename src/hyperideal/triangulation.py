@@ -236,10 +236,10 @@ class Triangulation:
     vertices, and `boundary_links` from that pass and the edge parent list,
     with a corner at either end of each edge class (an orientable gluing
     glues none to itself reversed; see the module docstring).  A predicate
-    reading only `n_edges` derives nothing, and the census filter only the
-    links.  Every field is a function of the spec, so equality and hashing
-    read the spec alone and repr the spec and `n_edges`: none of them
-    derives a field.
+    reading only `n_edges` and `tet_count`, as the census filter does,
+    derives nothing.  Every field is a function of the spec, so equality
+    and hashing read the spec alone and repr the spec and `n_edges`: none
+    of them derives a field.
 
     edge_class_of[t][e] is the index of the edge class containing local edge
     e of tetrahedron t; this is the quotient map every metric quantity is
@@ -458,9 +458,24 @@ def _vertex_parents(spec: GluingSpec) -> list:
 
 
 def single_hyperbolic_class(tri: Triangulation) -> bool:
-    """One edge class and every boundary link of negative Euler characteristic."""
-    return (tri.n_edges == 1
-            and all(l.chi < 0 for l in tri.boundary_links))
+    """One edge class and every boundary link of negative Euler characteristic.
+
+    Read off the edge and tetrahedron counts alone, which derives nothing:
+    a one-edge gluing of n tetrahedra has one link, and its chi is 2(1 - n).
+
+    * No orientable gluing glues an edge class to itself reversed (see the
+      module docstring), so the one edge class has a first end, in some
+      vertex class A, and a second end, in some vertex class B, and every
+      local edge has one end in A and the other in B.
+    * A = B: otherwise the four vertices of a tetrahedron would be coloured
+      A or B with the two ends of each of its six edges apart, a proper
+      2-colouring of K_4, which has none.  Every vertex is the end of an
+      edge, so there is one vertex class, and so one link.
+    * The links' chi sum to 2(E - n) (their corners number 2E, their sides
+      6n and their triangles 4n), so the one link has chi = 2(1 - n), which
+      is negative exactly when n >= 2.
+    """
+    return tri.n_edges == 1 and tri.tet_count > 1
 
 
 def any_gluing(tri: Triangulation) -> bool:
@@ -550,7 +565,7 @@ def search_gluings(tet_count: int, predicate) -> list:
                     n_edges = quotients.edge_roots - _unite(edge, pairs,
                                                             6 * t, 6 * t2)
                     table[i], table[j] = row, back
-                    spec = GluingSpec(tet_count=tet_count, pairings=tuple(table))
+                    spec = GluingSpec(tet_count, tuple(table))
                     if predicate(Triangulation(spec, edge, n_edges)):
                         found.append(spec)
             table[i] = table[j] = None

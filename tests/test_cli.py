@@ -301,6 +301,19 @@ def test_lp_census(census_file, tmp_path):
     assert rep["pivots"] == {"phase1": 7, "drive_out": 0, "phase2": 5}
 
 
+def test_lp_pivot_budget_exit_7(census_file, tmp_path, monkeypatch, capsys):
+    # The census LP's phase 1 takes 7 pivots: a budget of 1 runs out.
+    from hyperideal import simplex
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
+    out = tmp_path / "lp.json"
+    assert run("lp", "--tri", census_file, "--out", str(out)) == 7
+    captured = capsys.readouterr()
+    assert captured.err == "error: simplex exceeded 1 pivots\n"
+    assert captured.out == ""
+    assert not out.exists()
+    assert not (tmp_path / "lp.json.manifest.json").exists()
+
+
 def test_minimize_lost_definiteness_exit_7(census_file, metric_file, tmp_path,
                                           monkeypatch):
     # DefinitenessError, not numpy's LinAlgError (a ValueError, exit 2)

@@ -133,25 +133,33 @@ def test_minimize_without_equilibrium_fails_in_the_minimizer(tri_fixture, reques
 
 def test_minimize_stops_at_degeneration_with_witness(multi_tri, monkeypatch):
     # from x = 1 the descent walks towards the boundary of the admissible
-    # set; it must stop at the first iterate below the flow's degeneration
-    # floor and name the corner
-    iterates = []
-    search = M.line_search
+    # set; its line search refuses every candidate below the flow's
+    # degeneration floor, and the descent stops naming the corner of the
+    # last one refused
+    iterates, refused = [], []
+    search, evaluate = M.line_search, M.evaluate
+    floor = D.FlowConfig().degeneration_margin
 
     def recording(*args, **kwargs):
         out = search(*args, **kwargs)
         iterates.append(out[2].x)
         return out
 
+    def evaluating(*args):
+        ev = evaluate(*args)
+        if ev.admissible and ev.margin()[0] < floor:
+            refused.append(ev.x)
+        return ev
+
     monkeypatch.setattr(M, "line_search", recording)
+    monkeypatch.setattr(M, "evaluate", evaluating)
     m = M.ConeMetric(tri=multi_tri, x=np.ones(multi_tri.n_edges))
     with pytest.raises(ConvergenceError) as info:
         D.minimize_energy(m)
-    floor = D.FlowConfig().degeneration_margin
-    assert all(M.evaluate(multi_tri, x).margin()[0] >= floor
-               for x in iterates[:-1])
-    assert info.value.last is iterates[-1]
-    margin, witness = M.evaluate(multi_tri, info.value.last).margin()
+    assert iterates and all(evaluate(multi_tri, x).margin()[0] >= floor
+                            for x in iterates)
+    assert info.value.last is refused[-1]
+    margin, witness = evaluate(multi_tri, info.value.last).margin()
     assert 0 < margin < floor
     assert str(witness) in str(info.value)
 
@@ -328,6 +336,32 @@ def test_flow_newton_agreement(census_tri):
     m = census_metric(census_tri, 1.6)
     trace = D.flow(m, D.FlowConfig())
     m_opt, _ = D.minimize_energy(m)
+    assert trace.status == "converged"
+    assert abs(trace.x[-1][0] - m_opt.x[0]) < 1e-7
+
+
+def test_minimize_refuses_a_step_below_the_floor(census_tri, monkeypatch):
+    # From this start the first halving of the Newton step lands at a length
+    # near 2.7e-4, admissible but below the degeneration floor: the line
+    # search refuses it, halves again, and the descent reaches the
+    # equilibrium the flow reaches.
+    floor = D.FlowConfig().degeneration_margin
+    evaluate, below = M.evaluate, []
+
+    def evaluating(*args):
+        ev = evaluate(*args)
+        if ev.admissible and ev.margin()[0] < floor:
+            below.append(ev.x[0])
+        return ev
+
+    m = census_metric(census_tri, 1.9637450605487472)
+    monkeypatch.setattr(M, "evaluate", evaluating)
+    m_opt, rep = D.minimize_energy(m)
+    assert len(below) == 1 and 0 < below[0] < 1e-3
+    assert rep.K_norm < 1e-12 and rep.step_sizes[0] == 0.25
+    assert abs(m_opt.x[0] - XSTAR) < 1e-10
+    monkeypatch.undo()
+    trace = D.flow(m, D.FlowConfig())
     assert trace.status == "converged"
     assert abs(trace.x[-1][0] - m_opt.x[0]) < 1e-7
 

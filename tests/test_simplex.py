@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyperideal import angles, simplex, triangulation
+from hyperideal.errors import ConvergenceError
 
 from conftest import ten_n_row_angle_lp
 
@@ -133,7 +134,7 @@ def _dense_iterate(T, basis, allowed, max_iter):
             return "optimal", it
         ratios = np.full(m, np.inf)
         colv = T[:m, entering]
-        pos = colv > simplex._TOL
+        pos = colv > simplex._PIVOT_TOL
         ratios[pos] = T[:m, -1][pos] / colv[pos]
         best = np.inf
         row = -1
@@ -147,7 +148,7 @@ def _dense_iterate(T, basis, allowed, max_iter):
         if row < 0:
             return "unbounded", it
         _dense_pivot(T, basis, row, entering)
-    raise RuntimeError(f"simplex exceeded {max_iter} pivots")
+    raise ConvergenceError(f"simplex exceeded {max_iter} pivots")
 
 
 def assert_matches_dense(monkeypatch, c, **kw):
@@ -306,12 +307,14 @@ def _compare_pivot(ratios, colv, basis):
 
 def _draws(values, seed, trials=200):
     """Random rows: a ratio from values, a power-of-two column entry, or an
-    entry <= _TOL that takes the row out of the ratio test; random basis."""
+    entry <= _PIVOT_TOL that takes the row out of the ratio test; random
+    basis."""
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         m = int(rng.integers(1, 12))
         colv = 2.0 ** rng.integers(-2, 3, size=m)
-        colv[rng.random(m) < 0.2] = rng.choice([0.0, -1.0, simplex._TOL])
+        colv[rng.random(m) < 0.2] = rng.choice([0.0, -1.0,
+                                                simplex._PIVOT_TOL])
         colv[rng.integers(m)] = 1.0
         ratios = rng.choice(values, size=m)
         yield ratios, colv, list(1 + rng.permutation(m))
@@ -321,7 +324,7 @@ def test_ratio_test_all_zero_ratios():
     for ratios, colv, basis in _draws([0.0], seed=1):
         row = _compare_pivot(ratios, colv, basis)
         # Bland: the smallest basic index among the rows in the test.
-        rows = np.flatnonzero(colv > simplex._TOL)
+        rows = np.flatnonzero(colv > simplex._PIVOT_TOL)
         assert basis[row] == min(basis[i] for i in rows)
 
 
@@ -334,7 +337,7 @@ def test_ratio_test_chain_of_near_ties():
     winners = set()
     for ratios, colv, basis in _draws(chain, seed=2):
         row = _compare_pivot(ratios, colv, basis)
-        winners.add(ratios[row] == ratios[colv > simplex._TOL].min())
+        winners.add(ratios[row] == ratios[colv > simplex._PIVOT_TOL].min())
     assert winners == {True, False}
 
 
@@ -346,5 +349,22 @@ def test_ratio_test_ratios_past_tol_resolution():
     values = v + np.spacing(v) * np.arange(3)
     for ratios, colv, basis in _draws(values, seed=3):
         row = _compare_pivot(ratios, colv, basis)
-        rows = np.flatnonzero(colv > simplex._TOL)
+        rows = np.flatnonzero(colv > simplex._PIVOT_TOL)
         assert row == rows[np.argmin(ratios[rows])]
+
+
+def test_ratio_test_skips_rows_below_pivot_tol(monkeypatch):
+    # A degenerate row, rhs 0 and entering entry 1e-10, has the least ratio:
+    # a rule letting every entry above _TOL pivot takes it, while only the
+    # row whose entry exceeds _PIVOT_TOL may pivot.
+    def pivot_row():
+        T = _one_pivot_tableau([0.0, 1.0], [1e-10, 1.0], [1, 2])
+        basis = np.array([1, 2])
+        assert simplex._iterate(T, basis, np.ones(3, dtype=bool), 5) == \
+               ("optimal", 1)
+        return int(np.flatnonzero(basis != [1, 2])[0])
+
+    assert simplex._TOL < 1e-10 <= simplex._PIVOT_TOL
+    assert pivot_row() == 1
+    monkeypatch.setattr(simplex, "_PIVOT_TOL", simplex._TOL)
+    assert pivot_row() == 0

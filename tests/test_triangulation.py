@@ -668,15 +668,10 @@ def test_search_any_derives_no_leaf(derivations):
     assert _counts(derivations) == (0, 0, 0, 0, 0)
 
 
-def test_census_search_derives_only_one_edge_leaves(derivations):
-    # Every one-edge 2-tet leaf is a census match, so each derived leaf is;
-    # the filter reads the edge count and the links, which run one vertex
-    # union pass but never make a vertex class or an edge class.
-    census = T.search_gluings(2, T.single_hyperbolic_class)
-    assert len(census) == 4416
-    assert derivations == {"edge_classes": [], "edge_class_of": [],
-                           "vertex_classes": [], "boundary_links": census,
-                           "vert": census}
+def test_census_search_derives_nothing(derivations):
+    # The census filter reads the edge and tetrahedron counts alone.
+    assert len(T.search_gluings(2, T.single_hyperbolic_class)) == 4416
+    assert _counts(derivations) == (0, 0, 0, 0, 0)
 
 
 def test_build_derives_once(derivations, census_spec):
@@ -719,11 +714,13 @@ def test_leaf_derived_after_the_search(derivations):
 
 
 def test_link_identities_hold_on_the_reference(two_tet_reference,
-                                               sampled_specs):
-    # What counting link corners by edge-class ends rests on, checked on the
-    # reference's corner-point union: every edge class has two distinct
-    # ends, so the corners sum to 2 E, and the links' chi to 2 (E - n), as
-    # the links have 6n sides and 4n triangles in all.
+                                               sampled_specs, sampler):
+    # What counting link corners by edge-class ends and the census filter
+    # rest on, checked on the reference's corner-point union: every edge
+    # class has two distinct ends, so the corners sum to 2 E, and the links'
+    # chi to 2 (E - n), as the links have 6n sides and 4n triangles in all.
+    # One edge class leaves one vertex class, so the census filter reads
+    # the counts alone.
     refs = [_ref_build(spec, enforce_link_hypothesis=False)
             for spec in _ref_search(1, T.any_gluing)]
     assert len(refs) == 27
@@ -731,16 +728,22 @@ def test_link_identities_hold_on_the_reference(two_tet_reference,
     refs += [_ref_build(spec, enforce_link_hypothesis=False)
              for spec in sampled_specs
              if _orientable(_ref_check_orientable, spec)]
+    rng = random.Random(22)
+    refs += [_ref_build(sampler.sample(n, rng, one_edge=True)[0].spec,
+                        enforce_link_hypothesis=False) for n in range(3, 129)]
+    one_edge = 0
     for ref in refs:
         n_edges, links = len(ref.edge_classes), ref.boundary_links
         assert sum(l.corners for l in links) == 2 * n_edges, ref.spec
         assert sum(l.chi for l in links) == 2 * (n_edges - ref.tet_count)
-    # With n = 2 and one edge class the chi sum is -2, so the census filter
-    # holds exactly when there is one vertex class.
-    one_edge = [ref for ref in two_tet_reference if len(ref.edge_classes) == 1]
-    assert len(one_edge) == 4416
-    assert [len(ref.vertex_classes) == 1 for ref in one_edge] == \
-           [T.single_hyperbolic_class(ref) for ref in one_edge]
+        if n_edges == 1:
+            assert len(ref.vertex_classes) == 1, ref.spec
+            one_edge += 1
+        assert T.single_hyperbolic_class(ref) == \
+               (n_edges == 1 and all(l.chi < 0 for l in links)), ref.spec
+    # none of the one-tet gluings, the 4416 of the 2-tet census, 3 of the
+    # sampled specs and the 126 one-edge draws
+    assert one_edge == 4416 + 3 + 126
 
 
 def test_search_result_freed_by_refcount():
