@@ -153,7 +153,7 @@ def _project_gradient(q: Quotient, G: np.ndarray) -> np.ndarray:
 def maximize_volume(tri: Triangulation, start, tol: float = 1e-8) -> tuple:
     """Constrained Newton ascent of the volume over the angle polytope.
 
-    start (an AngleAssignment or a (tet_count, 6) array) must pass
+    start, an AngleAssignment of tri (else ValueError), must pass
     validate_assignment, and still tetgeom.validate_angles once its edge
     sums are recentred onto 2*pi.  By Schlafli the Hessian is -J^-1/2,
     J = da/dx blockwise at the realized lengths X; with
@@ -165,11 +165,10 @@ def maximize_volume(tri: Triangulation, start, tol: float = 1e-8) -> tuple:
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if isinstance(start, AngleAssignment) and start.tri.spec != tri.spec:
-        raise ValueError("start assignment belongs to a different gluing")
-    a = np.array(getattr(start, "angles", start), dtype=float)
-    validate_assignment(AngleAssignment(tri=tri, angles=a))
-    q = tri.quotient
+    if not (isinstance(start, AngleAssignment) and start.tri.spec == tri.spec):
+        raise ValueError("start must be an AngleAssignment of the same gluing")
+    validate_assignment(start)
+    q, a = tri.quotient, start.angles
     a = tetgeom.validate_angles(a + q.gather((TWO_PI - q.scatter(a)) / q.counts))
 
     vol = _volume(a)

@@ -317,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace CSV; status lands in <out>.status.json")
     flow_cfg = dynamics.FlowConfig
     q.add_argument("--t-max", type=float, default=flow_cfg.t_max)
-    q.add_argument("--initial-step", type=float, default=flow_cfg.initial_step)
     q.add_argument("--tol", dest="curvature_tol", type=float,
                    default=flow_cfg.curvature_tol,
                    help="curvature norm that counts as converged")

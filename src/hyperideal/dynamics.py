@@ -25,6 +25,7 @@ from .errors import ConvergenceError
 from .metric import ConeMetric
 
 MAX_STEPS = 200000  # accepted plus rejected steps before flow gives up
+INITIAL_STEP = 0.01  # the first step flow tries
 # why a step was rejected: its error ratio exceeded 1, or a stage or the
 # new state left the admissible set
 REJECT_REASONS = ("error_ratio", "inadmissible_stage", "inadmissible_endpoint")
@@ -32,8 +33,9 @@ REJECT_REASONS = ("error_ratio", "inadmissible_stage", "inadmissible_endpoint")
 
 @dataclass(frozen=True)
 class FlowConfig:
+    """The flow's settings, one `hyperideal flow` flag each."""
+
     t_max: float = 50.0
-    initial_step: float = 0.01
     curvature_tol: float = 1e-12
     degeneration_margin: float = 1e-7
     rtol: float = 1e-8
@@ -42,8 +44,6 @@ class FlowConfig:
     def validate(self) -> None:
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
             raise ValueError("t_max must be positive and finite")
-        if not (self.initial_step > 0):
-            raise ValueError("initial_step must be positive")
         if not 1e-13 <= self.curvature_tol < math.inf:
             raise ValueError("curvature_tol must be finite; below 1e-13 it "
                              "is not resolvable")
@@ -182,7 +182,7 @@ def flow(m0: ConeMetric, cfg: FlowConfig = FlowConfig()) -> FlowTrace:
     cfg.validate()
     tri = m0.tri
     ev = metric_mod.evaluate(tri, m0.x).raise_if_inadmissible()
-    t, h = 0.0, cfg.initial_step
+    t, h = 0.0, INITIAL_STEP
     accepted = rejected = 0
     rejections = dict.fromkeys(REJECT_REASONS, 0)
     ts, xs, ks, angs = [], [], [], []

@@ -24,6 +24,7 @@ from . import dynamics, metric as metric_mod, tetgeom
 from . import triangulation as tri_mod
 
 ORACLE_TOL = 1e-9                  # cofactor map vs Minkowski oracle
+ORACLE_SAMPLES = 250               # shapes sampled, and oracle draws, per run
 PROBE_LOW, PROBE_HIGH = 0.02, 8.0  # convexity probe draws, log-uniform
 _MINK_METRIC = np.array([-1.0, 1.0, 1.0, 1.0])
 _EIG_GUARD = 1e-12
@@ -154,18 +155,19 @@ def sample_admissible(rng, count: int, low: float = 0.2, high: float = 3.0) -> n
     return out[:count]
 
 
-def _fd_jacobian(func, x, h=1e-6):
+def _fd_jacobian(func, x):
+    h = 1e-6
     return np.column_stack([(func(x + e) - func(x - e)) / (2 * h)
                             for e in h * np.eye(x.size)])
 
 
-def schlafli_leg(p, q, order: int = 24) -> float:
+def schlafli_leg(p, q) -> float:
     """The integral of -(1/2) x . da along the angle segment p -> q.
 
-    Gauss-Legendre quadrature over the closed-form lengths x(a), so it
-    shares no code with the closed-form volume it is compared against.
+    24-point Gauss-Legendre quadrature over the closed-form lengths x(a), so
+    it shares no code with the closed-form volume it is compared against.
     """
-    z, w = np.polynomial.legendre.leggauss(order)
+    z, w = np.polynomial.legendre.leggauss(24)
     s = 0.5 * (z + 1.0)
     x = tetgeom._newton_lengths(p + s[:, None] * (q - p))
     return -0.25 * float(w @ (x @ (q - p)))
@@ -211,7 +213,7 @@ def rebuild_idempotent(tri) -> Check:
                   and rebuilt.boundary_links == tri.boundary_links)
 
 
-def census_accounting(tris, census_count=None) -> Check:
+def census_accounting(tris, census_count: int) -> Check:
     ok = True
     for tri in tris:
         ok &= sum(ec.valence for ec in tri.edge_classes) == 6 * tri.tet_count
@@ -219,7 +221,7 @@ def census_accounting(tris, census_count=None) -> Check:
         ok &= (sum(l.chi for l in tri.boundary_links)
                == sum(l.corners for l in tri.boundary_links) - 2 * tri.tet_count)
     return _check("triangulation.census_accounting", ok,
-                  f"census search matches: {census_count}" if census_count else "")
+                  f"census search matches: {census_count}")
 
 
 def pairing_involution(tris) -> Check:
@@ -517,28 +519,24 @@ def concavity(tri, center, rng, count: int) -> Check:
                   f"{used} segments, worst midpoint defect {worst:.3e}")
 
 
-def run(seed: int = 0, probe_trials: int = 2000, census=None, multi=None,
-        oracle_samples: int = 250) -> PropsuiteReport:
-    """Every check, in a fixed order, on the census, a multi-class instance
-    and samples drawn in that order from one generator seeded by seed."""
+def run(seed: int = 0, probe_trials: int = 2000) -> PropsuiteReport:
+    """Every check, in a fixed order, on the census and the multi-class
+    instance of `_search_instances` and on samples drawn in that order from
+    one generator seeded by seed."""
     rng = np.random.default_rng(seed)
-    census_count = None
-    if census is None or multi is None:
-        found, count, found_multi = _search_instances()
-        census_count = count if census is None else None
-        census, multi = census or found, multi or found_multi
+    census, census_count, multi = _search_instances()
     checks = [rebuild_idempotent(census),
               census_accounting((census, multi), census_count),
               pairing_involution((census, multi)),
               census_classes(census)]
 
-    X = sample_admissible(rng, oracle_samples, low=0.1, high=4.0)
+    X = sample_admissible(rng, ORACLE_SAMPLES, low=0.1, high=4.0)
     a1, a2 = tetgeom.angles_from_lengths(X[:2])
     probe = probe_length_space_convexity(probe_trials, seed)
     checks += [sine_cosine_identity(X), jacobian_spd(X[:20]),
                inversion_roundtrip(X[:40]),
                schlafli_exact(X[:6], [(a1, 0.5 * (a1 + a2), a2)]),
-               oracle_agreement(rng, oracle_samples), regular_family_monotone(),
+               oracle_agreement(rng, ORACLE_SAMPLES), regular_family_monotone(),
                convexity_probe(probe, probe.to_json_obj())]
 
     perturbed = [metric_mod.ConeMetric(tri=tri, x=1.0 + 0.05 * rng.standard_normal(tri.n_edges))

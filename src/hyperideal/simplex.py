@@ -94,11 +94,8 @@ def _iterate(T: np.ndarray, basis, allowed, max_iter: int) -> tuple:
 
 
 def _block(A, b, kind: str, n: int) -> tuple:
-    """One constraint block as an (m, n) matrix and its rhs; absent is empty.
-
-    A matrix without its rhs, or a rhs without its matrix, is rejected."""
-    if A is None and b is None:
-        return np.zeros((0, n)), np.zeros(0)
+    """One constraint block as an (m, n) matrix and its m-entry rhs, else
+    ValueError; a problem without the block passes (0, n) and (0,)."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or (A.shape[0] and A.shape[1] != n) \
@@ -109,7 +106,8 @@ def _block(A, b, kind: str, n: int) -> tuple:
     return A.reshape(A.shape[0], n), b
 
 
-def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResult:
+def solve_lp(c, A_eq, b_eq, A_ub, b_ub) -> SimplexResult:
+    """Minimize c.x over x >= 0 and both blocks, each required (`_block`)."""
     c = np.asarray(c, dtype=float)
     n = c.size
     A_eq, b_eq = _block(A_eq, b_eq, "eq", n)

@@ -377,9 +377,6 @@ def clausen(theta) -> np.ndarray:
 
 
 _OPPOSITE = np.array([(e, 5 - e) for e in range(3)])
-# Faces are numbered by their opposite vertex: edge {v, w} is where the
-# faces opposite the other two vertices meet.
-_EDGE_FACES = np.array([[f for f in range(4) if f not in vw] for vw in EDGE_VERTEX_PAIRS])
 # Im U(z) of Murakami-Yano as Clausen terms: z itself, z times the four
 # edges outside each opposite pair (+), and -z times the three edges at
 # each vertex (-).
@@ -390,7 +387,7 @@ def _face_gram(a: np.ndarray) -> np.ndarray:
     """Face Gram matrices (..., 4, 4): unit diagonal, -cos of the angle
     along the edge where two faces meet; det < 0 on the angle polytope."""
     G = np.zeros(a.shape[:-1] + (4, 4)) + np.eye(4)
-    f, g = _EDGE_FACES[:, 0], _EDGE_FACES[:, 1]
+    f, g = _OPP  # faces are numbered by their opposite vertex
     G[..., f, g] = G[..., g, f] = -np.cos(a)
     return G
 

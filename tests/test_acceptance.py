@@ -142,7 +142,8 @@ def test_criterion_08_volume_maximization(capsys, census_tri,
     rng = np.random.default_rng(108)
     base = np.full((2, 6), math.pi / 6)
     d = A._project_gradient(census_tri.quotient, rng.normal(size=(2, 6)))
-    start = base + 0.03 * d / np.abs(d).max()
+    start = A.AngleAssignment(tri=census_tri,
+                              angles=base + 0.03 * d / np.abs(d).max())
     checks = [propsuite.volmax_kkt(census_tri, start, census_equilibrium.x[-1]),
               propsuite.concavity(census_tri, base, rng, 400)]
     _verdict(capsys, 8, all(c.ok for c in checks),

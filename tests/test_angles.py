@@ -387,7 +387,8 @@ def test_maximize_volume_past_the_volume_resolution(ntet12_tri, sampler):
     for tri in (ntet12_tri, sampler.sample(8, random.Random(5026))[0]):
         c, kw = ten_n_row_angle_lp(tri)
         x = simplex.solve_lp(c, **kw).x
-        opt, rep = A.maximize_volume(tri, x[:6 * tri.tet_count].reshape(-1, 6))
+        start = A.AngleAssignment(tri=tri, angles=x[:6 * tri.tet_count].reshape(-1, 6))
+        opt, rep = A.maximize_volume(tri, start)
         assert rep.iterations <= 10
         assert rep.grad_norm < 1e-8
         assert rep.max_spread <= 1e-6
@@ -407,8 +408,10 @@ def test_maximize_volume_certifies_its_newton_matrix(census_tri, rng,
     d = _project_gradient(Quotient(census_tri), rng.normal(size=(2, 6)))
     jacobian = tetgeom._jacobian
     monkeypatch.setattr(tetgeom, "_jacobian", lambda pl: -jacobian(pl))
+    start = A.AngleAssignment(tri=census_tri,
+                              angles=base + 0.03 * d / np.abs(d).max())
     with pytest.raises(DefinitenessError):
-        A.maximize_volume(census_tri, base + 0.03 * d / np.abs(d).max())
+        A.maximize_volume(census_tri, start)
 
 
 def test_maximize_volume_does_not_jam_at_a_face(sampler):
@@ -441,6 +444,14 @@ def test_maximize_volume_rejects_infeasible_start(census_tri):
     bad = A.AngleAssignment(tri=census_tri, angles=np.full((2, 6), math.pi / 3))
     with pytest.raises(ValueError):
         A.maximize_volume(census_tri, bad)
+
+
+def test_maximize_volume_takes_only_an_assignment_of_its_gluing(census_tri,
+                                                                torus_tri):
+    rows = np.full((2, 6), math.pi / 6)
+    for start in (rows, A.AngleAssignment(tri=torus_tri, angles=rows)):
+        with pytest.raises(ValueError, match="AngleAssignment of the same gluing"):
+            A.maximize_volume(census_tri, start)
 
 
 @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])

@@ -412,12 +412,12 @@ def test_manifests_equal_minus_timestamps(census_file, tmp_path):
     assert reps[0] == reps[1]
 
 
-_FLOW_DEFAULTS = {"t_max": 50.0, "initial_step": 0.01, "curvature_tol": 1e-12,
+_FLOW_DEFAULTS = {"t_max": 50.0, "curvature_tol": 1e-12,
                   "degeneration_margin": 1e-7, "rtol": 1e-8, "atol": 1e-14}
-_SIX_FLAGS = ["--t-max", "40", "--initial-step", "0.02", "--tol", "1e-11",
-              "--margin", "1e-6", "--rtol", "1e-10", "--atol", "1e-13"]
-_SIX_CONFIG = {"t_max": 40.0, "initial_step": 0.02, "curvature_tol": 1e-11,
-               "degeneration_margin": 1e-6, "rtol": 1e-10, "atol": 1e-13}
+_FLOW_FLAGS = ["--t-max", "40", "--tol", "1e-11", "--margin", "1e-6",
+               "--rtol", "1e-10", "--atol", "1e-13"]
+_FLOW_CONFIG = {"t_max": 40.0, "curvature_tol": 1e-11,
+                "degeneration_margin": 1e-6, "rtol": 1e-10, "atol": 1e-13}
 _CENSUS_METRIC = {"tri": "census.json", "metric": "m.json"}
 
 
@@ -433,8 +433,8 @@ _CENSUS_METRIC = {"tri": "census.json", "metric": "m.json"}
      {"command": "shapes", "inputs": _CENSUS_METRIC, "config": {}}),
     (["flow", "--tri", "census.json", "--metric", "m.json"],
      {"command": "flow", "inputs": _CENSUS_METRIC, "config": _FLOW_DEFAULTS}),
-    (["flow", "--tri", "census.json", "--metric", "m.json"] + _SIX_FLAGS,
-     {"command": "flow", "inputs": _CENSUS_METRIC, "config": _SIX_CONFIG}),
+    (["flow", "--tri", "census.json", "--metric", "m.json"] + _FLOW_FLAGS,
+     {"command": "flow", "inputs": _CENSUS_METRIC, "config": _FLOW_CONFIG}),
     (["minimize", "--tri", "census.json", "--metric", "m.json"],
      {"command": "minimize", "inputs": _CENSUS_METRIC,
       "config": {"tol": 1e-12}}),
@@ -451,7 +451,7 @@ _CENSUS_METRIC = {"tri": "census.json", "metric": "m.json"}
     (["propsuite", "--seed", "0", "--probe-trials", "20"],
      {"command": "propsuite", "inputs": {},
       "config": {"seed": 0, "probe_trials": 20}}),
-], ids=("validate", "search", "shapes", "flow", "flow_six_flags", "minimize",
+], ids=("validate", "search", "shapes", "flow", "flow_every_flag", "minimize",
         "lp", "volmax", "volmax_start", "propsuite"))
 def test_manifest_pinned(tmp_path, monkeypatch, argv, expected):
     monkeypatch.chdir(tmp_path)
@@ -476,8 +476,8 @@ def test_flow_flags_are_flow_config_fields(census_file, metric_file, tmp_path,
     monkeypatch.setattr(dynamics, "flow",
                         lambda m, cfg: seen.append(cfg) or real_flow(m, cfg))
     assert run("flow", "--tri", census_file, "--metric", metric_file,
-               *_SIX_FLAGS, "--out", str(tmp_path / "t.csv")) == 0
-    assert seen == [dynamics.FlowConfig(**_SIX_CONFIG)]
+               *_FLOW_FLAGS, "--out", str(tmp_path / "t.csv")) == 0
+    assert seen == [dynamics.FlowConfig(**_FLOW_CONFIG)]
 
 
 def test_help_lists_exit_codes(capsys):

@@ -17,8 +17,7 @@ from conftest import XSTAR, census_metric, state
 def test_flow_config_validation():
     D.FlowConfig().validate()
     assert [f.name for f in dataclasses.fields(D.FlowConfig)] == [
-        "t_max", "initial_step", "curvature_tol", "degeneration_margin",
-        "rtol", "atol"]
+        "t_max", "curvature_tol", "degeneration_margin", "rtol", "atol"]
     with pytest.raises(ValueError):
         D.FlowConfig(t_max=-1.0).validate()
     with pytest.raises(ValueError):

@@ -136,7 +136,8 @@ def test_one_verdict_per_angle_vector(census_tri, tmp_path, capsys, case):
     assert verdict(lambda: A.validate_assignment(
         A.AngleAssignment(tri=census_tri, angles=rows))) \
         == expect(assignment_rule, 1)
-    assert verdict(lambda: A.maximize_volume(census_tri, rows)) \
+    assert verdict(lambda: A.maximize_volume(
+        census_tri, A.AngleAssignment(tri=census_tri, angles=rows))) \
         == expect(assignment_rule, 1)
     (tmp_path / "start.json").write_text(json.dumps({"angles": rows.tolist()}))
     assert run_cli(tmp_path, capsys,
@@ -191,3 +192,12 @@ def test_every_export_has_a_caller():
         if not any(word.search(line) and not defines.match(line) for line in lines):
             uncalled.append(name)
     assert uncalled == []
+
+
+def test_readme_python_session_runs():
+    # The README's quick session as a reader would paste it; its last line
+    # asserts that volume maximisation and the flow end at the same metric.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

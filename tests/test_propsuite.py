@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hyperideal import dynamics as D
+from hyperideal import metric as M
 from hyperideal import propsuite, triangulation
 
 from conftest import XSTAR, census_metric
@@ -23,23 +24,33 @@ CHECK_NAMES = [
 ]
 
 
-def test_battery_clean_and_deterministic(census_tri, torus_tri):
-    rep = propsuite.run(seed=7, probe_trials=800, census=census_tri,
-                        multi=torus_tri, oracle_samples=120)
+def test_battery_clean_and_deterministic():
+    rep = propsuite.run(seed=7, probe_trials=800)
     assert rep.violations == 0
     failed = [c.name for c in rep.checks if not c.ok]
     assert failed == []
     names = [c.name for c in rep.checks]
     assert names == CHECK_NAMES
     assert len(names) == len(set(names))
-    rep2 = propsuite.run(seed=7, probe_trials=800, census=census_tri,
-                         multi=torus_tri, oracle_samples=120)
+    rep2 = propsuite.run(seed=7, probe_trials=800)
     assert rep.to_json_obj() == rep2.to_json_obj()
 
 
-def test_report_json_shape(census_tri, torus_tri):
-    rep = propsuite.run(seed=1, probe_trials=300, census=census_tri,
-                        multi=torus_tri, oracle_samples=60)
+def test_instance_checks_hold_on_the_torus_gluing(census_tri, torus_tri):
+    # `run` takes the multi-class instance of its search (valences 10, 1, 1
+    # and a sphere link); the torus gluing (valences 11, 1 and a torus link)
+    # passes the four checks that take instances too.
+    x = 1.0 + 0.05 * np.random.default_rng(7).standard_normal(torus_tri.n_edges)
+    m = M.ConeMetric(tri=torus_tri, x=x)
+    checks = [propsuite.census_accounting([torus_tri], 0),
+              propsuite.pairing_involution([torus_tri]),
+              propsuite.gradient_and_jacobian([m]),
+              propsuite.assembly_ordering(census_tri, torus_tri)]
+    assert [c.name for c in checks if not c.ok] == []
+
+
+def test_report_json_shape():
+    rep = propsuite.run(seed=1, probe_trials=300)
     obj = rep.to_json_obj()
     assert obj["seed"] == 1
     assert obj["violations"] == 0

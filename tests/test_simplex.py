@@ -11,14 +11,18 @@ from hyperideal.errors import ConvergenceError
 from conftest import ten_n_row_angle_lp
 
 
-def lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
-    z = np.zeros((0, len(c)))
-    return simplex.solve_lp(
-        np.asarray(c, float),
-        z if A_eq is None else np.asarray(A_eq, float),
-        np.zeros(0) if b_eq is None else np.asarray(b_eq, float),
-        z if A_ub is None else np.asarray(A_ub, float),
-        np.zeros(0) if b_ub is None else np.asarray(b_ub, float))
+def blocks(n, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
+    """solve_lp's four blocks as float arrays, a block not given empty."""
+    z = np.zeros((0, n))
+    return dict(
+        A_eq=z if A_eq is None else np.asarray(A_eq, float),
+        b_eq=np.zeros(0) if b_eq is None else np.asarray(b_eq, float),
+        A_ub=z if A_ub is None else np.asarray(A_ub, float),
+        b_ub=np.zeros(0) if b_ub is None else np.asarray(b_ub, float))
+
+
+def lp(c, **kw):
+    return simplex.solve_lp(np.asarray(c, float), **blocks(len(c), **kw))
 
 
 def test_basic_optimum():
@@ -91,16 +95,16 @@ def test_shape_validation():
 @pytest.mark.parametrize("kw", [dict(b_eq=[5.0]), dict(b_ub=[1.0]),
                                 dict(A_eq=[[1.0]]), dict(A_ub=[[1.0]])])
 def test_block_needs_matrix_and_rhs(kw):
-    # x = 5 must not be dropped for want of its matrix, nor x <= 1.
+    # x = 5 must not be dropped for want of its matrix, nor x <= 1: a block
+    # whose matrix and rhs differ in their row counts is refused.
     with pytest.raises(ValueError):
-        simplex.solve_lp([1.0], **kw)
+        lp([1.0], **kw)
 
 
 def test_phase_pivots():
     # Phase 1 ends with an artificial basic at zero in row 1, which one more
     # pivot drives out; x = 0 is then optimal without a phase-2 pivot.
-    res = simplex.solve_lp([1.0, 1.0], A_eq=[[1.0, 1.0], [1.0, 2.0]],
-                           b_eq=[0.0, 0.0])
+    res = lp([1.0, 1.0], A_eq=[[1.0, 1.0], [1.0, 2.0]], b_eq=[0.0, 0.0])
     assert res.status == "optimal"
     assert res.phase_pivots == (2, 1, 0)
     assert res.iterations == 2
@@ -187,8 +191,7 @@ UNIT_LPS = {
 def test_unit_lps_match_dense_update(name, monkeypatch):
     kw = dict(UNIT_LPS[name])
     c = np.asarray(kw.pop("c"), float)
-    kw = {k: np.asarray(v, float) for k, v in kw.items()}
-    assert_matches_dense(monkeypatch, c, **kw)
+    assert_matches_dense(monkeypatch, c, **blocks(c.size, **kw))
 
 
 def test_degenerate_integer_lps_match_dense_update(monkeypatch):
