@@ -95,10 +95,20 @@ def _row_text(table, i, pairing, indent):
 
 @dataclass(frozen=True)
 class GluingSpec:
-    """Raw face-pairing data: entry 4*t + f is (t', f', s) for face (t, f)."""
+    """Raw face-pairing data: entry 4*t + f is (t', f', s) for face (t, f).
+
+    Its one `__init__` stores the fields straight into the instance dict,
+    where the generated one makes an `object.__setattr__` call per field;
+    the record is frozen after, and equality, hash and repr are generated
+    from the fields."""
 
     tet_count: int
     pairings: tuple
+
+    def __init__(self, tet_count: int, pairings: tuple):
+        d = self.__dict__
+        d["tet_count"] = tet_count
+        d["pairings"] = pairings
 
     def pairing(self, t: int, f: int):
         return self.pairings[4 * t + f]
@@ -154,10 +164,11 @@ class GluingSpec:
     def json_text(self, indent: int) -> str:
         """The text serialize.dumps gives {"tet_count": n, "pairings": rows}
         at this indent, rows listing [t, f, t2, f2, list(s)] for each face
-        (t, f) in order; every gluing file is written by it.  Each row is
-        read from a table of finished rows, which `_row_text` fills on first
-        use with the generic rendering, under `serialize._layout`, the one
-        width rule."""
+        (t, f) in order; every gluing file is written by it.  An int
+        tet_count is written as `str` writes it, any other as `_render`
+        does.  Each row is read from a table of finished rows, which
+        `_row_text` fills on first use with the generic rendering, under
+        `serialize._layout`, the one width rule."""
         pairings = self.pairings
         tables = _ROWS.setdefault(indent, [])
         while len(tables) < len(pairings):
@@ -167,8 +178,10 @@ class GluingSpec:
         except (KeyError, TypeError):
             rows = [_row_text(table, i, p, indent)
                     for i, (table, p) in enumerate(zip(tables, pairings))]
+        n = self.tet_count
+        count = str(n) if type(n) is int else _render(n, indent + 1)
         pad = "  " * (indent + 1)
-        return (f'{{\n{pad}"tet_count": {self.tet_count},\n'
+        return (f'{{\n{pad}"tet_count": {count},\n'
                 f'{pad}"pairings": {_layout(rows, indent + 1)}\n'
                 f'{"  " * indent}}}')
 
@@ -239,7 +252,9 @@ class Triangulation:
     reading only `n_edges` and `tet_count`, as the census filter does,
     derives nothing.  Every field is a function of the spec, so equality
     and hashing read the spec alone and repr the spec and `n_edges`: none
-    of them derives a field.
+    of them derives a field.  As in `GluingSpec`, the one `__init__` writes
+    the three stored fields into the instance dict, where the cached
+    properties keep theirs, and the record is frozen after.
 
     edge_class_of[t][e] is the index of the edge class containing local edge
     e of tetrahedron t; this is the quotient map every metric quantity is
@@ -249,6 +264,12 @@ class Triangulation:
     spec: GluingSpec
     _edge: list = field(compare=False, repr=False)
     n_edges: int = field(compare=False)
+
+    def __init__(self, spec: GluingSpec, _edge: list, n_edges: int):
+        d = self.__dict__
+        d["spec"] = spec
+        d["_edge"] = _edge
+        d["n_edges"] = n_edges
 
     @property
     def tet_count(self) -> int:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import gc
+import inspect
+import pickle
 import random
 import weakref
 from functools import cached_property
@@ -508,6 +510,10 @@ def test_json_text_is_the_generic_rendering(two_tet_reference, sampled_specs,
     # which validate refuses; the text shows the table as it is
     specs.append(T.GluingSpec(tet_count=1, pairings=(
         (5, 1, (1, 0, 2, 3)),) * 4))
+    # a count that is no int, which validate refuses: written as the
+    # renderer writes it, true for True and 2 for 2.0
+    specs += [T.GluingSpec(n, two_tet_reference[0].spec.pairings)
+              for n in (True, 2.0)]
     for spec in specs:
         for at in (indent, indent ^ 1):
             want = serialize._render(spec_json(spec), at)
@@ -532,6 +538,40 @@ def test_json_text_rows_are_kept_only_for_int_labels(monkeypatch):
         (0, 1, (1, 0, 2, 3)), (0, 0, (1, 0, 2, 3)),
         (1, 3, (0, 1, 3, 2)), (0, 2, (0, 1, 3, 2))))
     assert spec.json_text(7) == serialize._render(spec_json(spec), 7)
+
+
+def _records():
+    # A spec and a triangulation of it, each made by its constructor, and
+    # the positional and keyword arguments that made it.
+    spec = T.GluingSpec.from_json_obj(CENSUS_JSON)
+    tri = T.build(spec, enforce_link_hypothesis=False)
+    return [(T.GluingSpec, (spec.tet_count, spec.pairings)),
+            (T.Triangulation, (spec, tri._edge, tri.n_edges))]
+
+
+@pytest.mark.parametrize("cls, args", _records(), ids=("spec", "tri"))
+def test_records_are_frozen_and_init_fills_the_fields(cls, args):
+    # The hand-written __init__ takes the fields in order, by position or by
+    # name, and stores exactly them; assignment and deletion are refused,
+    # and replace and a pickle round trip give equal records.
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names
+    obj = cls(*args)
+    assert list(vars(obj).items()) == list(zip(names, args))
+    by_name = cls(**dict(zip(names, args)))
+    assert by_name == obj and hash(by_name) == hash(obj)
+    assert vars(by_name) == vars(obj)
+    for name in (*names, "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    assert list(vars(obj)) == names
+    for copy in (dataclasses.replace(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(copy) is cls and copy == obj and hash(copy) == hash(obj)
+        assert vars(copy) == vars(obj)
+    changed = dataclasses.replace(obj, **{names[-1]: 7})
+    assert vars(changed) == {**vars(obj), names[-1]: 7}
 
 
 def _search_leaves(tet_count):
