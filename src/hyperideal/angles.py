@@ -160,7 +160,9 @@ def maximize_volume(tri: Triangulation, start, tol: float = 1e-8) -> tuple:
     g = -X/2 the step d = 2J(g - Q^T lam) solves (QJQ^T) lam = QJg, the
     -dK/dx of `minimize_energy`, under its Cholesky certificate.  Iterates
     stay strictly feasible; a full step that leaves the polytope gives way
-    to the projected gradient, so no face jams the ascent.  Returns
+    to the projected gradient, so no face jams the ascent.  A step that
+    leaves the angles as they were, bit for bit, would repeat to the end,
+    so it raises the "did not reach" ConvergenceError at once.  Returns
     (assignment, report); the report's per-class length spread certifies it.
     """
     if not 0.0 < tol < math.inf:
@@ -198,8 +200,11 @@ def maximize_volume(tri: Triangulation, start, tol: float = 1e-8) -> tuple:
 
         # Ascent on V is descent on -V; negation is exact, so every test
         # decides as it would on V itself.
-        _, neg_vol, a = line_search(-vol, -slope, trial,
-                                    "volume ascent line search failed", last=a)
-        vol = -neg_vol
+        _, neg_vol, cand = line_search(-vol, -slope, trial,
+                                       "volume ascent line search failed",
+                                       last=a)
+        if np.array_equal(cand, a):
+            break  # a fixed point: every later step would repeat this one
+        a, vol = cand, -neg_vol
     raise ConvergenceError(f"volume ascent did not reach gradient norm {tol} "
                            f"in {NEWTON_MAX_ITER} iterations", last=a)

@@ -256,11 +256,13 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12) -> tuple:
     DefinitenessError); `angles.maximize_volume` solves the same matrix.
     `metric.line_search` refuses candidates that leave the admissible set
     or whose admissibility margin falls below the flow's degeneration
-    floor, so every iterate keeps the floor.  Where the floor holds the
-    descent back, the last line search having refused a candidate for it,
-    a failed line search or the end of the `metric.NEWTON_MAX_ITER` steps
-    raises ConvergenceError "degenerated", naming the witness of the last
-    candidate refused for the floor and carrying its lengths as `last`.
+    floor, so every iterate keeps the floor.  A step that leaves x as it
+    was, bit for bit, would repeat to the end of the `metric.NEWTON_MAX_ITER`
+    steps, so the descent stops there as it would at that end.  Where the
+    floor holds the descent back, the last line search having refused a
+    candidate for it, a failed line search or either stop raises
+    ConvergenceError "degenerated", naming the witness of the last candidate
+    refused for the floor and carrying its lengths as `last`.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -299,6 +301,8 @@ def minimize_energy(m0: ConeMetric, tol: float = 1e-12) -> tuple:
             if not floored:
                 raise
             break
+        if np.array_equal(ev.x, x):
+            break  # a fixed point: every later step would repeat this one
         steps.append(alpha)
     if not floored:
         raise ConvergenceError(

@@ -316,20 +316,17 @@ class Triangulation:
 
 class _Quotients:
     """Union-find over the tetrahedra t and the local edges 6t+e of n
-    tetrahedra, with an undo log.  Vertices are left to `_vertex_parents`,
-    which a `Triangulation` runs on its pairing table when a vertex field is
-    first read.
+    tetrahedra.  Vertices are left to `_vertex_parents`, which a
+    `Triangulation` runs on its pairing table when a vertex field is first
+    read.
 
     A union links the larger root under the smaller, so every link points to
     a smaller item and each root is the least member of its orbit.  Paths
-    are never compressed: a union changes exactly one entry (and a
-    tetrahedron's parity bit), which `undo` resets.  The log lists each
-    change as one int, the index it changed: ~t (negative) for tetrahedron
-    t, x for local edge x.  A tuple per change would be one more object for
-    the garbage collector to track, which slows large builds.  `tet_roots` and `edge_roots` count the roots of each
-    list, and every union and undo keeps them up to date.  `search_gluings`
-    glues all but a gluing's last pairing here; the last one it unites with
-    `_unite` in a copy of `edge`, with no log, and never writes the lists.
+    are never compressed.  `tet_roots` and `edge_roots` count the roots of
+    each list, and every union keeps them up to date.  `build` glues a
+    gluing's pairings into one state; `search_gluings` glues each pairing
+    but a gluing's last into a `copy` of its parent's state, and unites the
+    last one with `_unite` in a copy of `edge` alone.
 
     The orbits of the tetrahedra are the components of the gluing.  A
     tetrahedron's parity bit is set where its orientation opposes its
@@ -342,7 +339,13 @@ class _Quotients:
         self.tet, self.edge = list(range(n)), list(range(6 * n))
         self.parity = [0] * n
         self.tet_roots, self.edge_roots = n, 6 * n
-        self.log = []
+
+    def copy(self) -> "_Quotients":
+        """An equal state that shares no list with this one."""
+        q = object.__new__(_Quotients)
+        q.tet, q.edge, q.parity = self.tet[:], self.edge[:], self.parity[:]
+        q.tet_roots, q.edge_roots = self.tet_roots, self.edge_roots
+        return q
 
     def root(self, t: int):
         """The root of tetrahedron t, and whether their orientations
@@ -376,34 +379,16 @@ class _Quotients:
             self.tet[b] = a
             self.parity[b] = flip
             self.tet_roots -= 1
-            self.log.append(~b)
         elif flip:
             return False
         self.edge_roots -= _unite(self.edge, _FACE_MAPS[(f, s)][0],
-                                  6 * t, 6 * t2, self.log)
+                                  6 * t, 6 * t2)
         return True
 
-    def undo(self, mark: int) -> None:
-        """Roll back every union made since len(self.log) was mark."""
-        log, tet, parity, edge = self.log, self.tet, self.parity, self.edge
-        tets = edges = 0
-        while len(log) > mark:
-            x = log.pop()
-            if x < 0:
-                tet[~x] = ~x
-                parity[~x] = 0
-                tets += 1
-            else:
-                edge[x] = x
-                edges += 1
-        self.tet_roots += tets
-        self.edge_roots += edges
 
-
-def _unite(parent, pairs, at, at2, log=None):
+def _unite(parent, pairs, at, at2):
     # Unite at+a with at2+b for each (a, b) in pairs, as _Quotients links
-    # roots; each change goes to log, if given, as the index it changed.
-    # Returns the number of unions made.
+    # roots.  Returns the number of unions made.
     unions = 0
     for a, b in pairs:
         a += at
@@ -417,8 +402,6 @@ def _unite(parent, pairs, at, at2, log=None):
         if a < b:
             parent[b] = a
             unions += 1
-            if log is not None:
-                log.append(b)
     return unions
 
 
@@ -513,31 +496,30 @@ def search_gluings(tet_count: int, predicate) -> list:
     Faces are paired in lexicographic order (the lowest unpaired face is
     matched against every strictly later face under the six compatible
     permutations in a fixed order, each with its inverse written at the
-    partner), so the result list is deterministic and order-stable.  A
-    `_Quotients` union-find glues the tetrahedra and local edges of each
-    pairing but the last as it is placed and undoes them on backtrack.
-    Where the two tetrahedra already share a root, only the three
-    permutations of the sign that keeps an orientation are tried, in the
-    same order, so every glue succeeds and only orientable gluings are
-    completed.  Gluings whose tetrahedra split into more than one component
-    (more than one tetrahedron root) describe disjoint unions rather than a
-    single manifold and are skipped: the last pairing is tried only where
-    it leaves one root.  Its local edges are united, with no log, in a copy
-    of the edge parent list that the leaf keeps, and no orientation need be
-    checked there: across one root the maps are already of the orientable
-    sign, and across two none can be refused.  Every complete gluing hands
-    predicate the `Triangulation` of its spec, that copy and its edge root
-    count: it equals what `build(spec, enforce_link_hypothesis=False)`
-    returns, without re-checking what the enumeration guarantees.  A gluing
+    partner), so the result list is deterministic and order-stable.  Each
+    pairing but the last glues the tetrahedra and local edges it joins into
+    a copy of the `_Quotients` union-find its parent glued, and the pairings
+    placed after it glue into copies of that: no state is written once
+    copied, so backtracking undoes nothing.  Where the two tetrahedra
+    already share a root, only the three permutations of the sign that
+    keeps an orientation are tried, in the same order, so every glue
+    succeeds and only orientable gluings are completed.  Gluings whose
+    tetrahedra split into more than one component (more than one
+    tetrahedron root) describe disjoint unions rather than a single
+    manifold and are skipped: the last pairing is tried only where it
+    leaves one root.  Its local edges are united in a copy of the edge
+    parent list that the leaf keeps, and no orientation need be checked
+    there: across one root the maps are already of the orientable sign, and
+    across two none can be refused.  Every complete gluing hands predicate
+    the `Triangulation` of its spec, that copy and its edge root count: it
+    equals what `build(spec, enforce_link_hypothesis=False)` returns,
+    without re-checking what the enumeration guarantees.  A gluing
     is kept iff predicate(tri) holds.
     """
     if type(tet_count) is not int or tet_count not in (1, 2):
         raise ValueError("search supports 1 or 2 tetrahedra")
     n_faces = 4 * tet_count
     table = [None] * n_faces  # entry 4*t + f, as in GluingSpec.pairings
-    quotients = _Quotients(tet_count)
-    root, glue, undo, log = (quotients.root, quotients.glue, quotients.undo,
-                             quotients.log)
     found = []
     # The maps s of face i onto each later face j (s[f] == f2, in _PERMS4
     # order), then the odd three and the even three, each in that order.
@@ -555,18 +537,18 @@ def search_gluings(tet_count: int, predicate) -> list:
 
     # place recurses through its argument: a closure naming itself would be
     # a reference cycle, keeping found alive until the garbage collector runs.
-    # left pairings are still to place, the lowest free face at or after i.
-    def place(i, left, place):
+    # left pairings are still to place, the lowest free face at or after i,
+    # into the gluing whose placed pairings quotients has glued.
+    def place(quotients, i, left, place):
         while table[i] is not None:
             i += 1
         t = i >> 2
-        a, odd = root(t)
-        mark = len(log)
+        a, odd = quotients.root(t)
         for j in range(i + 1, n_faces):
             if table[j] is not None:
                 continue
             t2 = j >> 2
-            b, odd2 = root(t2)
+            b, odd2 = quotients.root(t2)
             maps, by_parity = rows[i, j]
             if a == b:
                 # Only the maps of one sign keep an orientation: the even
@@ -575,10 +557,10 @@ def search_gluings(tet_count: int, predicate) -> list:
             if left > 1:
                 roots = (a, b, odd ^ odd2)
                 for s, row, back, _ in maps:
-                    glue(t, i & 3, t2, s, roots)
+                    glued = quotients.copy()
+                    glued.glue(t, i & 3, t2, s, roots)
                     table[i], table[j] = row, back
-                    place(i + 1, left - 1, place)
-                    undo(mark)
+                    place(glued, i + 1, left - 1, place)
             elif quotients.tet_roots - (a != b) == 1:
                 # The last pairing, which leaves one tetrahedron root.
                 for _, row, back, pairs in maps:
@@ -591,5 +573,5 @@ def search_gluings(tet_count: int, predicate) -> list:
                         found.append(spec)
             table[i] = table[j] = None
 
-    place(0, 2 * tet_count, place)
+    place(_Quotients(tet_count), 0, 2 * tet_count, place)
     return found

@@ -375,6 +375,27 @@ def test_maximize_volume_from_perturbed_start(census_tri, rng):
     assert np.abs(rep.lengths - m_opt.x[0]).max() < 1e-6
 
 
+def test_maximize_volume_stops_at_a_fixed_point(census_tri, rng, monkeypatch):
+    # A line search that leaves the angles as they were would be repeated
+    # to the end of the iterations: the ascent raises at the first one.
+    from hyperideal.angles import _project_gradient
+    d = _project_gradient(Quotient(census_tri), rng.normal(size=(2, 6)))
+    start = A.AngleAssignment(tri=census_tri, angles=np.full((2, 6), math.pi / 6)
+                              + 0.03 * d / np.abs(d).max())
+    calls = []
+
+    def standing(f0, slope, trial, message, last):
+        calls.append(last)
+        return 0.0, f0, last.copy()
+
+    monkeypatch.setattr(A, "line_search", standing)
+    with pytest.raises(ConvergenceError, match="did not reach gradient norm "
+                       r"1e-08 in 100 iterations") as info:
+        A.maximize_volume(census_tri, start)
+    assert len(calls) == 1
+    assert np.array_equal(info.value.last, calls[0])
+
+
 def test_maximize_volume_past_the_volume_resolution(ntet12_tri, sampler):
     # the gradient is still above tol when the predicted gain of a step
     # falls below the float resolution of the volume; the ascent must not

@@ -163,6 +163,34 @@ def test_minimize_stops_at_degeneration_with_witness(multi_tri, monkeypatch):
     assert str(witness) in str(info.value)
 
 
+def test_minimize_stops_at_a_fixed_point(multi_tri, monkeypatch):
+    # From x = 0.3 the descent creeps along the degeneration floor until a
+    # step no longer moves x, which every later step would repeat: it stops
+    # at the first such step, raising the error and `last` the full 100
+    # steps raised, after 42 line searches instead of 100.
+    iterates = []
+    search = M.line_search
+
+    def recording(*args, **kwargs):
+        out = search(*args, **kwargs)
+        iterates.append(out[2].x)
+        return out
+
+    monkeypatch.setattr(M, "line_search", recording)
+    x0 = np.full(multi_tri.n_edges, 0.3)
+    with pytest.raises(ConvergenceError) as info:
+        D.minimize_energy(M.ConeMetric(tri=multi_tri, x=x0))
+    moved = [not np.array_equal(a, b)
+             for a, b in zip([x0] + iterates[:-1], iterates)]
+    assert moved == [True] * 41 + [False]
+    assert str(info.value) == (
+        "energy minimization degenerated: admissibility margin 1.000e-07 at "
+        "{'tet': 0, 'kind': 'corner_cosine', 'edge': 1, 'vertex': 0, "
+        "'value': 0.9999999000000002}")
+    assert [v.hex() for v in info.value.last] == [
+        "0x1.022413fb97ac6p-6", "0x1.0df059b6439d4p+3", "0x1.0df059b6439dep+3"]
+
+
 @pytest.mark.parametrize("x0, accepted, rejected", [(2.0, 49, 0), (0.3, 26, 1)],
                          ids=("2.0", "0.3"))
 def test_flow_step_counts_pinned(census_tri, x0, accepted, rejected):

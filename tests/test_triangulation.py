@@ -602,22 +602,31 @@ def test_search_glue_is_never_refused(monkeypatch, tet_count, calls, leaves):
     assert (len(verdicts), all(verdicts), len(seen)) == (calls, True, leaves)
 
 
+class _Sealed(list):
+    # A list that refuses to be written; a slice of it is a plain list.
+    def __setitem__(self, *args):
+        raise AssertionError("a sealed list was written")
+
+
 @pytest.mark.parametrize("tet_count", [1, 2])
 def test_search_leaves_its_quotients_as_found(monkeypatch, tet_count):
-    # Every union the search makes in its live union-find is undone, and
-    # the last pairing's, made on each leaf's copy, never reaches it.
+    # Each pairing is glued into a copy of its parent's union-find and the
+    # last one united on the leaf's copy of the edge list: the state the
+    # search starts from, whose lists refuse every write, is never written.
     made = []
 
     class Recorded(T._Quotients):
         def __init__(self, n):
             super().__init__(n)
+            self.tet, self.edge, self.parity = map(
+                _Sealed, (self.tet, self.edge, self.parity))
             made.append(self)
 
     monkeypatch.setattr(T, "_Quotients", Recorded)
-    T.search_gluings(tet_count, T.any_gluing)
+    found = T.search_gluings(tet_count, T.any_gluing)
     [quotients] = made
     n = tet_count
-    assert quotients.log == []
+    assert len(found) == (27, 15552)[n - 1]
     assert (quotients.tet, quotients.edge, quotients.parity) == \
            (list(range(n)), list(range(6 * n)), [0] * n)
     assert (quotients.tet_roots, quotients.edge_roots) == (n, 6 * n)
@@ -628,12 +637,20 @@ def _recount(quotients):
             sum(quotients.edge[x] == x for x in range(len(quotients.edge))))
 
 
+def _state(quotients):
+    return (quotients.tet[:], quotients.parity[:], quotients.edge[:],
+            quotients.tet_roots, quotients.edge_roots)
+
+
 def test_root_counters_match_a_recount(sampler):
-    # Seeded runs of glue and undo at n = 3..12, some pairings refused as
-    # non-orientable: after each step the counters equal a walk of the
-    # parent lists.
+    # Seeded runs of glues at n = 3..12, some pairings refused as
+    # non-orientable, each into a copy of the state before it, and now and
+    # then from an earlier state, as a search backtracks: every copy's
+    # counters equal a walk of its parent lists, a refused glue leaves its
+    # copy equal to the state it was copied from, and no state changes once
+    # copied.
     rng = random.Random(21)
-    refused = undone = 0
+    refused = returned = 0
     for n in range(3, 13):
         for _ in range(4):
             spec = _switched(sampler.draw_spec(n, rng), rng)
@@ -643,22 +660,20 @@ def test_root_counters_match_a_recount(sampler):
             rng.shuffle(pairs)
             quotients = T._Quotients(n)
             assert (quotients.tet_roots, quotients.edge_roots) == (n, 6 * n)
-            marks = []
+            states = [(quotients, _state(quotients))]
             for pair in pairs:
-                marks.append(len(quotients.log))
-                refused += not quotients.glue(*pair)
-                assert (quotients.tet_roots, quotients.edge_roots) == \
-                       _recount(quotients)
+                glued = quotients.copy()
+                if not glued.glue(*pair):
+                    refused += 1
+                    assert _state(glued) == _state(quotients)
+                assert (glued.tet_roots, glued.edge_roots) == _recount(glued)
+                states.append((glued, _state(glued)))
+                quotients = glued
                 if rng.random() < 0.2:
-                    mark = rng.choice(marks)
-                    del marks[marks.index(mark) + 1:]
-                    quotients.undo(mark)
-                    undone += 1
-                    assert (quotients.tet_roots, quotients.edge_roots) == \
-                           _recount(quotients)
-            quotients.undo(0)
-            assert (quotients.tet_roots, quotients.edge_roots) == (n, 6 * n)
-    assert refused > 0 and undone > 0
+                    quotients = rng.choice(states)[0]
+                    returned += 1
+            assert all(_state(q) == state for q, state in states)
+    assert refused > 0 and returned > 0
 
 
 def test_search_leaves_match_build(two_tet_reference):
@@ -742,8 +757,8 @@ def test_leaf_n_edges_derives_nothing(two_tet_reference, derivations):
 
 def test_leaf_derived_after_the_search(derivations):
     # A leaf keeps its own copy of the edge parent list, which the search
-    # undoes after the predicate returns: a leaf derived then has the fields
-    # of one derived in the predicate.
+    # never writes after the predicate returns: a leaf derived then has the
+    # fields of one derived in the predicate.
     early = []
     T.search_gluings(2, lambda tri: early.append(_fields(tri)) or True)
     once = (15552, 15552, 15552, 15552, 2 * 15552)
@@ -977,8 +992,7 @@ def test_three_tets_orientation_set_late(sign):
     assert [quotients.tet[x] == x for x in range(3)].count(True) == 1
     # Across any face, the map of the other sign would close an odd cycle:
     # it is refused and glues nothing.
-    state = [quotients.tet[:], quotients.parity[:], quotients.edge[:],
-             quotients.log[:]]
+    state = _state(quotients)
     for i, (t2, f2, s) in enumerate(spec.pairings):
         t, f = divmod(i, 4)
         other = _map(f, f2, -_ref_perm_sign(s))
@@ -986,5 +1000,4 @@ def test_three_tets_orientation_set_late(sign):
         # and so with the roots walked by the caller, as the search does
         (a, odd), (b, odd2) = quotients.root(t), quotients.root(t2)
         assert not quotients.glue(t, f, t2, other, (a, b, odd ^ odd2))
-    assert state == [quotients.tet, quotients.parity, quotients.edge,
-                     quotients.log]
+    assert _state(quotients) == state
