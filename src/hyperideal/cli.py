@@ -179,8 +179,10 @@ def cmd_flow(args) -> int:
     fields = dataclasses.fields(dynamics.FlowConfig)
     cfg = dynamics.FlowConfig(**{f.name: getattr(args, f.name) for f in fields})
     trace = dynamics.flow(m, cfg)
+    # Rendered before the file is opened: a refused trace leaves it as it was.
+    text = serialize.trace_csv(trace)
     with open(args.out, "w") as f:
-        f.write(serialize.trace_csv(trace))
+        f.write(text)
     serialize.write_json(str(args.out) + ".status.json", {
         "status": trace.status,
         "t_end": float(trace.t[-1]),

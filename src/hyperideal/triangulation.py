@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
+from operator import getitem
 
 from .errors import BoundaryHypothesisError, GluingError
-from .serialize import _layout, _render
+from .serialize import _layout, _render, _wrapped
 
 EDGE_VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 OPPOSITE_EDGE = (5, 4, 3, 2, 1, 0)
@@ -47,9 +48,11 @@ _PERMS4 = tuple(permutations(range(4)))
 _SIGN = {s: (-1) ** sum(s[i] > s[j] for i in range(4) for j in range(i + 1, 4))
          for s in _PERMS4}
 _INVERSE = {s: tuple(s.index(i) for i in range(4)) for s in _PERMS4}
-# Finished pairing-row texts, by indent and then by face index 4t + f, each
-# keyed by the pairing (t2, f2, s) and filled on first use: one entry per
-# distinct row written.
+# Finished text.  Under an indent, the pairing rows: a list of tables, one
+# by face index 4t + f, each keyed by the pairing (t2, f2, s) and filled on
+# first use, one entry per distinct row written.  Under (indent, tet_count),
+# a gluing's frame: the text before its first row, between two rows and
+# after its last, and that indent's tables, at least 4 * tet_count of them.
 _ROWS = {}
 
 
@@ -91,6 +94,22 @@ def _row_text(table, i, pairing, indent):
         if all(type(v) is int for v in (t2, f2, *s)):
             table[key] = text
     return text
+
+
+def _row_tables(indent, count):
+    # The row tables of this indent, at least count of them.
+    tables = _ROWS.setdefault(indent, [])
+    while len(tables) < count:
+        tables.append({})
+    return tables
+
+
+def _frame(indent, n):
+    # The frame of a gluing of n tetrahedra at this indent, as _ROWS keeps it.
+    pad = "  " * (indent + 1)
+    start, sep, end = _wrapped(indent + 1)
+    head = f'{{\n{pad}"tet_count": {n},\n{pad}"pairings": {start}'
+    return head, sep, f'{end}\n{"  " * indent}}}', _row_tables(indent, 4 * n)
 
 
 @dataclass(frozen=True)
@@ -168,21 +187,35 @@ class GluingSpec:
         tet_count is written as `str` writes it, any other as `_render`
         does.  Each row is read from a table of finished rows, which
         `_row_text` fills on first use with the generic rendering, under
-        `serialize._layout`, the one width rule."""
+        `serialize._layout`, the one width rule.
+
+        A spec of an int n >= 1 with 4n rows, every one of them tabled, is
+        its frame's head, its rows joined by the frame's separator in one
+        call, and the frame's tail; the frame is made once per indent and
+        n.  The frame is `_layout`'s wrapped form, which is certain: a
+        tabled row has only int labels, so it is at least as wide as
+        `[0, 0, 0, 1, [1, 2, 3, 0]]`, 26 characters, and 4 or more rows sum
+        to at least 104, past the 100 under which `_layout` writes one line.
+        Any other spec, with a row not tabled, another count or fewer rows,
+        is laid out by `_layout` itself."""
         pairings = self.pairings
-        tables = _ROWS.setdefault(indent, [])
-        while len(tables) < len(pairings):
-            tables.append({})
-        try:
-            rows = [table[p] for table, p in zip(tables, pairings)]
-        except (KeyError, TypeError):
-            rows = [_row_text(table, i, p, indent)
-                    for i, (table, p) in enumerate(zip(tables, pairings))]
         n = self.tet_count
+        if type(n) is int and len(pairings) == 4 * n > 0:
+            try:
+                head, sep, tail, tables = _ROWS[indent, n]
+            except KeyError:
+                head, sep, tail, tables = _ROWS[indent, n] = _frame(indent, n)
+            try:
+                return f"{head}{sep.join(map(getitem, tables, pairings))}{tail}"
+            except (KeyError, TypeError):
+                pass
+        tables = _row_tables(indent, len(pairings))
+        rows = [_row_text(table, i, p, indent)
+                for i, (table, p) in enumerate(zip(tables, pairings))]
         count = str(n) if type(n) is int else _render(n, indent + 1)
         pad = "  " * (indent + 1)
         return (f'{{\n{pad}"tet_count": {count},\n'
-                f'{pad}"pairings": {_layout(rows, indent + 1)}\n'
+                f'{pad}"pairings": {"".join(_layout(rows, indent + 1))}\n'
                 f'{"  " * indent}}}')
 
     @classmethod

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hyperideal
-from hyperideal import __version__, cli, dynamics
+from hyperideal import __version__, cli, dynamics, serialize
 
 from conftest import CENSUS_JSON, SAMPLED6_JSON, TORUS_JSON, XSTAR
 
@@ -273,6 +273,31 @@ def test_flow_nan_tolerance_exit_2(census_file, metric_file, tmp_path):
     assert run("flow", "--tri", census_file, "--metric", metric_file,
                "--tol", "nan", "--out", str(out)) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [True, False],
+                         ids=("existing", "absent"))
+def test_flow_refused_trace_leaves_out_as_it_was(census_file, metric_file,
+                                                 tmp_path, monkeypatch,
+                                                 existing):
+    # A trace refused as it is rendered (a non-finite value) leaves an
+    # existing output with its bytes and creates no new one.
+    out = tmp_path / "trace.csv"
+    if existing:
+        out.write_bytes(b"t,x_0\n0,1\n")
+
+    def refuse(trace):
+        raise ValueError(serialize.NON_FINITE)
+
+    monkeypatch.setattr(serialize, "trace_csv", refuse)
+    assert run("flow", "--tri", census_file, "--metric", metric_file,
+               "--out", str(out)) == 2
+    if existing:
+        assert out.read_bytes() == b"t,x_0\n0,1\n"
+    else:
+        assert not out.exists()
+    assert not (tmp_path / "trace.csv.status.json").exists()
+    assert not (tmp_path / "trace.csv.manifest.json").exists()
 
 
 def test_minimize_then_flow_immediate(census_file, metric_file, tmp_path):

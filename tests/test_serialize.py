@@ -1,4 +1,13 @@
-"""Number formatting, JSON rendering, trace CSV, and manifests."""
+"""Number formatting, JSON rendering, trace CSV, and manifests.
+
+`serialize.dumps` and `write_json` render a document into pieces that are
+joined once, and `GluingSpec.json_text` joins a spec's finished rows inside
+a frame made once per indent and tetrahedron count.  Neither may change a
+byte, so the renderer they replaced, in which every dict joins its entries'
+texts and every list its items', is kept below as `ref_nested_render`.  It
+writes a `GluingSpec` as the JSON object it stands for, so that it checks
+json_text's frame as well.
+"""
 
 import dataclasses
 import json
@@ -10,8 +19,9 @@ import pytest
 from hyperideal import cli
 from hyperideal import dynamics as D
 from hyperideal import serialize
+from hyperideal import triangulation as T
 
-from conftest import CENSUS_JSON, census_metric
+from conftest import CENSUS_JSON, census_metric, spec_json
 
 
 def _ref_render(obj, indent):
@@ -207,3 +217,168 @@ def test_dumps_matches_reference_on_reports(tmp_path, argv):
     # the report was written by serialize.dumps
     text = out.read_text()
     assert _ref_dumps(json.loads(text)) == text
+
+
+def ref_nested_layout(items, indent):
+    if sum(map(len, items)) < 100:
+        line = ", ".join(items)
+        if "\n" not in line:
+            return f"[{line}]"
+    pad = "  " * (indent + 1)
+    sep = ",\n" + pad
+    return f"[\n{pad}{sep.join(items)}\n{'  ' * indent}]"
+
+
+def ref_nested_render(obj, indent):
+    if isinstance(obj, T.GluingSpec):
+        obj = spec_json(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return serialize.fmt(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return ref_nested_layout([ref_nested_render(v, indent + 1)
+                                  for v in obj], indent)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be strings, got {k!r}")
+            parts.append("  " * (indent + 1) + json.dumps(k) + ": "
+                         + ref_nested_render(v, indent + 1))
+        return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def ref_nested_dumps(obj):
+    return ref_nested_render(obj, 0) + "\n"
+
+
+CENSUS_SPEC = T.GluingSpec.from_json_obj(CENSUS_JSON)
+
+
+def _at_indent(obj, indent):
+    # obj as the value of `indent` nested dicts, so that it renders there.
+    for depth in range(indent):
+        obj = {f"level_{depth}": obj}
+    return obj
+
+
+def _spec(tet_count, *rows):
+    return T.GluingSpec(tet_count, tuple(rows))
+
+
+@pytest.mark.parametrize("obj", [
+    pytest.param({"a": {"b": {"c": [1, {"d": []}], "e": {}}}, "f": [],
+                  "g": {}, "h": [[], {}, [[]], [{}]]}, id="nested_and_empty"),
+    pytest.param([], id="empty_list"),
+    pytest.param({}, id="empty_dict"),
+    pytest.param([{}, {"a": {}}, [{"b": [1, 2]}]], id="dicts_in_lists"),
+    pytest.param({"s": "quote \" and \\ and \u00e9", "n": None,
+                  "t": (True, False)}, id="strings_and_constants"),
+    pytest.param([_row(99), _row(100)], id="row_width_99_100"),
+    pytest.param(_at_indent({"rows": [_row(99), _row(100)]}, 3),
+                 id="row_width_deep"),
+    pytest.param({"w99": [int("9" * 97), 1], "w100": [int("9" * 98), 1]},
+                 id="item_width_99_100"),
+    pytest.param({"s99": ["x" * 97], "s100": ["x" * 98]},
+                 id="string_width_99_100"),
+    pytest.param({"f": np.float64(0.1), "i": np.int32(-3), "b": np.bool_(True),
+                  "f32": np.float32(0.5), "u": np.uint8(7)},
+                 id="numpy_scalars"),
+    pytest.param({"m": np.arange(6).reshape(2, 3), "e": np.zeros((2, 0)),
+                  "v": np.array([]), "long": np.linspace(0.0, 1.0, 40),
+                  "eye": [np.eye(3)]}, id="numpy_arrays"),
+    *(pytest.param(_at_indent(CENSUS_SPEC, indent), id=f"spec_indent_{indent}")
+      for indent in range(4)),
+    pytest.param({"gluings": [CENSUS_SPEC] * 3, "count": 3},
+                 id="specs_in_a_report"),
+    *(pytest.param(_at_indent(_spec(1, *[(0, 1, (1, 0, 2, 3))] * rows), 1),
+                   id=f"spec_{rows}_rows") for rows in (1, 2, 3)),
+    pytest.param(_spec(1), id="spec_no_rows"),
+    pytest.param([_spec(2, *CENSUS_SPEC.pairings[:4]),
+                  _spec(1, *CENSUS_SPEC.pairings)], id="spec_rows_not_4n"),
+    pytest.param([_spec(True, *CENSUS_SPEC.pairings[:4]),
+                  _spec(1.0, *CENSUS_SPEC.pairings[:4])], id="spec_odd_count"),
+    pytest.param([_spec(1, (1.0, 1, (1, 0, 2, 3)),
+                        *CENSUS_SPEC.pairings[1:4]),
+                  _spec(1, *CENSUS_SPEC.pairings[:3],
+                        (True, 2, (0, 1, 3, 2))),
+                  _spec(1, (0, 1, (1, 0, 2.0, 3)), *CENSUS_SPEC.pairings[1:4]),
+                  _spec(1, [0, 1, [1, 0, 2, 3]], *CENSUS_SPEC.pairings[1:4])],
+                 id="spec_odd_labels"),
+])
+def test_dumps_matches_nested_renderer(obj, tmp_path, monkeypatch):
+    # Rendered with no finished rows, then with the rows and frames the
+    # first rendering left, and written to a file as well.  The specs with
+    # odd labels render first, so no row of equal ints is tabled for them.
+    monkeypatch.setattr(T, "_ROWS", {})
+    want = ref_nested_dumps(obj)
+    assert serialize.dumps(obj) == want
+    assert serialize.dumps(obj) == want
+    path = tmp_path / "o.json"
+    serialize.write_json(str(path), obj)
+    assert path.read_text() == want
+
+
+def test_spec_frame_appears_only_for_int_counts_with_4n_rows(monkeypatch):
+    monkeypatch.setattr(T, "_ROWS", {})
+    for spec in (_spec(1, *CENSUS_SPEC.pairings[:3]),
+                 _spec(2, *CENSUS_SPEC.pairings[:4]),
+                 _spec(1, *CENSUS_SPEC.pairings),
+                 _spec(True, *CENSUS_SPEC.pairings[:4]),
+                 _spec(1.0, *CENSUS_SPEC.pairings[:4])):
+        for indent in (0, 1):
+            assert spec.json_text(indent) == ref_nested_render(spec, indent)
+    assert all(type(key) is int for key in T._ROWS)
+    CENSUS_SPEC.json_text(3)
+    assert [key for key in T._ROWS if type(key) is not int] == [(3, 2)]
+
+
+def test_four_narrowest_rows_wrap():
+    # json_text's frame is _layout's wrapped form: a row of int labels is
+    # at least 26 characters wide, and four of them reach 100.
+    row = serialize._render([0, 0, 0, 1, [1, 2, 3, 0]], 2)
+    assert len(row) == 26
+    assert serialize._layout([row] * 4, 1) == (
+        "[\n    ", ",\n    ".join([row] * 4), "\n  ]")
+
+
+@pytest.mark.parametrize("obj", [{1: 2}, {"a": {"b": {(0, 1): []}}},
+                                 [{"a": 1, None: 2}]])
+def test_non_str_key_raises_type_error(obj):
+    with pytest.raises(TypeError, match="keys must be strings"):
+        ref_nested_dumps(obj)
+    with pytest.raises(TypeError, match="keys must be strings"):
+        serialize.dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param({"v": math.nan}, id="nan"),
+    pytest.param({"ok": [1.0] * 50, "v": [2.0, -math.inf]}, id="inf_late"),
+    pytest.param({"v": 1.0, 2: 3}, id="int_key"),
+    pytest.param({"spec": CENSUS_SPEC, "v": object()}, id="unknown_type"),
+])
+@pytest.mark.parametrize("existing", [True, False],
+                         ids=("existing", "absent"))
+def test_refused_write_leaves_target_as_it_was(tmp_path, bad, existing):
+    path = tmp_path / "out.json"
+    if existing:
+        serialize.write_json(str(path), {"v": 1.0})
+        before = path.read_bytes()
+    with pytest.raises((ValueError, TypeError)):
+        serialize.write_json(str(path), bad)
+    if existing:
+        assert path.read_bytes() == before
+    else:
+        assert not path.exists()
