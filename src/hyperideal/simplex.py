@@ -15,20 +15,21 @@ phase that still runs after MAX_PIVOTS pivots raises ConvergenceError.
 The tableau is stored column-major (258 x 644 for the angle LP of a
 64-tetrahedron gluing), so the entering column, the rhs and every column a
 pivot updates are contiguous.  A pivot updates only the columns where the
-normalised pivot row is nonzero (a handful of them on the angle LPs), read
-and written back whole as rows of the transpose.  A skipped column would
-receive x - c * 0 = x, so every nonzero entry keeps the bits the full
-rank-one update gives it.  At most the sign of a zero differs: no comparison
-in the pivot rules can tell -0.0 from 0.0, and the solution is returned with
-every zero positive, so the results are bit-identical to a full-width
-update.
+normalised pivot row is nonzero, read and written back whole as rows of the
+transpose: on the benchmark sampler's one-edge gluings (seed 41) of 16, 32
+and 64 tetrahedra, pivot rows averaged 46, 86 and 197 nonzeros of 164, 324
+and 644 columns.  A skipped column would receive x - c * 0 = x, so every
+nonzero entry keeps the bits the full rank-one update gives it.  At most
+the sign of a zero differs: no comparison in the pivot rules can tell -0.0
+from 0.0, and the solution is returned with every zero positive, so the
+results are bit-identical to a full-width update.
 
 The ratio test is Bland's loop over the rows whose entering-column entry
 exceeds _PIVOT_TOL: a ratio _TOL or more below the best so far replaces it,
 one within _TOL of it replaces it only with a smaller basic index, and a
-NaN ratio never wins.  The loop is the rule as stated, and it is enough: the
-angle LPs take at most a few dozen pivots over a few hundred rows, so one
-Python step per row costs little beside the pivots.
+NaN ratio never wins.  The loop is the rule as stated, one Python step per
+eligible row and pivot; the angle LPs of cyclic covers of the census gluing
+took 143 (16 tetrahedra) to 7,058 (128 tetrahedra) pivots.
 """
 
 from __future__ import annotations

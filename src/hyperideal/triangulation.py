@@ -32,7 +32,7 @@ from itertools import permutations
 from operator import getitem
 
 from .errors import BoundaryHypothesisError, GluingError
-from .serialize import _layout, _render, _wrapped
+from .serialize import _render, _wrapped
 
 EDGE_VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 OPPOSITE_EDGE = (5, 4, 3, 2, 1, 0)
@@ -48,12 +48,13 @@ _PERMS4 = tuple(permutations(range(4)))
 _SIGN = {s: (-1) ** sum(s[i] > s[j] for i in range(4) for j in range(i + 1, 4))
          for s in _PERMS4}
 _INVERSE = {s: tuple(s.index(i) for i in range(4)) for s in _PERMS4}
-# Finished text.  Under an indent, the pairing rows: a list of tables, one
-# by face index 4t + f, each keyed by the pairing (t2, f2, s) and filled on
-# first use, one entry per distinct row written.  Under (indent, tet_count),
-# a gluing's frame: the text before its first row, between two rows and
-# after its last, and that indent's tables, at least 4 * tet_count of them.
-_ROWS = {}
+# Finished text, filled on first use.  _ROWS holds the pairing rows: one
+# table by face index 4t + f, each keyed by the pairing (t2, f2, s), one
+# entry per distinct row written, the same at every indent.  _FRAMES holds,
+# under (indent, tet_count), a gluing's frame: the text before its first
+# row, between two rows and after its last.
+_ROWS = []
+_FRAMES = {}
 
 
 def edge_index(a: int, b: int) -> int:
@@ -82,34 +83,34 @@ def _face_map(f, s):
 _FACE_MAPS = {(f, s): _face_map(f, s) for f in range(4) for s in _PERMS4}
 
 
-def _row_text(table, i, pairing, indent):
-    # The text of row i, for pairing, of a gluing's pairings at this indent:
-    # the rendering of [t, f, t2, f2, list(s)], kept in table if all its
-    # labels are ints (so that no 1.0 or True fills a row for 1).
-    t2, f2, s = pairing
-    key = (t2, f2, tuple(s))
-    text = table.get(key)
-    if text is None:
-        text = _render([i >> 2, i & 3, t2, f2, list(s)], indent + 2)
-        if all(type(v) is int for v in (t2, f2, *s)):
-            table[key] = text
-    return text
-
-
-def _row_tables(indent, count):
-    # The row tables of this indent, at least count of them.
-    tables = _ROWS.setdefault(indent, [])
-    while len(tables) < count:
-        tables.append({})
-    return tables
+def _refuse(what):
+    raise ValueError(f"json_text writes validated specs only, not {what}")
 
 
 def _frame(indent, n):
-    # The frame of a gluing of n tetrahedra at this indent, as _ROWS keeps it.
+    # The frame of a gluing of n tetrahedra at this indent, with a row table
+    # for each of its faces.
+    if type(n) is not int or n < 1:
+        _refuse(f"a tet_count of {n!r}")
+    _ROWS.extend({} for _ in range(4 * n - len(_ROWS)))
     pad = "  " * (indent + 1)
     start, sep, end = _wrapped(indent + 1)
     head = f'{{\n{pad}"tet_count": {n},\n{pad}"pairings": {start}'
-    return head, sep, f'{end}\n{"  " * indent}}}', _row_tables(indent, 4 * n)
+    return head, sep, f'{end}\n{"  " * indent}}}'
+
+
+def _row(i, pairing):
+    # The text of row i, for pairing, as its table keeps it: the rendering
+    # of [t, f, t2, f2, list(s)], made and kept on first use.
+    t2, f2, s = pairing
+    key = (t2, f2, tuple(s))
+    text = _ROWS[i].get(key)
+    if text is None:
+        text = _render([i >> 2, i & 3, t2, f2, list(s)], 0)
+        if "\n" in text or any(type(v) is not int for v in (t2, f2, *s)):
+            _refuse(f"the row {text}")
+        _ROWS[i][key] = text
+    return text
 
 
 @dataclass(frozen=True)
@@ -183,40 +184,36 @@ class GluingSpec:
     def json_text(self, indent: int) -> str:
         """The text serialize.dumps gives {"tet_count": n, "pairings": rows}
         at this indent, rows listing [t, f, t2, f2, list(s)] for each face
-        (t, f) in order; every gluing file is written by it.  An int
-        tet_count is written as `str` writes it, any other as `_render`
-        does.  Each row is read from a table of finished rows, which
-        `_row_text` fills on first use with the generic rendering, under
-        `serialize._layout`, the one width rule.
+        (t, f) in order, for a spec that `validate` accepts; every gluing
+        file is written by it, in one path: a frame's head, the rows joined
+        by the frame's separator in one call, and the frame's tail.  The
+        frame is made once per indent and n, and each row read from its
+        face's table, which `_row` fills on first use with the generic
+        rendering.  A valid row's labels are ints below n or 4, far too
+        short to reach the 100 characters at which `_layout` wraps a list,
+        so it is one line, the same at every indent.  The frame is
+        `_layout`'s wrapped form, which is certain: a row is at least as
+        wide as `[0, 0, 0, 1, [1, 2, 3, 0]]`, 26 characters, and 4 or more
+        rows sum to at least 104.
 
-        A spec of an int n >= 1 with 4n rows, every one of them tabled, is
-        its frame's head, its rows joined by the frame's separator in one
-        call, and the frame's tail; the frame is made once per indent and
-        n.  The frame is `_layout`'s wrapped form, which is certain: a
-        tabled row has only int labels, so it is at least as wide as
-        `[0, 0, 0, 1, [1, 2, 3, 0]]`, 26 characters, and 4 or more rows sum
-        to at least 104, past the 100 under which `_layout` writes one line.
-        Any other spec, with a row not tabled, another count or fewer rows,
-        is laid out by `_layout` itself."""
+        Any other spec raises ValueError: a count that is not an int n >= 1,
+        pairings other than 4n, and, on a row not yet tabled, a label that
+        is not an int or a row wider than one line.  So no spec written
+        earlier changes how a valid one is written.  Counts and labels are
+        checked only where a frame or row is made, so an invalid one equal
+        to a kept int (True or 1.0 for 1) is written as that int."""
         pairings = self.pairings
         n = self.tet_count
-        if type(n) is int and len(pairings) == 4 * n > 0:
-            try:
-                head, sep, tail, tables = _ROWS[indent, n]
-            except KeyError:
-                head, sep, tail, tables = _ROWS[indent, n] = _frame(indent, n)
-            try:
-                return f"{head}{sep.join(map(getitem, tables, pairings))}{tail}"
-            except (KeyError, TypeError):
-                pass
-        tables = _row_tables(indent, len(pairings))
-        rows = [_row_text(table, i, p, indent)
-                for i, (table, p) in enumerate(zip(tables, pairings))]
-        count = str(n) if type(n) is int else _render(n, indent + 1)
-        pad = "  " * (indent + 1)
-        return (f'{{\n{pad}"tet_count": {count},\n'
-                f'{pad}"pairings": {"".join(_layout(rows, indent + 1))}\n'
-                f'{"  " * indent}}}')
+        if len(pairings) != 4 * n:
+            _refuse(f"{len(pairings)} pairings for {n!r} tetrahedra")
+        try:
+            head, sep, tail = _FRAMES[indent, n]
+        except KeyError:
+            head, sep, tail = _FRAMES[indent, n] = _frame(indent, n)
+        try:
+            return f"{head}{sep.join(map(getitem, _ROWS, pairings))}{tail}"
+        except (KeyError, TypeError):
+            return f"{head}{sep.join(map(_row, range(4 * n), pairings))}{tail}"
 
     @classmethod
     def from_json_obj(cls, obj) -> "GluingSpec":
@@ -390,19 +387,13 @@ class _Quotients:
             t = tet[t]
         return t, odd
 
-    def glue(self, t: int, f: int, t2: int, s: tuple, roots=None) -> bool:
+    def glue(self, t: int, f: int, t2: int, s: tuple, roots: tuple) -> bool:
         """Join the tetrahedra and identify the local edges that the pairing
         of face (t, f) into tetrahedron t2 through s identifies; False,
         gluing nothing, if that pairing makes the gluing non-orientable.
-        A caller that has walked t and t2 to their roots a and b may pass
-        roots = (a, b, odd), odd being whether their orientations differ
-        as `root` reads them, and glue walks nothing."""
-        if roots is None:
-            a, odd = self.root(t)
-            b, odd2 = self.root(t2)
-            odd ^= odd2
-        else:
-            a, b, odd = roots
+        roots = (a, b, odd) are the roots of t and t2 and whether their
+        orientations differ, as the caller has read them with `root`."""
+        a, b, odd = roots
         # Whether b's orientation opposes a's once glued: an even map
         # reverses the orientation across the face.
         flip = (_SIGN[s] > 0) ^ odd
@@ -466,8 +457,12 @@ def build(spec: GluingSpec, *, enforce_link_hypothesis: bool = True) -> Triangul
     spec.validate()
     quotients = _Quotients(spec.tet_count)
     for i, (t2, f2, s) in enumerate(spec.pairings):
+        if 4 * t2 + f2 <= i:
+            continue
         t, f = divmod(i, 4)
-        if 4 * t2 + f2 > i and not quotients.glue(t, f, t2, tuple(s)):
+        a, odd = quotients.root(t)
+        b, odd2 = quotients.root(t2)
+        if not quotients.glue(t, f, t2, tuple(s), (a, b, odd ^ odd2)):
             raise GluingError(
                 "gluing is non-orientable (inconsistent orientation across "
                 f"face ({t},{f}))")

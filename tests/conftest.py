@@ -167,6 +167,20 @@ def spec_json(spec):
                          for i, (t2, f2, s) in enumerate(spec.pairings)]}
 
 
+def assert_same_text(got, want):
+    """got == want.  A mismatch fails at once with both lengths and the
+    first differing offset, 40 characters either side of it, where
+    pytest's own explanation of two long strings can take minutes."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    around = slice(max(at - 40, 0), at + 40)
+    pytest.fail(f"texts differ: lengths {len(got)} and {len(want)}, first at "
+                f"offset {at}\n got: {got[around]!r}\nwant: {want[around]!r}",
+                pytrace=False)
+
+
 # Regular equilibrium edge length: cosh x* = sqrt(3)/(2 sqrt(3) - 2), the
 # regular shape whose dihedral angles are all pi/6.
 XSTAR = 0.5961338948908375

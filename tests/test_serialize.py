@@ -21,7 +21,7 @@ from hyperideal import dynamics as D
 from hyperideal import serialize
 from hyperideal import triangulation as T
 
-from conftest import CENSUS_JSON, census_metric, spec_json
+from conftest import CENSUS_JSON, assert_same_text, census_metric, spec_json
 
 
 def _ref_render(obj, indent):
@@ -216,7 +216,7 @@ def test_dumps_matches_reference_on_reports(tmp_path, argv):
     assert cli.main(argv + ["--out", str(out)]) == 0
     # the report was written by serialize.dumps
     text = out.read_text()
-    assert _ref_dumps(json.loads(text)) == text
+    assert_same_text(text, _ref_dumps(json.loads(text)))
 
 
 def ref_nested_layout(items, indent):
@@ -278,6 +278,11 @@ def _spec(tet_count, *rows):
     return T.GluingSpec(tet_count, tuple(rows))
 
 
+class _Refused(tuple):
+    """Objects that each hold a spec validate refuses, which json_text
+    refuses to write."""
+
+
 @pytest.mark.parametrize("obj", [
     pytest.param({"a": {"b": {"c": [1, {"d": []}], "e": {}}}, "f": [],
                   "g": {}, "h": [[], {}, [[]], [{}]]}, id="nested_and_empty"),
@@ -303,46 +308,67 @@ def _spec(tet_count, *rows):
       for indent in range(4)),
     pytest.param({"gluings": [CENSUS_SPEC] * 3, "count": 3},
                  id="specs_in_a_report"),
-    *(pytest.param(_at_indent(_spec(1, *[(0, 1, (1, 0, 2, 3))] * rows), 1),
+    *(pytest.param(_Refused([_at_indent(
+        _spec(1, *[(0, 1, (1, 0, 2, 3))] * rows), 1)]),
                    id=f"spec_{rows}_rows") for rows in (1, 2, 3)),
-    pytest.param(_spec(1), id="spec_no_rows"),
-    pytest.param([_spec(2, *CENSUS_SPEC.pairings[:4]),
-                  _spec(1, *CENSUS_SPEC.pairings)], id="spec_rows_not_4n"),
-    pytest.param([_spec(True, *CENSUS_SPEC.pairings[:4]),
-                  _spec(1.0, *CENSUS_SPEC.pairings[:4])], id="spec_odd_count"),
-    pytest.param([_spec(1, (1.0, 1, (1, 0, 2, 3)),
-                        *CENSUS_SPEC.pairings[1:4]),
-                  _spec(1, *CENSUS_SPEC.pairings[:3],
-                        (True, 2, (0, 1, 3, 2))),
-                  _spec(1, (0, 1, (1, 0, 2.0, 3)), *CENSUS_SPEC.pairings[1:4]),
-                  _spec(1, [0, 1, [1, 0, 2, 3]], *CENSUS_SPEC.pairings[1:4])],
+    pytest.param(_Refused([_spec(1)]), id="spec_no_rows"),
+    pytest.param(_Refused([_spec(2, *CENSUS_SPEC.pairings[:4]),
+                           _spec(1, *CENSUS_SPEC.pairings)]),
+                 id="spec_rows_not_4n"),
+    pytest.param(_Refused([_spec(True, *CENSUS_SPEC.pairings[:4]),
+                           _spec(1.0, *CENSUS_SPEC.pairings[:4])]),
+                 id="spec_odd_count"),
+    pytest.param(_Refused([_spec(1, (1.0, 1, (1, 0, 2, 3)),
+                                 *CENSUS_SPEC.pairings[1:4]),
+                           _spec(1, *CENSUS_SPEC.pairings[:3],
+                                 (True, 2, (0, 1, 3, 2))),
+                           _spec(1, (0, 1, (1, 0, 2.0, 3)),
+                                 *CENSUS_SPEC.pairings[1:4])]),
                  id="spec_odd_labels"),
 ])
 def test_dumps_matches_nested_renderer(obj, tmp_path, monkeypatch):
-    # Rendered with no finished rows, then with the rows and frames the
-    # first rendering left, and written to a file as well.  The specs with
-    # odd labels render first, so no row of equal ints is tabled for them.
-    monkeypatch.setattr(T, "_ROWS", {})
-    want = ref_nested_dumps(obj)
-    assert serialize.dumps(obj) == want
-    assert serialize.dumps(obj) == want
+    # Rendered with no finished rows or frames, then with those the first
+    # rendering left, and written to a file as well.  Each object of a
+    # refused case is refused, first with no finished rows or frames, by
+    # dumps and by write_json, which creates no file; the census spec is
+    # written as the reference writes it after.
     path = tmp_path / "o.json"
+    if isinstance(obj, _Refused):
+        for bad in obj:
+            monkeypatch.setattr(T, "_ROWS", [])
+            monkeypatch.setattr(T, "_FRAMES", {})
+            with pytest.raises(ValueError, match="validated specs only"):
+                serialize.dumps(bad)
+            with pytest.raises(ValueError, match="validated specs only"):
+                serialize.write_json(str(path), bad)
+            assert not path.exists()
+            for indent in range(4):
+                assert CENSUS_SPEC.json_text(indent) == \
+                       ref_nested_render(CENSUS_SPEC, indent)
+        return
+    monkeypatch.setattr(T, "_ROWS", [])
+    monkeypatch.setattr(T, "_FRAMES", {})
+    want = ref_nested_dumps(obj)
+    assert_same_text(serialize.dumps(obj), want)
+    assert_same_text(serialize.dumps(obj), want)
     serialize.write_json(str(path), obj)
-    assert path.read_text() == want
+    assert_same_text(path.read_text(), want)
 
 
 def test_spec_frame_appears_only_for_int_counts_with_4n_rows(monkeypatch):
-    monkeypatch.setattr(T, "_ROWS", {})
+    monkeypatch.setattr(T, "_ROWS", [])
+    monkeypatch.setattr(T, "_FRAMES", {})
     for spec in (_spec(1, *CENSUS_SPEC.pairings[:3]),
                  _spec(2, *CENSUS_SPEC.pairings[:4]),
                  _spec(1, *CENSUS_SPEC.pairings),
                  _spec(True, *CENSUS_SPEC.pairings[:4]),
                  _spec(1.0, *CENSUS_SPEC.pairings[:4])):
         for indent in (0, 1):
-            assert spec.json_text(indent) == ref_nested_render(spec, indent)
-    assert all(type(key) is int for key in T._ROWS)
+            with pytest.raises(ValueError, match="validated specs only"):
+                spec.json_text(indent)
+    assert T._FRAMES == {} and not any(T._ROWS)
     CENSUS_SPEC.json_text(3)
-    assert [key for key in T._ROWS if type(key) is not int] == [(3, 2)]
+    assert list(T._FRAMES) == [(3, 2)]
 
 
 def test_four_narrowest_rows_wrap():

@@ -17,7 +17,7 @@ from hyperideal import triangulation as T
 from hyperideal.errors import BoundaryHypothesisError, GluingError
 
 from conftest import (CENSUS_JSON, MULTI_JSON, NTET12_JSON, SAMPLED6_JSON, TORUS_JSON,
-                      spec_json)
+                      assert_same_text, spec_json)
 
 PREDICATES = (T.any_gluing, T.single_hyperbolic_class, T.all_torus_links)
 
@@ -460,8 +460,9 @@ def test_search_one_tet():
 
 @pytest.mark.parametrize("tet_count", [3, 0, True, 2.0])
 def test_search_rejects_large_counts(tet_count):
-    # Only the ints 1 and 2: True equals 1 and 2.0 equals 2, but neither
-    # makes a spec that validate accepts or that json_text writes as JSON.
+    # Only the ints 1 and 2: True equals 1 and 2.0 equals 2, but validate
+    # refuses a spec of either count, and json_text writes only the specs
+    # that validate accepts.
     with pytest.raises(ValueError):
         T.search_gluings(tet_count, T.any_gluing)
 
@@ -492,48 +493,57 @@ def test_json_text_is_the_generic_rendering(two_tet_reference, sampled_specs,
     # A spec's text, read from the table of finished rows, is what the
     # generic renderer makes of its JSON object, when the table is filled
     # by the first rendering and when it is read by the second; and so at a
-    # neighbouring indent, whose rows wrap with other margins.  Each indent
-    # has its own table, so the cases 0 and 2 cover indents 0 to 3.
-    monkeypatch.setattr(T, "_ROWS", {})
+    # neighbouring indent.  Rows are the same at every indent and frames
+    # are kept per indent, so the cases 0 and 2 cover indents 0 to 3.
+    monkeypatch.setattr(T, "_ROWS", [])
+    monkeypatch.setattr(T, "_FRAMES", {})
+    # Specs that validate refuses are refused first, into the empty tables:
+    # a row too wide for one line, which no valid gluing has, in every row
+    # and in one row of four; a count that is no int, True and 2.0.
+    refused = [T.GluingSpec(tet_count=1, pairings=(
+        (int("9" * 90), 1, (1, 0, 2, 3)),) * 4)]
+    refused.append(T.GluingSpec(tet_count=1, pairings=(
+        (int("9" * 90), 1, (1, 0, 2, 3)),) + ((3, 1, (1, 0, 2, 3)),) * 3))
+    refused += [T.GluingSpec(n, two_tet_reference[0].spec.pairings)
+                for n in (True, 2.0)]
+    for spec in refused:
+        for at in (indent, indent ^ 1):
+            with pytest.raises(ValueError, match="validated specs only"):
+                spec.json_text(at)
     specs = T.search_gluings(1, T.any_gluing)
     assert len(specs) == 27
     specs += [tri.spec for tri in two_tet_reference]
     # two- and three-digit tetrahedron labels
     specs += sampled_specs
-    # a row too wide for one line, which no valid gluing has: in every row,
-    # and in one row of four
-    specs.append(T.GluingSpec(tet_count=1, pairings=(
-        (int("9" * 90), 1, (1, 0, 2, 3)),) * 4))
-    specs.append(T.GluingSpec(tet_count=1, pairings=(
-        (int("9" * 90), 1, (1, 0, 2, 3)),) + ((3, 1, (1, 0, 2, 3)),) * 3))
+    # maps given as lists, which validate accepts
+    listed = T.GluingSpec(2, tuple(
+        (t2, f2, list(s)) for t2, f2, s in two_tet_reference[0].spec.pairings))
+    listed.validate()
+    specs.append(listed)
     # rows whose target face is not where the permutation sends the face,
-    # which validate refuses; the text shows the table as it is
+    # which validate refuses; rows of int labels on one line are written
+    # as they stand
     specs.append(T.GluingSpec(tet_count=1, pairings=(
         (5, 1, (1, 0, 2, 3)),) * 4))
-    # a count that is no int, which validate refuses: written as the
-    # renderer writes it, true for True and 2 for 2.0
-    specs += [T.GluingSpec(n, two_tet_reference[0].spec.pairings)
-              for n in (True, 2.0)]
     for spec in specs:
         for at in (indent, indent ^ 1):
             want = serialize._render(spec_json(spec), at)
-            assert spec.json_text(at) == want
-            assert spec.json_text(at) == want
+            assert_same_text(spec.json_text(at), want)
+            assert_same_text(spec.json_text(at), want)
 
 
 def test_json_text_rows_are_kept_only_for_int_labels(monkeypatch):
     # A pairing row written with a float or a bool for a label, which
-    # validate refuses, never enters the table, so it cannot change how a
-    # later spec with int labels is written; a list map is read as a tuple.
-    monkeypatch.setattr(T, "_ROWS", {})
+    # validate refuses, is refused and never enters the table, so it cannot
+    # change how a later spec with int labels is written.
+    monkeypatch.setattr(T, "_ROWS", [])
+    monkeypatch.setattr(T, "_FRAMES", {})
     odd = T.GluingSpec(tet_count=1, pairings=(
         [0, 1.0, [1, 0, 2, 3]], (0, 0, (1, 0, 2, 3)),
         (True, 3, (0, 1, 3, 2)), (0, 2, [0, 1, 3, 2])))
-    text = odd.json_text(7)
-    assert text == serialize._render(spec_json(odd), 7)
-    assert odd.json_text(7) == text
-    assert [list(table) for table in T._ROWS[7]] == \
-           [[], [(0, 0, (1, 0, 2, 3))], [], [(0, 2, (0, 1, 3, 2))]]
+    with pytest.raises(ValueError, match="validated specs only"):
+        odd.json_text(7)
+    assert T._ROWS == [{}] * 4
     spec = T.GluingSpec(tet_count=1, pairings=(
         (0, 1, (1, 0, 2, 3)), (0, 0, (1, 0, 2, 3)),
         (1, 3, (0, 1, 3, 2)), (0, 2, (0, 1, 3, 2))))
@@ -632,6 +642,12 @@ def test_search_leaves_its_quotients_as_found(monkeypatch, tet_count):
     assert (quotients.tet_roots, quotients.edge_roots) == (n, 6 * n)
 
 
+def _glue_walked(quotients, t, f, t2, s):
+    # quotients.glue with the roots walked first, as build walks them.
+    (a, odd), (b, odd2) = quotients.root(t), quotients.root(t2)
+    return quotients.glue(t, f, t2, s, (a, b, odd ^ odd2))
+
+
 def _recount(quotients):
     return (sum(quotients.tet[x] == x for x in range(len(quotients.tet))),
             sum(quotients.edge[x] == x for x in range(len(quotients.edge))))
@@ -663,7 +679,7 @@ def test_root_counters_match_a_recount(sampler):
             states = [(quotients, _state(quotients))]
             for pair in pairs:
                 glued = quotients.copy()
-                if not glued.glue(*pair):
+                if not _glue_walked(glued, *pair):
                     refused += 1
                     assert _state(glued) == _state(quotients)
                 assert (glued.tet_roots, glued.edge_roots) == _recount(glued)
@@ -988,7 +1004,7 @@ def test_three_tets_orientation_set_late(sign):
     quotients = T._Quotients(3)
     for i, (t2, f2, s) in enumerate(spec.pairings):
         if 4 * t2 + f2 > i:
-            assert quotients.glue(i // 4, i % 4, t2, s)
+            assert _glue_walked(quotients, i // 4, i % 4, t2, s)
     assert [quotients.tet[x] == x for x in range(3)].count(True) == 1
     # Across any face, the map of the other sign would close an odd cycle:
     # it is refused and glues nothing.
@@ -996,8 +1012,5 @@ def test_three_tets_orientation_set_late(sign):
     for i, (t2, f2, s) in enumerate(spec.pairings):
         t, f = divmod(i, 4)
         other = _map(f, f2, -_ref_perm_sign(s))
-        assert not quotients.glue(t, f, t2, other)
-        # and so with the roots walked by the caller, as the search does
-        (a, odd), (b, odd2) = quotients.root(t), quotients.root(t2)
-        assert not quotients.glue(t, f, t2, other, (a, b, odd ^ odd2))
+        assert not _glue_walked(quotients, t, f, t2, other)
     assert _state(quotients) == state
