@@ -106,8 +106,9 @@ def lp_feasibility(tri: Triangulation) -> LPResult:
     iep, iem = nA, nA + 1
     q = tri.quotient
 
+    # One row per edge class: its corners' angles, then valence * ep.
     A_eq = np.zeros((tri.n_edges, ncols))
-    A_eq[:, :nA] = q.matrix()
+    A_eq[q.flat, np.arange(nA)] = 1.0
     A_eq[:, iep] = q.counts
     b_eq = np.full(tri.n_edges, TWO_PI)
 

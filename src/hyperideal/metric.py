@@ -103,12 +103,6 @@ class Quotient:
         return np.bincount(self.block_flat, weights=B.ravel(),
                            minlength=self.n * self.n).reshape(self.n, self.n)
 
-    def matrix(self) -> np.ndarray:
-        """The map as a 0/1 matrix of shape (n_edges, 6 * tet_count)."""
-        Q = np.zeros((self.n, self.cm.size))
-        Q[self.flat, np.arange(self.flat.size)] = 1.0
-        return Q
-
 
 @dataclass(frozen=True, eq=False)
 class Evaluation:
@@ -122,16 +116,12 @@ class Evaluation:
 
     quotient: Quotient
     x: np.ndarray         # lengths per edge class
+    X: np.ndarray         # lengths per corner, (tet_count, 6)
     pipeline: tetgeom._Pipeline
     ok: np.ndarray        # (tet_count,) admissibility mask
     angles: np.ndarray    # (tet_count, 6) dihedral angles
     S: np.ndarray         # angle sums per edge class
     K: np.ndarray         # curvatures 2*pi - S
-
-    @property
-    def X(self) -> np.ndarray:
-        """Lengths per corner, (tet_count, 6)."""
-        return self.quotient.gather(self.x)
 
     @property
     def admissible(self) -> bool:
@@ -196,9 +186,10 @@ def evaluate(tri: Triangulation, x) -> Evaluation:
         raise ValueError(f"metric needs {q.n} lengths, got shape {x.shape}")
     # Gathered edge-major, handed over as a shape-major view, which the
     # pipeline reads in place.
-    pl = tetgeom._pipeline(x[q.cm_t].T)
+    X = x[q.cm_t].T
+    pl = tetgeom._pipeline(X)
     S = q.scatter(pl.angles)
-    return Evaluation(quotient=q, x=x, pipeline=pl, ok=pl.ok,
+    return Evaluation(quotient=q, x=x, X=X, pipeline=pl, ok=pl.ok,
                       angles=pl.angles, S=S, K=2.0 * math.pi - S)
 
 

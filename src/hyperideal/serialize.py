@@ -5,13 +5,14 @@ correct parser, and no data file ever contains a timestamp; wall-clock
 metadata lives in the manifest sidecars, so rerunning a command with the
 same inputs and configuration reproduces every data byte.
 
-A JSON document is rendered into one list of pieces.  A dict adds its keys
-and braces around its values' own pieces, and a list the pieces that
-`_layout`, the one width rule, gives: the list on one line, or its items
-joined once between an opening and a close.  `dumps` joins the pieces and
-`write_json` writes them with `writelines`, so no value's text is copied
-again into its container's.  Both render before anything is written: a
-refused value leaves an existing file as it was and creates no new one.
+A JSON document is rendered into one list of pieces by `_pieces`.  A dict
+adds its keys and braces around its values' own pieces, and a list the
+pieces that `_layout`, the one width rule, gives: the list on one line, or
+its items joined once between an opening and a close.  `dumps` joins the
+pieces and `write_json` writes them with `writelines`, so no value's text
+is copied again into its container's.  Both render before anything is
+written: a refused value leaves an existing file as it was and creates no
+new one.
 """
 
 from __future__ import annotations
@@ -72,59 +73,49 @@ def _render(obj, indent: int) -> str:
         obj = obj.tolist()
     if isinstance(obj, (list, tuple, dict)):
         out = []
-        _container(obj, indent, out)
+        _pieces(obj, indent, out)
         return "".join(out)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _pieces(obj, indent: int, out: list) -> None:
-    # Appends the text of obj at this indent to out: a plain list, tuple or
-    # dict in pieces, anything else as the one string _render makes.  A
-    # plain one cannot carry a json_text method.
-    if type(obj) in (dict, list, tuple):
-        _container(obj, indent, out)
-    else:
-        out.append(_render(obj, indent))
-
-
-def _container(obj, indent: int, out: list) -> None:
-    # Appends the text of a list, tuple or dict to out.  A dict appends its
-    # keys and frame around its values' own pieces, and a list the pieces
-    # _layout gives, so no value's text is copied into its container's.
-    if not isinstance(obj, dict):
+    # Appends the text of obj at this indent to out: a list or tuple as the
+    # pieces _layout gives for its items' texts, a dict as its keys and
+    # frame around its values' own pieces, anything else as the one string
+    # _render makes.  No class with a json_text method is a dict, list or
+    # tuple.
+    if isinstance(obj, (list, tuple)):
         out += _layout([_render(v, indent + 1) for v in obj], indent)
-        return
-    if not obj:
+    elif not isinstance(obj, dict):
+        out.append(_render(obj, indent))
+    elif not obj:
         out.append("{}")
-        return
-    pad = "  " * (indent + 1)
-    head = "{\n"
-    for k, v in obj.items():
-        if not isinstance(k, str):
-            raise TypeError(f"JSON object keys must be strings, got {k!r}")
-        out.append(f"{head}{pad}{json.dumps(k)}: ")
-        _pieces(v, indent + 1, out)
-        head = ",\n"
-    out.append(f"\n{'  ' * indent}}}")
-
-
-def _document(obj) -> list:
-    # The pieces of the file that holds obj.
-    out = []
-    _pieces(obj, 0, out)
-    out.append("\n")
-    return out
+    else:
+        pad = "  " * (indent + 1)
+        head = "{\n"
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be strings, got {k!r}")
+            out.append(f"{head}{pad}{json.dumps(k)}: ")
+            _pieces(v, indent + 1, out)
+            head = ",\n"
+        out.append(f"\n{'  ' * indent}}}")
 
 
 def dumps(obj) -> str:
-    return "".join(_document(obj))
+    out = []
+    _pieces(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(path, obj) -> None:
     """Write obj's JSON text to path.  The text is rendered before the file
     is opened, so a refused value (a non-finite float, a non-str key) leaves
     an existing file as it was and creates no new one."""
-    pieces = _document(obj)
+    pieces = []
+    _pieces(obj, 0, pieces)
+    pieces.append("\n")
     with open(path, "w") as f:
         f.writelines(pieces)
 

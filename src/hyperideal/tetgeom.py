@@ -68,6 +68,11 @@ MAX_LENGTH = 350.0      # cosh and sinh stay finite in float64
 _SLACK_FLOOR = np.array([COSINE_GUARD] * 6 + [0.0] * 4)
 
 ARC_VERTEX_FACE = tuple((v, f) for v in range(4) for f in range(4) if f != v)
+# Arc (v, f)'s edges vj, vk and jk, {j, k} the vertices other than v and f,
+# as three rows.
+_ARC_E = np.array([[edge_index(v, j), edge_index(v, k), edge_index(j, k)]
+                   for v, f in ARC_VERTEX_FACE
+                   for j, k in [sorted({0, 1, 2, 3} - {v, f})]]).T
 
 
 def _cofactor_edges():
@@ -223,9 +228,7 @@ def arcs_from_lengths(x) -> np.ndarray:
     cosh t = (cosh x_jk + cosh x_vj cosh x_vk) / (sinh x_vj sinh x_vk).
     """
     x = _as_lengths(x)
-    vj, vk, jk = np.array([[edge_index(v, j), edge_index(v, k), edge_index(j, k)]
-                           for v, f in ARC_VERTEX_FACE
-                           for j, k in [sorted({0, 1, 2, 3} - {v, f})]]).T
+    vj, vk, jk = _ARC_E
     ch, sh = np.cosh(x), np.sinh(x)
     coth = ch / sh
     # coth*coth + cosh/(sinh*sinh) avoids overflow of cosh*cosh

@@ -263,7 +263,7 @@ def ten_n_row_angle_lp(tri):
     N = tri.tet_count
     nA, nV = 6 * N, 4 * N
     A_eq = np.zeros((tri.n_edges, nA + 2))
-    A_eq[:, :nA] = tri.quotient.matrix()
+    A_eq[tri.quotient.flat, np.arange(nA)] = 1.0
     t, v = np.divmod(np.arange(nV), 4)
     A_ub = np.zeros((nV + nA, nA + 2))
     A_ub[np.arange(nV)[:, None], 6 * t[:, None] + tetgeom._VERT_E[v]] = 1.0

@@ -4,9 +4,10 @@
 joined once, and `GluingSpec.json_text` joins a spec's finished rows inside
 a frame made once per indent and tetrahedron count.  Neither may change a
 byte, so the renderer they replaced, in which every dict joins its entries'
-texts and every list its items', is kept below as `ref_nested_render`.  It
-writes a `GluingSpec` as the JSON object it stands for, so that it checks
-json_text's frame as well.
+texts and every list its items', is kept below as `ref_nested_render`, the
+one reference that every rendering test compares against.  It writes a
+`GluingSpec` as the JSON object it stands for, so that it checks
+json_text's frame as well, and refuses a non-str key as serialize does.
 """
 
 import dataclasses
@@ -24,10 +25,19 @@ from hyperideal import triangulation as T
 from conftest import CENSUS_JSON, assert_same_text, census_metric, spec_json
 
 
-def _ref_render(obj, indent):
-    # The reference renderer: a list goes inline when none of its items
-    # wraps and their widths sum under 100.
-    pad = "  " * indent
+def ref_nested_layout(items, indent):
+    if sum(map(len, items)) < 100:
+        line = ", ".join(items)
+        if "\n" not in line:
+            return f"[{line}]"
+    pad = "  " * (indent + 1)
+    sep = ",\n" + pad
+    return f"[\n{pad}{sep.join(items)}\n{'  ' * indent}]"
+
+
+def ref_nested_render(obj, indent):
+    if isinstance(obj, T.GluingSpec):
+        obj = spec_json(obj)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -41,26 +51,23 @@ def _ref_render(obj, indent):
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        items = [_ref_render(v, indent + 1) for v in obj]
-        if not items:
-            return "[]"
-        if all("\n" not in s for s in items) and sum(map(len, items)) < 100:
-            return "[" + ", ".join(items) + "]"
-        inner = ",\n".join("  " * (indent + 1) + s for s in items)
-        return "[\n" + inner + "\n" + pad + "]"
+        return ref_nested_layout([ref_nested_render(v, indent + 1)
+                                  for v in obj], indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         parts = []
         for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be strings, got {k!r}")
             parts.append("  " * (indent + 1) + json.dumps(k) + ": "
-                         + _ref_render(v, indent + 1))
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+                         + ref_nested_render(v, indent + 1))
+        return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _ref_dumps(obj):
-    return _ref_render(obj, 0) + "\n"
+def ref_nested_dumps(obj):
+    return ref_nested_render(obj, 0) + "\n"
 
 
 def test_fmt_round_trips():
@@ -148,7 +155,7 @@ def test_dumps_matches_reference_on_edge_cases():
            "tuple": (1, 2, 3), "nested": [[1, 2], [[3]], []],
            "inline": list(range(37)), "wrapped": list(range(38)),
            "negative": [-1, 0, -20], "mixed": [1, 2.5, None, "x"]}
-    assert serialize.dumps(obj) == _ref_dumps(obj)
+    assert serialize.dumps(obj) == ref_nested_dumps(obj)
 
 
 def _row(width):
@@ -186,7 +193,7 @@ def _inner(width):
 def test_dumps_matches_reference_on_rows(obj):
     # Pairing-shaped rows, and rows with anything else in them, under the
     # one inline rule.
-    assert serialize.dumps(obj) == _ref_dumps(obj)
+    assert serialize.dumps(obj) == ref_nested_dumps(obj)
 
 
 @pytest.mark.parametrize("argv", [
@@ -205,63 +212,29 @@ def test_dumps_matches_reference_on_rows(obj):
                  id="search_torus"),
     pytest.param(("search", "--tets", "2", "--filter", "census", "--first"),
                  id="search_first"),
+    ("validate", "--tri", "{census}"),
+    ("minimize", "--tri", "{census}", "--metric", "{metric}"),
+    ("flow", "--tri", "{census}", "--metric", "{metric}"),
+    ("propsuite", "--probe-trials", "20"),
 ], ids=lambda a: a[0])
 def test_dumps_matches_reference_on_reports(tmp_path, argv):
+    # Every JSON file the command wrote: its report (flow's is the status
+    # beside its CSV trace) and its manifest.
     census = tmp_path / "census.json"
     census.write_text(json.dumps(CENSUS_JSON))
     metric = tmp_path / "m.json"
     metric.write_text(json.dumps({"lengths": [1.0]}))
-    out = tmp_path / "report.json"
+    out = tmp_path / "out" / ("trace.csv" if argv[0] == "flow" else "report.json")
+    out.parent.mkdir()
     argv = [a.format(census=census, metric=metric) for a in argv]
     assert cli.main(argv + ["--out", str(out)]) == 0
-    # the report was written by serialize.dumps
-    text = out.read_text()
-    assert_same_text(text, _ref_dumps(json.loads(text)))
-
-
-def ref_nested_layout(items, indent):
-    if sum(map(len, items)) < 100:
-        line = ", ".join(items)
-        if "\n" not in line:
-            return f"[{line}]"
-    pad = "  " * (indent + 1)
-    sep = ",\n" + pad
-    return f"[\n{pad}{sep.join(items)}\n{'  ' * indent}]"
-
-
-def ref_nested_render(obj, indent):
-    if isinstance(obj, T.GluingSpec):
-        obj = spec_json(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return serialize.fmt(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return ref_nested_layout([ref_nested_render(v, indent + 1)
-                                  for v in obj], indent)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            parts.append("  " * (indent + 1) + json.dumps(k) + ": "
-                         + ref_nested_render(v, indent + 1))
-        return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def ref_nested_dumps(obj):
-    return ref_nested_render(obj, 0) + "\n"
+    report = out.name + (".status.json" if argv[0] == "flow" else "")
+    written = sorted(out.parent.glob("*.json"))
+    assert [p.name for p in written] == sorted([report,
+                                                out.name + ".manifest.json"])
+    for path in written:
+        text = path.read_text()
+        assert_same_text(text, ref_nested_dumps(json.loads(text)))
 
 
 CENSUS_SPEC = T.GluingSpec.from_json_obj(CENSUS_JSON)
